@@ -19,12 +19,11 @@ CONFIGS = [
     ("rplus4", "even family, m=4", StudyConfig(
         family="rplus", m=4, levels=7, min_level=2)),
     ("r5t", "odd family (tilde), m=5", StudyConfig(
-        family="r", variant="tilde", m=5, levels=6, min_level=2,
-        max_iter_factor=400.0)),
+        family="r", variant="tilde", m=5, levels=6, min_level=2)),
     ("er5", "enriched odd family, m=5", StudyConfig(
-        family="er", m=5, levels=6, min_level=2, max_iter_factor=400.0)),
+        family="er", m=5, levels=6, min_level=2)),
     ("rplus6", "even family, m=6", StudyConfig(
-        family="rplus", m=6, levels=6, min_level=2, max_iter_factor=400.0)),
+        family="rplus", m=6, levels=6, min_level=2)),
     ("r7t", "odd family (tilde), m=7", StudyConfig(
         family="r", variant="tilde", m=7, levels=4, min_level=2,
         max_iter_factor=400.0)),

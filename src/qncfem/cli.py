@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import refelem
+from .legendre1d import gauss_rule
 from .mesh import perturbed_mesh, save_mesh, uniform_rect_mesh
 from .refelem import Family, Poly2D, build_reference_element
 from .solve import SolverError, assemble, error_norms, solve
@@ -98,17 +99,22 @@ def _mesh_for_level(config: StudyConfig, level: int):
     return perturbed_mesh(n, seed=config.seed, amplitude=config.amplitude)
 
 
+def _unit_square_l2_norm(u) -> float:
+    """L2 norm of u over the unit square by a 16x16 tensor Gauss rule."""
+    rule = gauss_rule(16)
+    t = (rule.nodes + 1.0) / 2.0
+    X, Y = np.meshgrid(t, t, indexing="ij")
+    W = np.outer(rule.weights, rule.weights) / 4.0
+    return float(np.sqrt(np.sum(W * np.asarray(u(X, Y), dtype=float) ** 2)))
+
+
 def run_study(config: StudyConfig, problem=None) -> list[StudyRow]:
     """Solve the model problem per refinement level; stop early at machine
     accuracy.  Raises StudyError with the partial table on solver failure."""
     u, grad_u, f = problem if problem is not None else default_problem()
     family = config.family_obj()
     rows: list[StudyRow] = []
-    # reference scale for the early-stopping test
-    mref = uniform_rect_mesh(8)
-    sref = build_global_space(mref, family, config.m, config.dof_mode)
-    u_norm = error_norms(sref, np.zeros(sref.n_free), u,
-                         lambda x, y: (np.zeros_like(x), np.zeros_like(x)))[0]
+    u_norm = _unit_square_l2_norm(u)  # reference scale for the early stop
 
     prev: StudyRow | None = None
     for level in range(config.min_level, config.levels + 1):

@@ -133,6 +133,8 @@ class QuadMesh:
         self.edge_is_boundary = np.array(
             [len(inc) == 1 for inc in edge_elems], dtype=bool
         )
+        self.vertex_is_boundary = np.zeros(len(self.vertices), dtype=bool)
+        self.vertex_is_boundary[self.edge_vertices[self.edge_is_boundary]] = True
 
     # counts used by the dimension formulas
     @property
@@ -157,10 +159,7 @@ class QuadMesh:
 
     @property
     def n_boundary_vertices(self) -> int:
-        b = set()
-        for idx in np.nonzero(self.edge_is_boundary)[0]:
-            b.update(self.edge_vertices[idx])
-        return len(b)
+        return int(np.sum(self.vertex_is_boundary))
 
     def geom(self, e: int) -> GeomMap:
         return GeomMap(self.vertices[self.quads[e]])
@@ -253,10 +252,7 @@ def perturbed_mesh(
         amp = amplitude / 2.0**attempt
         rng = np.random.default_rng(seed)
         coarse = uniform_rect_mesh(2, domain)
-        interior = np.setdiff1d(
-            np.arange(len(coarse.vertices)),
-            np.unique(coarse.edge_vertices[coarse.edge_is_boundary]),
-        )
+        interior = np.nonzero(~coarse.vertex_is_boundary)[0]
         vertices = coarse.vertices.copy()
         vertices[interior] += rng.uniform(-amp * h, amp * h, size=(len(interior), 2))
         try:

@@ -4,6 +4,15 @@ The stiffness matrix is assembled vectorized over elements with tensor-Gauss
 quadrature on the reference square.  The ER families give a plain SPD system;
 the R / RPlus families carry one relation row per element and are solved by
 conjugate gradients projected onto the constraint null space.
+
+Both solvers use the additive two-level preconditioner
+z = r / diag(K) + P (P^T K P)^{-1} P^T r, where P embeds the conforming
+isoparametric Q1 space on the same mesh (interior-vertex hat functions) into
+the nonconforming space.  Q1 lies in every shape space with m >= 2 and, for
+R / RPlus, inside the relation kernel, so the coarse term needs no projection
+of its own and iteration counts stay bounded under refinement.  Systems
+without a coarse space (m = 1, no interior vertex, hand-built systems) use
+the Jacobi term alone.
 """
 
 from __future__ import annotations
@@ -16,7 +25,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .legendre1d import gauss_rule
-from .space import FeFunction, GlobalSpace
+from .space import FeFunction, GlobalSpace, coarse_prolongation
 
 __all__ = [
     "SparseSystem",
@@ -46,13 +55,17 @@ class SolveReport:
 
 @dataclass
 class SparseSystem:
-    """Symmetric sparse system K x = b, optionally restricted to ker(C)."""
+    """Symmetric sparse system K x = b, optionally restricted to ker(C).
+
+    `coarse` is the coarse-space prolongation the preconditioner uses, set by
+    `assemble`; its columns must lie in ker(C)."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     constraints: sp.csr_matrix | None = None
     rel_tol: float = 1e-13
     max_iter_factor: float = 40.0
+    coarse: sp.csr_matrix | None = None
 
     @property
     def n(self) -> int:
@@ -92,15 +105,21 @@ def _geometry_factors(space: GlobalSpace, q: int):
     return (X, Y, W), (j11, j12, j21, j22, det), (px, py)
 
 
-def _stiffness_blocks(space: GlobalSpace, q: int):
-    (X, Y, W), (j11, j12, j21, j22, det), _ = _geometry_factors(space, q)
+def _stiffness_blocks(space: GlobalSpace, quad, jac):
+    """Local stiffness blocks of all elements from precomputed geometry
+    factors (the first two results of `_geometry_factors`)."""
+    X, Y, W = quad
+    j11, j12, j21, j22, det = jac
     _, dpx, dpy = space.ref.tabulate(X, Y)  # (nq, nret)
-    # physical gradients scaled by det: (J^{-T} grad_hat) * det
-    g1 = j22[:, :, None] * dpx[None] - j21[:, :, None] * dpy[None]
-    g2 = -j12[:, :, None] * dpx[None] + j11[:, :, None] * dpy[None]
     a = W[None, :] / det
-    K = np.einsum("ep,epi,epj->eij", a, g1, g1, optimize=True)
-    K += np.einsum("ep,epi,epj->eij", a, g2, g2, optimize=True)
+    # physical gradients scaled by det, (J^{-T} grad_hat) * det, one
+    # component at a time to bound the (ne, nq, nret) temporaries
+    g = j22[:, :, None] * dpx[None]
+    g -= j21[:, :, None] * dpy[None]
+    K = np.einsum("ep,epi,epj->eij", a, g, g, optimize=True)
+    g = j11[:, :, None] * dpy[None]
+    g -= j12[:, :, None] * dpx[None]
+    K += np.einsum("ep,epi,epj->eij", a, g, g, optimize=True)
     return K
 
 
@@ -109,16 +128,17 @@ def element_stiffness(space: GlobalSpace, e: int, quad_order: int | None = None)
     q = quad_order if quad_order is not None else space.m + 3
     if q < space.m + 2:
         raise ValueError("quadrature order too low for the stiffness integrand")
-    sub = _stiffness_blocks(space, q)
-    return sub[e]
+    quad, jac, _ = _geometry_factors(space, q)
+    return _stiffness_blocks(space, quad, jac)[e]
 
 
 def assemble(space: GlobalSpace, f, quad_order: int | None = None) -> SparseSystem:
     """Assemble stiffness and load over the free dofs; attach the constraint
     rows for the R / RPlus families."""
     q = quad_order if quad_order is not None else space.m + 3
-    Kloc = _stiffness_blocks(space, q)
-    (X, Y, W), (_, _, _, _, det), (px, py) = _geometry_factors(space, q)
+    (X, Y, W), jac, (px, py) = _geometry_factors(space, q)
+    Kloc = _stiffness_blocks(space, (X, Y, W), jac)
+    det = jac[-1]
     phi, _, _ = space.ref.tabulate(X, Y)
     fv = np.asarray(f(px, py), dtype=float)
     if fv.shape != px.shape:
@@ -143,17 +163,28 @@ def assemble(space: GlobalSpace, f, quad_order: int | None = None) -> SparseSyst
     keepf = lf >= 0
     np.add.at(b, lf[keepf], Floc[keepf])
 
-    return SparseSystem(matrix=K, rhs=b, constraints=space.constraints)
+    return SparseSystem(matrix=K, rhs=b, constraints=space.constraints,
+                        coarse=coarse_prolongation(space))
 
 
-def _pcg(A, b, project, tol, maxiter, diag=None):
-    """Preconditioned CG; `project` maps onto the admissible subspace."""
-    if diag is None:
-        diag = A.diagonal()
+def _preconditioner(A, coarse):
+    """Jacobi, plus the exact coarse-space correction P (P^T A P)^{-1} P^T
+    when a prolongation is given (additive two-level Schwarz)."""
+    diag = A.diagonal()
     diag = np.where(diag > 0, diag, 1.0)
+    if coarse is None:
+        return lambda r: r / diag
+    lu = spla.splu((coarse.T @ A @ coarse).tocsc())
+    restrict = coarse.T.tocsr()
+    return lambda r: r / diag + coarse @ lu.solve(restrict @ r)
+
+
+def _pcg(A, b, project, tol, maxiter, coarse):
+    """Preconditioned CG; `project` maps onto the admissible subspace."""
+    precondition = _preconditioner(A, coarse)
     x = np.zeros_like(b)
     r = project(b.copy())
-    z = project(r / diag)
+    z = project(precondition(r))
     p = z.copy()
     rz = float(np.dot(r, z))
     bnorm = float(np.linalg.norm(project(b)))
@@ -166,7 +197,7 @@ def _pcg(A, b, project, tol, maxiter, diag=None):
         alpha = rz / float(np.dot(p, Ap))
         x += alpha * p
         r -= alpha * Ap
-        z = project(r / diag)
+        z = project(precondition(r))
         rz_new = float(np.dot(r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new
@@ -176,7 +207,8 @@ def _pcg(A, b, project, tol, maxiter, diag=None):
 
 
 def solve_unconstrained(system: SparseSystem):
-    """Jacobi-preconditioned CG for the SPD (ER-family) system."""
+    """Two-level (or Jacobi) preconditioned CG for the SPD (ER-family)
+    system."""
     if system.constraints is not None and system.constraints.nnz:
         raise ValueError("system carries constraints; use solve_constrained")
     t0 = time.perf_counter()
@@ -186,6 +218,7 @@ def solve_unconstrained(system: SparseSystem):
         lambda v: v,
         system.rel_tol,
         system.max_iterations(),
+        system.coarse,
     )
     true_rel = _true_residual(system, x)
     report = SolveReport(
@@ -214,7 +247,7 @@ def solve_constrained(system: SparseSystem):
     if C is None or C.nnz == 0:
         return solve_unconstrained(
             SparseSystem(system.matrix, system.rhs, None, system.rel_tol,
-                         system.max_iter_factor)
+                         system.max_iter_factor, system.coarse)
         )
     t0 = time.perf_counter()
     Ct = C[:-1]  # the last element's row is implied by the others
@@ -226,7 +259,8 @@ def solve_constrained(system: SparseSystem):
         return v - CtT @ lu.solve(Ct @ v)
 
     x, it, rel = _pcg(
-        system.matrix, system.rhs, project, system.rel_tol, system.max_iterations()
+        system.matrix, system.rhs, project, system.rel_tol,
+        system.max_iterations(), system.coarse,
     )
     cres = float(np.max(np.abs(C @ x))) if x.size else 0.0
     # residual of the constrained problem: projected true residual

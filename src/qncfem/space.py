@@ -26,6 +26,7 @@ __all__ = [
     "GlobalSpace",
     "FeFunction",
     "build_global_space",
+    "coarse_prolongation",
     "expected_dimension",
     "q_interpolate",
     "interpolate",
@@ -185,6 +186,45 @@ def build_global_space(
         ltg=ltg,
         sign=sign,
         constraints=constraints,
+    )
+
+
+def coarse_prolongation(space: GlobalSpace) -> sp.csr_matrix | None:
+    """Embedding of the conforming isoparametric Q1 space into the free dofs.
+
+    Column v holds the dof values of the piecewise-bilinear hat function of
+    the v-th interior vertex (in vertex order).  Every shape space with
+    m >= 2 contains Q1, so each dof is its functional applied to the four
+    reference bilinears; a dof shared by two elements gets the same value
+    from both and is stored once.  Returns None when Q1 is not in the shape
+    space (m = 1) or the mesh has no interior vertex.
+    """
+    mesh, ref = space.mesh, space.ref
+    interior = ~mesh.vertex_is_boundary
+    n_coarse = int(np.sum(interior))
+    if ref.m < 2 or n_coarse == 0:
+        return None
+    coarse_index = np.full(len(mesh.vertices), -1, dtype=np.int64)
+    coarse_index[interior] = np.arange(n_coarse)
+    # bilinear of corner c: (1 + sx x)(1 + sy y) / 4, corners A1..A4 CCW
+    corner_signs = ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
+    bilinears = [Poly2D(np.array([[1.0, sy], [sx, sx * sy]]) / 4.0)
+                 for sx, sy in corner_signs]
+    local = np.array([[d.apply(b) for b in bilinears] for d in ref.dofs])
+
+    # every free dof once, from the first element that lists it; the hats
+    # that do not vanish at a shared edge dof belong to that edge's vertices,
+    # which both incident elements have
+    _, first = np.unique(space.ltg, return_index=True)
+    e, j = np.unravel_index(first, space.ltg.shape)
+    rows = space.free_index[space.ltg[e, j]]
+    e, j, rows = e[rows >= 0], j[rows >= 0], rows[rows >= 0]
+    cols = coarse_index[mesh.quads[e]]  # (k, 4)
+    vals = local[j] * space.sign[e, j][:, None]
+    keep = (cols >= 0) & (vals != 0.0)
+    rows = np.broadcast_to(rows[:, None], cols.shape)
+    return sp.csr_matrix(
+        (vals[keep], (rows[keep], cols[keep])), shape=(space.n_free, n_coarse)
     )
 
 

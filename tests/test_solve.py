@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from qncfem.mesh import perturbed_mesh, uniform_rect_mesh
 from qncfem.refelem import Family
@@ -17,7 +18,7 @@ from qncfem.solve import (
     solve_constrained,
     solve_unconstrained,
 )
-from qncfem.space import FeFunction, build_global_space
+from qncfem.space import FeFunction, build_global_space, coarse_prolongation
 
 
 def default_u():
@@ -242,3 +243,89 @@ class TestConvergenceSmoke:
         # preasymptotic overshoot on the coarse pairs is normal
         assert np.all(np.abs(l2_orders - expect_l2) < 0.4)
         assert np.all(np.abs(h1_orders - expect_h1) < 0.4)
+
+
+def _bilinear_values(mesh, vertex_values, e, xh, yh):
+    """Piecewise-bilinear function with the given vertex values, evaluated
+    on element e at reference points."""
+    corners = vertex_values[mesh.quads[e]]
+    sx = np.array([-1.0, 1.0, 1.0, -1.0])
+    sy = np.array([-1.0, -1.0, 1.0, 1.0])
+    hats = (1 + np.outer(xh, sx)) * (1 + np.outer(yh, sy)) / 4.0
+    return hats @ corners
+
+
+class TestCoarseSpace:
+    @pytest.mark.parametrize(
+        "family,m",
+        [(Family("R"), 3), (Family("R", "tilde"), 5), (Family("RPlus"), 4)],
+    )
+    def test_prolongation_in_relation_kernel(self, family, m):
+        space = build_global_space(perturbed_mesh(8, seed=0), family, m)
+        P = coarse_prolongation(space)
+        assert P.shape == (space.n_free, space.mesh.n_interior_vertices)
+        assert abs(space.constraints @ P).max() < 1e-13
+
+    @pytest.mark.parametrize(
+        "family,m,dof_mode",
+        [
+            (Family("ER"), 3, "point"),
+            (Family("ER"), 5, "moment"),
+            (Family("R"), 3, "point"),
+            (Family("RPlus"), 4, "point"),
+        ],
+    )
+    def test_prolongation_reproduces_bilinears(self, family, m, dof_mode):
+        mesh = perturbed_mesh(8, seed=2)
+        space = build_global_space(mesh, family, m, dof_mode)
+        P = coarse_prolongation(space)
+        rng = np.random.default_rng(4)
+        v = rng.standard_normal(P.shape[1])
+        vertex_values = np.zeros(len(mesh.vertices))
+        vertex_values[~mesh.vertex_is_boundary] = v
+        fe = FeFunction(space, P @ v)
+        xh, yh = rng.uniform(-1, 1, (2, 5))
+        for e in range(mesh.n_elements):
+            got, _ = fe.evaluate(e, xh, yh)
+            expect = _bilinear_values(mesh, vertex_values, e, xh, yh)
+            assert np.max(np.abs(got - expect)) < 1e-12
+
+    def test_no_coarse_space_falls_back_to_jacobi(self):
+        # m = 1 does not contain Q1; a single element has no interior vertex
+        lowest = build_global_space(uniform_rect_mesh(4), Family("ER"), 1)
+        single = build_global_space(uniform_rect_mesh(1), Family("ER"), 3)
+        for space in (lowest, single):
+            assert coarse_prolongation(space) is None
+            assert assemble(space, lambda x, y: np.ones_like(x)).coarse is None
+
+    @pytest.mark.parametrize("family,m", [(Family("ER"), 3), (Family("RPlus"), 4)])
+    def test_iterations_bounded_under_refinement(self, family, m):
+        u, gu, f = default_u()
+        its = []
+        for n in (16, 32):
+            space = build_global_space(uniform_rect_mesh(n), family, m)
+            its.append(solve(assemble(space, f))[1].iterations)
+        assert its[1] <= 1.3 * its[0]
+
+    @pytest.mark.parametrize(
+        "family,m,mesh",
+        [
+            (Family("RPlus"), 4, uniform_rect_mesh(16)),
+            (Family("ER"), 3, perturbed_mesh(16, seed=0)),
+        ],
+    )
+    def test_two_level_matches_sparse_kkt(self, family, m, mesh):
+        u, gu, f = default_u()
+        space = build_global_space(mesh, family, m)
+        system = assemble(space, f)
+        assert system.coarse is not None
+        x, _ = solve(system)
+        K = system.matrix
+        if system.constraints is None:
+            kkt, rhs = K, system.rhs
+        else:
+            C = system.constraints[:-1]
+            kkt = sp.bmat([[K, C.T], [C, None]])
+            rhs = np.concatenate([system.rhs, np.zeros(C.shape[0])])
+        ref = spla.splu(kkt.tocsc()).solve(rhs)[: space.n_free]
+        assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
