@@ -3,6 +3,7 @@
 Subcommands:
     run     solve the Poisson model problem over a mesh hierarchy and print
             an error/order table (optionally CSV)
+    tables  run the six published-table configurations (TABLES)
     verify  run the reference-element property checks
     mesh    generate and save a mesh file
 """
@@ -10,6 +11,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import pathlib
 import sys
 import time
 from dataclasses import dataclass, field
@@ -27,6 +29,7 @@ __all__ = [
     "StudyConfig",
     "StudyRow",
     "StudyError",
+    "TABLES",
     "default_problem",
     "run_study",
     "emit",
@@ -69,15 +72,23 @@ class StudyConfig:
     mesh_kind: str = "uniform"  # "uniform" | "perturbed"
     seed: int = 0
     amplitude: float = 0.2
-    rel_tol: float = 1e-13
     quad_order: int | None = None
-    csv_path: str | None = None
     min_level: int = 1
-    max_iter_factor: float = 40.0
 
     def family_obj(self) -> Family:
         tag = {"r": "R", "er": "ER", "rplus": "RPlus"}[self.family]
         return Family(tag, self.variant)
+
+
+# The configurations of the published tables (R~ is the tilde variant).
+TABLES = {
+    "er3": StudyConfig(family="er", m=3, levels=8, min_level=2),
+    "rplus4": StudyConfig(family="rplus", m=4, levels=7, min_level=2),
+    "r5t": StudyConfig(family="r", variant="tilde", m=5, levels=6, min_level=2),
+    "er5": StudyConfig(family="er", m=5, levels=6, min_level=2),
+    "rplus6": StudyConfig(family="rplus", m=6, levels=6, min_level=2),
+    "r7t": StudyConfig(family="r", variant="tilde", m=7, levels=4, min_level=2),
+}
 
 
 @dataclass
@@ -122,8 +133,6 @@ def run_study(config: StudyConfig, problem=None) -> list[StudyRow]:
         mesh = _mesh_for_level(config, level)
         space = build_global_space(mesh, family, config.m, config.dof_mode)
         system = assemble(space, f, config.quad_order)
-        system.rel_tol = config.rel_tol
-        system.max_iter_factor = config.max_iter_factor
         try:
             coeffs, report = solve(system)
         except SolverError as err:
@@ -235,21 +244,9 @@ def _verify(args) -> int:
     return 0 if ok else 1
 
 
-def _run(args) -> int:
-    config = StudyConfig(
-        family=args.family,
-        variant=args.variant,
-        m=args.order,
-        dof_mode=args.dof_mode,
-        levels=args.levels,
-        mesh_kind=args.mesh,
-        seed=args.seed,
-        amplitude=args.amplitude,
-        rel_tol=args.tol,
-        quad_order=args.quad,
-        csv_path=args.csv,
-        max_iter_factor=args.iter_factor,
-    )
+def _print_study(config: StudyConfig, csv_path=None) -> int:
+    """Run one study and print its table, the partial one on failure;
+    return the exit status."""
     try:
         rows = run_study(config)
     except StudyError as err:
@@ -258,9 +255,35 @@ def _run(args) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 1
     print(emit(rows, "text"), end="")
-    if config.csv_path:
-        emit(rows, "csv", config.csv_path)
+    if csv_path:
+        emit(rows, "csv", csv_path)
     return 0
+
+
+def _run(args) -> int:
+    return _print_study(StudyConfig(
+        family=args.family,
+        variant=args.variant,
+        m=args.order,
+        dof_mode=args.dof_mode,
+        levels=args.levels,
+        mesh_kind=args.mesh,
+        seed=args.seed,
+        amplitude=args.amplitude,
+        quad_order=args.quad,
+    ), args.csv)
+
+
+def _tables(args) -> int:
+    csv_dir = pathlib.Path(args.csv_dir) if args.csv_dir else None
+    if csv_dir:
+        csv_dir.mkdir(parents=True, exist_ok=True)
+    rc = 0
+    for key in [args.only] if args.only else TABLES:
+        print(f"== {key} ==")
+        rc |= _print_study(TABLES[key], csv_dir / f"{key}.csv" if csv_dir else None)
+        print()
+    return rc
 
 
 def _mesh_cmd(args) -> int:
@@ -294,12 +317,16 @@ def main(argv=None) -> int:
                        default="uniform")
     p_run.add_argument("--seed", type=int, default=0, metavar="S")
     p_run.add_argument("--amplitude", type=float, default=0.2, metavar="A")
-    p_run.add_argument("--tol", type=float, default=1e-13, metavar="T")
-    p_run.add_argument("--iter-factor", type=float, default=40.0, metavar="F",
-                       help="CG iteration budget is F * sqrt(ndof)")
     p_run.add_argument("--quad", type=int, default=None, metavar="Q")
     p_run.add_argument("--csv", default=None, metavar="PATH")
     p_run.set_defaults(func=_run)
+
+    p_tab = sub.add_parser("tables",
+                           help="run the published-table configurations")
+    p_tab.add_argument("--only", choices=tuple(TABLES), default=None)
+    p_tab.add_argument("--csv-dir", default=None, metavar="DIR",
+                       help="also write KEY.csv per configuration")
+    p_tab.set_defaults(func=_tables)
 
     p_ver = sub.add_parser("verify", help="reference-element property suite")
     p_ver.set_defaults(func=_verify)

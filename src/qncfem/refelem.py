@@ -170,10 +170,6 @@ class Family:
             if m < 2 or m % 2 == 1:
                 raise ValueError(f"RPlus family needs even order >= 2, got {m}")
 
-    @property
-    def k(self):
-        raise AttributeError("k depends on the order; use (m - 1) // 2 or m // 2")
-
 
 @dataclass(frozen=True)
 class DofFunctional:

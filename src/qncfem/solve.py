@@ -1,11 +1,14 @@
-"""Assembly, conjugate-gradient solvers, and error norms.
+"""Assembly, the conjugate-gradient solve, and error norms.
 
 The stiffness matrix is assembled vectorized over elements with tensor-Gauss
 quadrature on the reference square.  The ER families give a plain SPD system;
-the R / RPlus families carry one relation row per element and are solved by
-conjugate gradients projected onto the constraint null space.
+the R / RPlus families carry one relation row per element.  `solve` handles
+both with one preconditioned CG: residuals and directions are projected onto
+ker(C) with p <- p - C~^T (C~ C~^T)^{-1} C~ p, where C~ drops the last
+(redundant) relation row, and the projection is the identity when the
+system has no constraint rows.
 
-Both solvers use the additive two-level preconditioner
+The preconditioner is additive two-level,
 z = r / diag(K) + P (P^T K P)^{-1} P^T r, where P embeds the conforming
 isoparametric Q1 space on the same mesh (interior-vertex hat functions) into
 the nonconforming space.  Q1 lies in every shape space with m >= 2 and, for
@@ -13,19 +16,22 @@ R / RPlus, inside the relation kernel, so the coarse term needs no projection
 of its own and iteration counts stay bounded under refinement.  Systems
 without a coarse space (m = 1, no interior vertex, hand-built systems) use
 the Jacobi term alone.
+
+CG stops at a relative (projected) residual of REL_TOL, within a fixed
+budget of max(100, MAX_ITER_FACTOR * sqrt(n)) iterations.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .legendre1d import gauss_rule
-from .space import FeFunction, GlobalSpace, coarse_prolongation
+from .space import GlobalSpace, coarse_prolongation
 
 __all__ = [
     "SparseSystem",
@@ -33,10 +39,12 @@ __all__ = [
     "SolverError",
     "element_stiffness",
     "assemble",
-    "solve_unconstrained",
-    "solve_constrained",
+    "solve",
     "error_norms",
 ]
+
+REL_TOL = 1e-13  # relative (projected) residual at which CG stops
+MAX_ITER_FACTOR = 400.0  # iteration budget max(100, int(F * sqrt(n)))
 
 
 class SolverError(Exception):
@@ -63,16 +71,11 @@ class SparseSystem:
     matrix: sp.csr_matrix
     rhs: np.ndarray
     constraints: sp.csr_matrix | None = None
-    rel_tol: float = 1e-13
-    max_iter_factor: float = 40.0
     coarse: sp.csr_matrix | None = None
 
     @property
     def n(self) -> int:
         return len(self.rhs)
-
-    def max_iterations(self) -> int:
-        return max(100, int(self.max_iter_factor * np.sqrt(self.n)))
 
 
 def _quad_grid(q: int):
@@ -179,8 +182,9 @@ def _preconditioner(A, coarse):
     return lambda r: r / diag + coarse @ lu.solve(restrict @ r)
 
 
-def _pcg(A, b, project, tol, maxiter, coarse):
-    """Preconditioned CG; `project` maps onto the admissible subspace."""
+def _pcg(A, b, project, maxiter, coarse):
+    """Preconditioned CG; `project` maps onto the admissible subspace.  Stops
+    early on a direction with nonpositive (or NaN) curvature p.Ap."""
     precondition = _preconditioner(A, coarse)
     x = np.zeros_like(b)
     r = project(b.copy())
@@ -192,9 +196,12 @@ def _pcg(A, b, project, tol, maxiter, coarse):
         return x, 0, 0.0
     rel = np.linalg.norm(r) / bnorm
     it = 0
-    while rel > tol and it < maxiter:
+    while rel > REL_TOL and it < maxiter:
         Ap = project(A @ p)
-        alpha = rz / float(np.dot(p, Ap))
+        pAp = float(np.dot(p, Ap))
+        if not pAp > 0.0:
+            break
+        alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
         z = project(precondition(r))
@@ -206,88 +213,43 @@ def _pcg(A, b, project, tol, maxiter, coarse):
     return x, it, rel
 
 
-def solve_unconstrained(system: SparseSystem):
-    """Two-level (or Jacobi) preconditioned CG for the SPD (ER-family)
-    system."""
-    if system.constraints is not None and system.constraints.nnz:
-        raise ValueError("system carries constraints; use solve_constrained")
+def solve(system: SparseSystem):
+    """Preconditioned CG on ker(C), or on the whole space when the system
+    has no constraint rows.  Returns (x, SolveReport); raises SolverError
+    when the residual does not reach REL_TOL within the budget, on a
+    breakdown or non-finite residual, or when C x is not zero."""
     t0 = time.perf_counter()
-    x, it, rel = _pcg(
-        system.matrix,
-        system.rhs,
-        lambda v: v,
-        system.rel_tol,
-        system.max_iterations(),
-        system.coarse,
-    )
-    true_rel = _true_residual(system, x)
-    report = SolveReport(
-        iterations=it,
-        relative_residual=true_rel,
-        seconds=time.perf_counter() - t0,
-    )
-    if rel > system.rel_tol:
-        raise SolverError(f"CG did not converge: residual {rel:.3e}", report)
-    return x, report
-
-
-def _true_residual(system, x) -> float:
-    bn = np.linalg.norm(system.rhs)
-    if bn == 0.0:
-        return 0.0
-    return float(np.linalg.norm(system.rhs - system.matrix @ x) / bn)
-
-
-def solve_constrained(system: SparseSystem):
-    """Projected CG on ker(C): directions and residuals are projected with
-    p <- p - C~^T (C~ C~^T)^{-1} C~ p, where C~ drops the last (redundant)
-    constraint row; the small inner system is solved by a cached sparse
-    factorization."""
-    C = system.constraints
+    A, b, C = system.matrix, system.rhs, system.constraints
     if C is None or C.nnz == 0:
-        return solve_unconstrained(
-            SparseSystem(system.matrix, system.rhs, None, system.rel_tol,
-                         system.max_iter_factor, system.coarse)
-        )
-    t0 = time.perf_counter()
-    Ct = C[:-1]  # the last element's row is implied by the others
-    S = (Ct @ Ct.T).tocsc()
-    lu = spla.splu(S)
-    CtT = Ct.T.tocsr()
+        C = None
+        project = lambda v: v
+    else:
+        Ct = C[:-1]  # the last element's row is implied by the others
+        lu = spla.splu((Ct @ Ct.T).tocsc())
+        CtT = Ct.T.tocsr()
+        project = lambda v: v - CtT @ lu.solve(Ct @ v)
 
-    def project(v):
-        return v - CtT @ lu.solve(Ct @ v)
-
-    x, it, rel = _pcg(
-        system.matrix, system.rhs, project, system.rel_tol,
-        system.max_iterations(), system.coarse,
-    )
-    cres = float(np.max(np.abs(C @ x))) if x.size else 0.0
-    # residual of the constrained problem: projected true residual
-    bn = np.linalg.norm(project(system.rhs))
-    true_rel = (
-        float(np.linalg.norm(project(system.rhs - system.matrix @ x)) / bn)
-        if bn > 0
-        else 0.0
-    )
+    maxiter = max(100, int(MAX_ITER_FACTOR * np.sqrt(system.n)))
+    x, it, rel = _pcg(A, b, project, maxiter, system.coarse)
+    cres = float(np.max(np.abs(C @ x))) if C is not None and x.size else 0.0
+    # residual of the (constrained) problem: projected true residual
+    bn = np.linalg.norm(project(b))
+    true_rel = 0.0 if bn == 0.0 else float(np.linalg.norm(project(b - A @ x)) / bn)
     report = SolveReport(
         iterations=it,
         relative_residual=true_rel,
         constraint_residual=cres,
         seconds=time.perf_counter() - t0,
     )
-    if rel > system.rel_tol:
-        raise SolverError(f"projected CG did not converge: residual {rel:.3e}", report)
+    if not rel <= REL_TOL:
+        raise SolverError(
+            f"CG did not converge: residual {rel:.3e} after {it} iterations",
+            report,
+        )
     xs = float(np.max(np.abs(x))) if x.size else 0.0
     if cres > 1e-9 * max(xs, 1.0):
         raise SolverError(f"constraint residual too large: {cres:.3e}", report)
     return x, report
-
-
-def solve(system: SparseSystem):
-    if system.constraints is not None and system.constraints.nnz:
-        return solve_constrained(system)
-    return solve_unconstrained(system)
 
 
 def error_norms(space: GlobalSpace, coeffs, u_exact, grad_exact,

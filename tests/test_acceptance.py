@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import qncfem.refelem as refelem
-from qncfem.cli import StudyConfig, default_problem, run_study
+from qncfem.cli import TABLES, StudyConfig, default_problem, run_study
 from qncfem.mesh import perturbed_mesh, uniform_rect_mesh
 from qncfem.refelem import Family, Poly2D, build_reference_element
 from qncfem.solve import assemble, error_norms, solve
@@ -80,13 +80,6 @@ TABLE_R7T = [
 ]
 
 
-def _study(family, variant, m, levels, factor=40.0):
-    return run_study(
-        StudyConfig(family=family, variant=variant, m=m, levels=levels,
-                    min_level=2, max_iter_factor=factor)
-    )
-
-
 def _value_match(rows, table, rel):
     """Worst relative deviation over rows with reference values >= 1e-12."""
     got = {r.level: r for r in rows}
@@ -113,7 +106,7 @@ def _final_orders(rows, table, floor=1e-10):
 class TestCriterion1:
     def test_er3_table(self):
         t0 = time.perf_counter()
-        rows = _study("er", "standard", 3, 8)
+        rows = run_study(TABLES["er3"])
         seconds = time.perf_counter() - t0
         dev, values_ok = _value_match(rows, TABLE_ER3, 0.01)
         l2o, h1o = _final_orders(rows, TABLE_ER3)
@@ -130,7 +123,7 @@ class TestCriterion1:
 
 class TestCriterion2:
     def test_rplus4_table(self):
-        rows = _study("rplus", "standard", 4, 7)
+        rows = run_study(TABLES["rplus4"])
         dev, values_ok = _value_match(rows, TABLE_RP4, 0.01)
         l2o, h1o = _final_orders(rows, TABLE_RP4)
         orders_ok = abs(l2o - 5.0) <= 0.1 and abs(h1o - 4.0) <= 0.1
@@ -145,27 +138,24 @@ class TestCriterion2:
 
 class TestCriterion3:
     def test_higher_order_tables(self):
-        configs = [
-            ("r", "tilde", 5, 6, TABLE_R5T),
-            ("er", "standard", 5, 6, TABLE_ER5),
-            ("rplus", "standard", 6, 6, TABLE_RP6),
-            ("r", "tilde", 7, 4, TABLE_R7T),
-        ]
+        tables = [("r5t", TABLE_R5T), ("er5", TABLE_ER5),
+                  ("rplus6", TABLE_RP6), ("r7t", TABLE_R7T)]
         details = []
         passed = True
-        for family, variant, m, levels, table in configs:
-            rows = _study(family, variant, m, levels, factor=400.0)
+        for key, table in tables:
+            config = TABLES[key]
+            rows, m = run_study(config), config.m
             dev, values_ok = _value_match(rows, table, 0.02)
             l2o, h1o = _final_orders(rows, table)
             orders_ok = abs(l2o - (m + 1)) <= 0.15 and abs(h1o - m) <= 0.15
             passed = passed and values_ok and orders_ok
             details.append(
-                f"{family}{m}/{variant}: dev {dev:.2f} "
+                f"{config.family}{m}/{config.variant}: dev {dev:.2f} "
                 f"orders {l2o:.2f}/{h1o:.2f}"
             )
         # standard-variant rate floor for the relation families
         for m in (5, 7):
-            rows = _study("r", "standard", m, 4, factor=400.0)
+            rows = run_study(StudyConfig(family="r", m=m, levels=4, min_level=2))
             l2o, h1o = rows[-1].l2_order, rows[-1].h1_order
             ok = l2o >= m + 0.9 and h1o >= m - 0.1
             passed = passed and ok

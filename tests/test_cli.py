@@ -148,6 +148,19 @@ class TestMain:
         ]
         assert strip(a) == strip(b)
 
+    def test_run_high_order_default_budget(self, capsys):
+        # R~ m=7 level 3 takes 1,016 CG iterations at 328 dofs (56·√ndof)
+        rc = main(["run", "--family", "r", "--variant", "tilde", "--order", "7",
+                   "--levels", "3"])
+        assert rc == 0
+
+    def test_tables_subcommand(self, capsys, tmp_path):
+        rc = main(["tables", "--only", "r7t", "--csv-dir", str(tmp_path)])
+        assert rc == 0
+        assert "== r7t ==" in capsys.readouterr().out
+        lines = (tmp_path / "r7t.csv").read_text().splitlines()
+        assert [int(line.split(",")[0]) for line in lines[1:]] == [2, 3, 4]
+
     def test_verify_subcommand(self, capsys):
         rc = main(["verify"])
         out = capsys.readouterr().out

@@ -1,10 +1,13 @@
-"""Tests for assembly, CG solvers, and error norms."""
+"""Tests for assembly, the CG solve, and error norms."""
+
+import sys
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from qncfem.cli import StudyConfig, StudyError, run_study
 from qncfem.mesh import perturbed_mesh, uniform_rect_mesh
 from qncfem.refelem import Family
 from qncfem.solve import (
@@ -15,8 +18,6 @@ from qncfem.solve import (
     element_stiffness,
     error_norms,
     solve,
-    solve_constrained,
-    solve_unconstrained,
 )
 from qncfem.space import FeFunction, build_global_space, coarse_prolongation
 
@@ -124,7 +125,7 @@ class TestSolvers:
         rng = np.random.default_rng(0)
         b = rng.standard_normal(n)
         system = SparseSystem(sp.identity(n, format="csr"), b)
-        x, report = solve_unconstrained(system)
+        x, report = solve(system)
         assert report.iterations == 1
         assert np.max(np.abs(x - b)) < 1e-12
 
@@ -134,36 +135,68 @@ class TestSolvers:
         A = A @ A.T + 50 * np.eye(50)
         b = rng.standard_normal(50)
         system = SparseSystem(sp.csr_matrix(A), b)
-        x, report = solve_unconstrained(system)
+        x, report = solve(system)
         assert np.max(np.abs(x - np.linalg.solve(A, b))) < 1e-10
         assert report.relative_residual < 1e-11
 
     def test_zero_rhs(self):
         system = SparseSystem(sp.identity(10, format="csr"), np.zeros(10))
-        x, report = solve_unconstrained(system)
+        x, report = solve(system)
         assert np.all(x == 0.0) and report.iterations == 0
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
         # a large 1D Laplacian needs O(n) CG iterations; a budget of 100
-        # cannot reach 1e-13, so the solver must report failure
+        # cannot reach 1e-13, so the solver must report failure.  The module
+        # is patched through sys.modules: `qncfem.solve` as an attribute
+        # path resolves to the re-exported function, not the module.
+        monkeypatch.setattr(sys.modules["qncfem.solve"], "MAX_ITER_FACTOR", 0.01)
         n = 10000
         A = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)).tocsr()
         b = np.ones(n)
-        system = SparseSystem(A, b, rel_tol=1e-13, max_iter_factor=0.01)
+        with pytest.raises(SolverError) as err:
+            solve(SparseSystem(A, b))
+        assert err.value.report.iterations == 100
+
+    @pytest.mark.parametrize("diagonal", [(1.0, 0.0), (1.0, -1.0)])
+    def test_breakdown_raises(self, diagonal):
+        # singular and indefinite matrices reach a direction with p.Ap <= 0
+        system = SparseSystem(sp.diags(diagonal).tocsr(), np.ones(2))
         with pytest.raises(SolverError):
-            solve_unconstrained(system)
+            solve(system)
+
+    @pytest.mark.parametrize("family", [Family("ER"), Family("R")])
+    @pytest.mark.parametrize("where", ["everywhere", "one corner element"])
+    def test_nan_load_raises(self, family, where):
+        # NaN compares False with any tolerance; it must not pass as converged
+        def f(x, y):
+            nan = np.ones_like(x, dtype=bool)
+            if where != "everywhere":
+                nan = (x < 0.25) & (y < 0.25)
+            return np.where(nan, np.nan, 1.0)
+
+        space = build_global_space(uniform_rect_mesh(4), family, 3)
+        with pytest.raises(SolverError):
+            solve(assemble(space, f))
+
+    def test_nan_source_fails_study(self):
+        u, gu, _ = default_u()
+        nan = lambda x, y: np.full_like(x, np.nan)
+        with pytest.raises(StudyError) as err:
+            run_study(StudyConfig(family="er", m=3, levels=3, min_level=2),
+                      problem=(u, gu, nan))
+        assert err.value.rows == []
 
     def test_sum_constraint_analytic(self):
         """K = I with the constraint sum(x) = 0 projects b onto mean zero.
         The duplicated row stands in for the implied last element row that
-        solve_constrained always drops."""
+        solve always drops."""
         n = 30
         rng = np.random.default_rng(2)
         b = rng.standard_normal(n)
         row = np.ones((1, n))
         C = sp.csr_matrix(np.vstack([row, row]))
         system = SparseSystem(sp.identity(n, format="csr"), b, constraints=C)
-        x, report = solve_constrained(system)
+        x, report = solve(system)
         assert np.max(np.abs(x - (b - b.mean()))) < 1e-11
         assert report.constraint_residual < 1e-11
 
