@@ -9,6 +9,7 @@ global orientation from the lower to the higher vertex index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,10 +27,34 @@ __all__ = [
 
 # local edge -> (first corner, second corner), param increases first -> second
 LOCAL_EDGES = ((0, 3), (0, 1), (1, 2), (3, 2))
+# children of a refined quad over its corners A1..A4 (0..3), the midpoints of
+# A1A2, A2A3, A3A4, A4A1 (4..7) and the center (8)
+CHILDREN = ((0, 4, 8, 7), (4, 1, 5, 8), (8, 5, 2, 6), (7, 8, 6, 3))
 
 
 class MeshError(Exception):
     pass
+
+
+def bilinear_coeffs(corners):
+    """Coefficients c0..c3 of the bilinear map x = c0 + c1 xh + c2 yh
+    + c3 xh yh through corners A1..A4 shaped (..., 4, 2)."""
+    a1, a2, a3, a4 = np.moveaxis(np.asarray(corners, dtype=float), -2, 0)
+    c0 = (a1 + a2 + a3 + a4) / 4.0
+    c1 = (-a1 + a2 + a3 - a4) / 4.0
+    c2 = (-a1 - a2 + a3 + a4) / 4.0
+    c3 = (a1 - a2 + a3 - a4) / 4.0
+    return c0, c1, c2, c3
+
+
+def _first_appearance(keys):
+    """Number the distinct values of a 1-D key array in order of first
+    appearance: (number of each key, position of each number's first key)."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse.ravel()], first[order]
 
 
 @dataclass(frozen=True)
@@ -41,16 +66,8 @@ class GeomMap:
     def __post_init__(self):
         object.__setattr__(self, "corners", np.asarray(self.corners, dtype=float))
 
-    def _coeffs(self):
-        a1, a2, a3, a4 = self.corners
-        c0 = (a1 + a2 + a3 + a4) / 4.0
-        c1 = (-a1 + a2 + a3 - a4) / 4.0
-        c2 = (-a1 - a2 + a3 + a4) / 4.0
-        c3 = (a1 - a2 + a3 - a4) / 4.0
-        return c0, c1, c2, c3
-
     def __call__(self, xh, yh):
-        c0, c1, c2, c3 = self._coeffs()
+        c0, c1, c2, c3 = bilinear_coeffs(self.corners)
         xh = np.asarray(xh, dtype=float)
         yh = np.asarray(yh, dtype=float)
         x = c0[0] + c1[0] * xh + c2[0] * yh + c3[0] * xh * yh
@@ -59,7 +76,7 @@ class GeomMap:
 
     def jacobian(self, xh, yh):
         """Return (J, det J) with J[i][j] = d x_i / d xh_j."""
-        c0, c1, c2, c3 = self._coeffs()
+        c0, c1, c2, c3 = bilinear_coeffs(self.corners)
         xh = np.asarray(xh, dtype=float)
         yh = np.asarray(yh, dtype=float)
         j11 = c1[0] + c3[0] * yh
@@ -90,51 +107,54 @@ class QuadMesh:
         self._build_edges()
 
     def _validate(self):
+        if self.quads.ndim != 2 or self.quads.shape[1] != 4:
+            raise MeshError("quads must be an (ne, 4) index array")
         if self.quads.min(initial=0) < 0 or self.quads.max(initial=-1) >= len(
             self.vertices
         ):
             raise MeshError("quad vertex index out of range")
+        if not np.all(np.isfinite(self.vertices)):
+            raise MeshError("non-finite vertex coordinate")
+        # det J is affine on the square, so positive corner cross products
+        # make it positive everywhere
         P = self.vertices[self.quads]  # (ne, 4, 2)
-        for e in range(len(self.quads)):
-            for c in range(4):
-                a = P[e, (c + 1) % 4] - P[e, c]
-                b = P[e, (c - 1) % 4] - P[e, c]
-                cross = a[0] * b[1] - a[1] * b[0]
-                if cross <= 0.0:
-                    raise MeshError(
-                        f"quad {e} is not strictly convex counterclockwise "
-                        f"(corner {c + 1})"
-                    )
+        a = np.roll(P, -1, axis=1) - P
+        b = np.roll(P, 1, axis=1) - P
+        cross = a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+        bad = np.argwhere(~(cross > 0.0))
+        if len(bad):
+            e, c = bad[0]
+            raise MeshError(
+                f"quad {e} is not strictly convex counterclockwise "
+                f"(corner {c + 1})"
+            )
 
     def _build_edges(self):
-        edge_of = {}
-        edge_verts = []
-        edge_elems = []  # list of (elem, local_edge 1..4, same_orientation)
-        self.elem_edges = np.empty((len(self.quads), 4), dtype=np.int64)
-        self.elem_edge_orient = np.empty((len(self.quads), 4), dtype=bool)
-        for e, q in enumerate(self.quads):
-            for le, (ca, cb) in enumerate(LOCAL_EDGES):
-                a, b = int(q[ca]), int(q[cb])
-                key = (min(a, b), max(a, b))
-                if key not in edge_of:
-                    edge_of[key] = len(edge_verts)
-                    edge_verts.append(key)
-                    edge_elems.append([])
-                idx = edge_of[key]
-                same = a < b
-                edge_elems[idx].append((e, le + 1, same))
-                self.elem_edges[e, le] = idx
-                self.elem_edge_orient[e, le] = same
-        self.edge_vertices = np.array(edge_verts, dtype=np.int64)
-        self.edge_elements = edge_elems
-        for idx, inc in enumerate(edge_elems):
-            if len(inc) > 2:
-                raise MeshError(f"edge {idx} has {len(inc)} incident elements")
-        self.edge_is_boundary = np.array(
-            [len(inc) == 1 for inc in edge_elems], dtype=bool
-        )
+        """Edges numbered by first appearance over (element, local edge)."""
+        first, second = (self.quads[:, list(c)] for c in zip(*LOCAL_EDGES))
+        lo, hi = np.minimum(first, second), np.maximum(first, second)
+        edge, start = _first_appearance((lo * len(self.vertices) + hi).ravel())
+        self.elem_edges = edge.reshape(self.quads.shape)
+        self.elem_edge_orient = first < second
+        self.edge_vertices = np.column_stack([lo.ravel()[start], hi.ravel()[start]])
+        count = np.bincount(edge, minlength=len(start))
+        if np.any(count > 2):
+            idx = int(np.argmax(count > 2))
+            raise MeshError(f"edge {idx} has {count[idx]} incident elements")
+        self.edge_is_boundary = count == 1
         self.vertex_is_boundary = np.zeros(len(self.vertices), dtype=bool)
         self.vertex_is_boundary[self.edge_vertices[self.edge_is_boundary]] = True
+
+    @cached_property
+    def edge_elements(self) -> list:
+        """Per edge, its (element, local edge 1..4, same orientation)
+        incidences in element order."""
+        out = [[] for _ in range(self.n_edges)]
+        edges = self.elem_edges.ravel().tolist()
+        same = self.elem_edge_orient.ravel().tolist()
+        for k, (edge, s) in enumerate(zip(edges, same)):
+            out[edge].append((k // 4, k % 4 + 1, s))
+        return out
 
     # counts used by the dimension formulas
     @property
@@ -170,14 +190,6 @@ class QuadMesh:
     def max_bisection_defect(self) -> float:
         return max(self.geom(e).bisection_defect() for e in range(self.n_elements))
 
-    def check_jacobians(self, nsample: int = 5) -> None:
-        s = np.linspace(-1.0, 1.0, nsample)
-        X, Y = np.meshgrid(s, s)
-        for e in range(self.n_elements):
-            _, det = self.geom(e).jacobian(X.ravel(), Y.ravel())
-            if np.min(det) <= 0.0:
-                raise MeshError(f"element {e} has nonpositive Jacobian")
-
     def edge_gauss_points(self, edge: int, m: int) -> np.ndarray:
         """Physical Gauss points of an edge, ordered by the global orientation
         (from the lower to the higher vertex index)."""
@@ -196,45 +208,34 @@ def uniform_rect_mesh(n: int, domain=(0.0, 0.0, 1.0, 1.0)) -> QuadMesh:
     ys = np.linspace(y0, y1, n + 1)
     X, Y = np.meshgrid(xs, ys, indexing="xy")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
-
-    def vid(i, j):
-        return j * (n + 1) + i
-
-    quads = []
-    for j in range(n):
-        for i in range(n):
-            quads.append([vid(i, j), vid(i + 1, j), vid(i + 1, j + 1), vid(i, j + 1)])
-    return QuadMesh(vertices, np.array(quads))
+    vid = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)  # vid[j, i]
+    quads = np.column_stack([vid[:-1, :-1].ravel(), vid[:-1, 1:].ravel(),
+                             vid[1:, 1:].ravel(), vid[1:, :-1].ravel()])
+    return QuadMesh(vertices, quads)
 
 
 def _midpoint_refine(mesh: QuadMesh) -> QuadMesh:
     """Split each quad into 4 children through edge midpoints and the
-    bilinear center; keeps the bisection defect O(h^2)."""
-    vertices = [tuple(v) for v in mesh.vertices]
-    vindex = {v: i for i, v in enumerate(vertices)}
+    bilinear center; keeps the bisection defect O(h^2).
 
-    def add_vertex(p):
-        key = (round(p[0], 14), round(p[1], 14))
-        if key not in vindex:
-            vindex[key] = len(vertices)
-            vertices.append(key)
-        return vindex[key]
-
-    # keys must match existing vertices exactly
-    vindex = {(round(v[0], 14), round(v[1], 14)): i for i, v in enumerate(vertices)}
-    quads = []
-    for q in mesh.quads:
-        p = mesh.vertices[q]
-        mids = [(p[c] + p[(c + 1) % 4]) / 2.0 for c in range(4)]
-        center = p.mean(axis=0)
-        c0, c1, c2, c3 = (int(q[0]), int(q[1]), int(q[2]), int(q[3]))
-        m01, m12, m23, m30 = (add_vertex(m) for m in mids)
-        cc = add_vertex(center)
-        quads.append([c0, m01, cc, m30])
-        quads.append([m01, c1, m12, cc])
-        quads.append([cc, m12, c2, m23])
-        quads.append([m30, cc, m23, c3])
-    return QuadMesh(np.array(vertices, dtype=float), np.array(quads))
+    New vertices follow the parent's and are numbered by first appearance
+    over each element's (A1A2, A2A3, A3A4, A4A1 midpoints, center); a
+    midpoint is identified by its parent edge."""
+    ne = mesh.n_elements
+    P = mesh.corner_array()  # (ne, 4, 2)
+    points = np.concatenate(
+        [(P + np.roll(P, -1, axis=1)) / 2.0, P.mean(axis=1)[:, None]], axis=1
+    ).reshape(-1, 2)
+    # the midpoint of A_c A_{c+1} lies on local edge c + 1 (mod 4)
+    keys = np.column_stack(
+        [np.roll(mesh.elem_edges, -1, axis=1), mesh.n_edges + np.arange(ne)]
+    ).ravel()
+    new, start = _first_appearance(keys)
+    local = np.column_stack([mesh.quads, len(mesh.vertices) + new.reshape(ne, 5)])
+    return QuadMesh(
+        np.concatenate([mesh.vertices, points[start]]),
+        local[:, CHILDREN].reshape(-1, 4),
+    )
 
 
 def perturbed_mesh(
@@ -257,12 +258,13 @@ def perturbed_mesh(
         vertices[interior] += rng.uniform(-amp * h, amp * h, size=(len(interior), 2))
         try:
             mesh = QuadMesh(vertices, coarse.quads)
-            while mesh.n_elements < n * n:
-                mesh = _midpoint_refine(mesh)
-            mesh.check_jacobians()
-            return mesh
         except MeshError:
             continue
+        # a child is its parent's bilinear map on a sub-square, so it stays
+        # strictly convex
+        while mesh.n_elements < n * n:
+            mesh = _midpoint_refine(mesh)
+        return mesh
     raise MeshError("could not generate a valid perturbed mesh")
 
 

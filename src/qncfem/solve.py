@@ -31,6 +31,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .legendre1d import gauss_rule
+from .mesh import bilinear_coeffs
 from .space import GlobalSpace, coarse_prolongation
 
 __all__ = [
@@ -89,18 +90,13 @@ def _geometry_factors(space: GlobalSpace, q: int):
     """Jacobian entries and determinant at the quadrature grid for all
     elements; shapes (ne, nq)."""
     X, Y, W = _quad_grid(q)
-    P = space.mesh.corner_array()  # (ne, 4, 2)
-    a1, a2, a3, a4 = P[:, 0], P[:, 1], P[:, 2], P[:, 3]
-    c1 = (-a1 + a2 + a3 - a4) / 4.0
-    c2 = (-a1 - a2 + a3 + a4) / 4.0
-    c3 = (a1 - a2 + a3 - a4) / 4.0
-    c0 = (a1 + a2 + a3 + a4) / 4.0
+    c0, c1, c2, c3 = bilinear_coeffs(space.mesh.corner_array())
     j11 = c1[:, None, 0] + c3[:, None, 0] * Y[None, :]
     j12 = c2[:, None, 0] + c3[:, None, 0] * X[None, :]
     j21 = c1[:, None, 1] + c3[:, None, 1] * Y[None, :]
     j22 = c2[:, None, 1] + c3[:, None, 1] * X[None, :]
     det = j11 * j22 - j12 * j21
-    if np.min(det) <= 0.0:
+    if not np.min(det) > 0.0:
         bad = int(np.argmin(np.min(det, axis=1)))
         raise ValueError(f"nonpositive Jacobian in element {bad}")
     px = c0[:, None, 0] + c1[:, None, 0] * X + c2[:, None, 0] * Y + c3[:, None, 0] * X * Y

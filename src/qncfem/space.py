@@ -134,25 +134,22 @@ def build_global_space(
     for j, dof in enumerate(ref.dofs):
         if dof.cls != "edge":
             continue
-        le = dof.edge - 1
-        for e in range(ne):
-            edge = mesh.elem_edges[e, le]
-            same = mesh.elem_edge_orient[e, le]
-            if dof.kind == "point":
-                slot = dof.slot if same else per_edge - 1 - dof.slot
-            else:
-                slot = dof.slot
-                if not same and dof.slot % 2 == 1:
-                    sign[e, j] = -1.0
-            ltg[e, j] = edge * per_edge + slot
+        edge = mesh.elem_edges[:, dof.edge - 1]
+        same = mesh.elem_edge_orient[:, dof.edge - 1]
+        if dof.kind == "point":
+            slot = np.where(same, dof.slot, per_edge - 1 - dof.slot)
+        else:
+            slot = dof.slot
+            if dof.slot % 2 == 1:
+                sign[~same, j] = -1.0
+        ltg[:, j] = edge * per_edge + slot
     nonedge = [j for j, d in enumerate(ref.dofs) if d.cls != "edge"]
     for pos, j in enumerate(nonedge):
         ltg[:, j] = n_edge_global + np.arange(ne) * n_nonedge_local + pos
 
     masked = np.zeros(n_global, dtype=bool)
     if homogeneous:
-        for edge in np.nonzero(mesh.edge_is_boundary)[0]:
-            masked[edge * per_edge : (edge + 1) * per_edge] = True
+        masked[:n_edge_global] = np.repeat(mesh.edge_is_boundary, per_edge)
     free_index = np.full(n_global, -1, dtype=np.int64)
     free_index[~masked] = np.arange(int(np.sum(~masked)))
     n_free = int(np.sum(~masked))
@@ -160,20 +157,12 @@ def build_global_space(
     constraints = None
     if ref.constraint is not None:
         w = ref.constraint
-        scale = np.max(np.abs(w))
-        rows, cols, vals = [], [], []
-        n_bdofs = len(w)
-        for e in range(ne):
-            for j in range(n_bdofs):
-                if w[j] == 0.0:
-                    continue
-                g = free_index[ltg[e, j]]
-                if g >= 0:
-                    rows.append(e)
-                    cols.append(g)
-                    vals.append(w[j] / scale)
+        cols = free_index[ltg[:, : len(w)]]  # (ne, len(w))
+        keep = (cols >= 0) & (w != 0.0)
+        rows = np.broadcast_to(np.arange(ne)[:, None], cols.shape)
+        vals = np.broadcast_to(w / np.max(np.abs(w)), cols.shape)
         constraints = sp.csr_matrix(
-            (vals, (rows, cols)), shape=(ne, n_free)
+            (vals[keep], (rows[keep], cols[keep])), shape=(ne, n_free)
         )
 
     return GlobalSpace(

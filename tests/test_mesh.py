@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qncfem.mesh import (
+    LOCAL_EDGES,
     GeomMap,
     MeshError,
     QuadMesh,
+    _midpoint_refine,
     load_mesh,
     perturbed_mesh,
     save_mesh,
@@ -64,6 +66,31 @@ class TestGeomMap:
         g = GeomMap([[0, 0], [1, 0], [1, 1], [0, 2]])
         assert g.bisection_defect() == pytest.approx(0.5)
 
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.lists(st.floats(0.05, 1.5), min_size=4, max_size=4),
+        st.floats(0.1, 2.0),
+        st.floats(-2.0, 2.0),
+        st.floats(-2.0, 2.0),
+    )
+    def test_det_is_interpolant_of_corner_crosses(self, offsets, r, x0, y0):
+        """det J of a bilinear map is affine on the square, so the corner
+        cross products decide its sign everywhere."""
+        angles = np.arange(4) * np.pi / 2 + np.array(offsets)
+        A = np.column_stack([x0 + r * np.cos(angles), y0 + r * np.sin(angles)])
+        a = np.roll(A, -1, axis=0) - A  # A_{c+1} - A_c
+        b = np.roll(A, 1, axis=0) - A  # A_{c-1} - A_c
+        corner = (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]) / 4.0
+        s = np.linspace(-1.0, 1.0, 5)
+        X, Y = np.meshgrid(s, s)
+        _, det = GeomMap(A).jacobian(X, Y)
+        interp = sum(
+            d * (1 + sx * X) * (1 + sy * Y) / 4.0
+            for d, (sx, sy) in zip(corner, ((-1, -1), (1, -1), (1, 1), (-1, 1)))
+        )
+        assert np.max(np.abs(det - interp)) < 1e-13
+        assert np.max(np.abs(det[[0, 0, -1, -1], [0, -1, -1, 0]] - corner)) < 1e-13
+
 
 class TestUniformMesh:
     def test_single_element(self):
@@ -107,6 +134,47 @@ class TestUniformMesh:
         with pytest.raises(MeshError):
             QuadMesh(UNIT_CORNERS, np.array([[0, 1, 2, 7]]))
 
+    def test_first_bad_corner_reported(self):
+        vertices = np.concatenate([UNIT_CORNERS + 3.0, [[0, 0], [2, 0], [0.5, 0.5], [0, 2]]])
+        with pytest.raises(MeshError, match=r"quad 1 .*\(corner 3\)"):
+            QuadMesh(vertices, np.array([[0, 1, 2, 3], [4, 5, 6, 7]]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_vertex(self, value):
+        mesh = uniform_rect_mesh(2)
+        vertices = mesh.vertices.copy()
+        vertices[4] = value
+        with pytest.raises(MeshError):
+            QuadMesh(vertices, mesh.quads)
+
+    def test_three_elements_on_one_edge(self):
+        vertices = np.array([[0, 0], [1, 0], [1, 1], [0, 1], [0, -1], [1, -1],
+                             [1, 2], [0, 2]], dtype=float)
+        quads = np.array([[0, 1, 2, 3], [4, 5, 1, 0], [0, 1, 6, 7]])
+        with pytest.raises(MeshError, match="3 incident elements"):
+            QuadMesh(vertices, quads)
+
+    @pytest.mark.parametrize(
+        "mesh", [uniform_rect_mesh(5), perturbed_mesh(8, seed=4)], ids=["uniform", "perturbed"]
+    )
+    def test_edges_numbered_by_first_appearance(self, mesh):
+        first = np.unique(mesh.elem_edges.ravel(), return_index=True)[1]
+        assert np.all(np.diff(first) > 0)
+        # reference: a dict over sorted vertex pairs, filled element by element
+        edge_of, incidences = {}, []
+        for e, q in enumerate(mesh.quads.tolist()):
+            for le, (ca, cb) in enumerate(LOCAL_EDGES):
+                a, b = q[ca], q[cb]
+                key = (min(a, b), max(a, b))
+                if key not in edge_of:
+                    edge_of[key] = len(edge_of)
+                    incidences.append([])
+                incidences[edge_of[key]].append((e, le + 1, a < b))
+                assert mesh.elem_edges[e, le] == edge_of[key]
+                assert mesh.elem_edge_orient[e, le] == (a < b)
+        assert mesh.edge_vertices.tolist() == [list(k) for k in edge_of]
+        assert mesh.edge_elements == incidences
+
     def test_interior_edge_has_two_elements(self):
         mesh = uniform_rect_mesh(3)
         for edge, inc in enumerate(mesh.edge_elements):
@@ -124,7 +192,34 @@ class TestPerturbedMesh:
 
     def test_positive_jacobians(self):
         mesh = perturbed_mesh(8, seed=1, amplitude=0.2)
-        mesh.check_jacobians()  # raises on failure
+        s = np.linspace(-1.0, 1.0, 5)
+        X, Y = np.meshgrid(s, s)
+        for e in range(mesh.n_elements):
+            _, det = mesh.geom(e).jacobian(X.ravel(), Y.ravel())
+            assert np.min(det) > 0.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_refinement_restricts_parent_map(self, seed):
+        parent = perturbed_mesh(4, seed=seed)
+        child = _midpoint_refine(parent)
+        nv = len(parent.vertices)
+        assert np.array_equal(child.vertices[:nv], parent.vertices)
+        # child k of an element is the image of the sub-square with lower-left
+        # reference corner `low[k]`
+        low = ((-1, -1), (0, -1), (0, 0), (-1, 0))
+        square = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
+        for e in range(parent.n_elements):
+            geom = parent.geom(e)
+            for k, lo in enumerate(low):
+                ref = square + lo
+                expect = np.column_stack(geom(ref[:, 0], ref[:, 1]))
+                got = child.vertices[child.quads[4 * e + k]]
+                assert np.max(np.abs(got - expect)) < 1e-13
+        gaps = np.linalg.norm(
+            child.vertices[:, None] - child.vertices[None], axis=-1
+        )
+        np.fill_diagonal(gaps, np.inf)
+        assert np.min(gaps) > 1e-8
 
     def test_defect_decay_slope(self):
         defects = [
@@ -219,6 +314,21 @@ class TestMeshIO:
     def test_short_quad_line(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("quadmesh v1\n1\n0.0 0.0\n1\n0 1 2\n")
+        with pytest.raises(MeshError):
+            load_mesh(path)
+
+    def test_nan_vertex_rejected(self, tmp_path):
+        path = tmp_path / "nan.txt"
+        save_mesh(uniform_rect_mesh(2), path)
+        lines = path.read_text().splitlines()
+        lines[2 + 4] = "nan 0.5"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshError):
+            load_mesh(path)
+
+    def test_no_quads_rejected(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("quadmesh v1\n1\n0.0 0.0\n0\n")
         with pytest.raises(MeshError):
             load_mesh(path)
 
