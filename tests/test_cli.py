@@ -149,7 +149,7 @@ class TestMain:
         assert strip(a) == strip(b)
 
     def test_run_high_order_default_budget(self, capsys):
-        # R~ m=7 level 3 takes 1,016 CG iterations at 328 dofs (56·√ndof)
+        # R~ m=7 level 3 takes 95 CG iterations at 328 dofs
         rc = main(["run", "--family", "r", "--variant", "tilde", "--order", "7",
                    "--levels", "3"])
         assert rc == 0

@@ -237,6 +237,21 @@ class TestPerturbedMesh:
         with pytest.raises(ValueError):
             perturbed_mesh(3)
 
+    def test_largest_amplitude_accepted_on_first_draw(self):
+        # the centre vertex is shifted once, by the full amplitude; every
+        # coarse quad stays strictly convex, so there is nothing to retry
+        coarse = uniform_rect_mesh(2)
+        interior = ~coarse.vertex_is_boundary
+        for seed in range(100):
+            shift = np.random.default_rng(seed).uniform(
+                -0.3 * 0.5, 0.3 * 0.5, size=(1, 2)
+            )
+            expect = coarse.vertices.copy()
+            expect[interior] += shift
+            mesh = perturbed_mesh(2, seed=seed, amplitude=0.3)
+            assert np.array_equal(mesh.vertices, expect)
+            assert np.array_equal(mesh.quads, coarse.quads)
+
     def test_determinism(self):
         a = perturbed_mesh(4, seed=5, amplitude=0.2)
         b = perturbed_mesh(4, seed=5, amplitude=0.2)
