@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import refelem
 from .legendre1d import gauss_rule
 from .mesh import MeshError, perturbed_mesh, save_mesh, uniform_rect_mesh
-from .refelem import Family, Poly2D, build_reference_element
+# build_reference_element is also read from this module by perfbench
+from .refelem import Family, build_reference_element, property_checks  # noqa: F401
 from .solve import SolverError, assemble, error_norms, solve
 from .space import build_global_space, prolong
 
@@ -72,7 +72,6 @@ class StudyConfig:
     mesh_kind: str = "uniform"  # "uniform" | "perturbed"
     seed: int = 0
     amplitude: float = 0.2
-    quad_order: int | None = None
     min_level: int = 1
 
     def family_obj(self) -> Family:
@@ -141,7 +140,7 @@ def run_study(config: StudyConfig, problem=None) -> list[StudyRow]:
         # the previous system is freed when this one replaces it; freeing it
         # right after its solve left the heap such that this assembly's peak
         # RSS varied by ~7 MB from one process to the next
-        system = assemble(space, f, config.quad_order)
+        system = assemble(space, f)
         try:
             x0 = None if coarse is None else prolong(*coarse, space)
         except MeshError:
@@ -151,8 +150,7 @@ def run_study(config: StudyConfig, problem=None) -> list[StudyRow]:
         except SolverError as err:
             raise StudyError(f"level {level}: {err}", rows) from err
         coarse = (space, coeffs)
-        eq = None if config.quad_order is None else config.quad_order + 1
-        l2, h1 = error_norms(space, coeffs, u, grad_u, eq)
+        l2, h1 = error_norms(space, coeffs, u, grad_u)
         l2o = np.log2(prev.l2_err / l2) if prev is not None and l2 > 0 else 0.0
         h1o = np.log2(prev.h1_err / h1) if prev is not None and h1 > 0 else 0.0
         row = StudyRow(
@@ -209,52 +207,11 @@ def emit(rows: list[StudyRow], fmt: str = "text", path=None) -> str:
 
 
 def _verify(args) -> int:
-    """Reference-element property suite: unisolvency ranks, relation weights
-    vs the Lagrange oracle, and relation residuals on random polynomials."""
-    rng = np.random.default_rng(0)
+    """Print the reference-element property suite, one line per check."""
     ok = True
-
-    def report(name, passed, detail=""):
-        nonlocal ok
+    for name, passed, detail in property_checks():
         ok = ok and passed
         print(f"[{'PASS' if passed else 'FAIL'}] {name} {detail}")
-
-    for tag, orders in (("R", (1, 3, 5, 7)), ("ER", (1, 3, 5, 7)),
-                        ("RPlus", (2, 4, 6))):
-        for m in orders:
-            ref = build_reference_element(Family(tag), m)
-            rank = np.linalg.matrix_rank(ref.vandermonde)
-            report(f"unisolvency {tag} m={m}", rank == ref.dim,
-                   f"rank {rank} / dim {ref.dim}")
-            if ref.constraint is not None:
-                _, _, vt = np.linalg.svd(ref.vandermonde.T)
-                null = vt[-1]
-                w = np.zeros(len(ref.dofs))
-                w[: len(ref.constraint)] = ref.constraint
-                cos = abs(np.dot(null, w)) / np.linalg.norm(null) / np.linalg.norm(w)
-                report(f"null vector {tag} m={m}", 1 - cos < 1e-10,
-                       f"cosine distance {1 - cos:.2e}")
-
-    for m in (1, 3, 5, 7):
-        gamma = refelem.constraint_weights(Family("R"), m)[:m]
-        oracle = refelem.constraint_weights_oracle(m)
-        cos = np.dot(gamma, oracle) / np.linalg.norm(gamma) / np.linalg.norm(oracle)
-        report(f"gamma oracle m={m}", abs(1 - cos) < 1e-12, f"1-cos {1 - cos:.2e}")
-        res = max(
-            refelem.verify_relation(m, Family("R"),
-                                    Poly2D(rng.standard_normal((m + 1, m + 1))))
-            for _ in range(100)
-        )
-        report(f"relation residual R m={m}", res < 1e-12, f"max {res:.2e}")
-    for m in (2, 4, 6):
-        basis = refelem.build_shape_space(Family("RPlus"), m)
-        res = 0.0
-        for _ in range(100):
-            v = Poly2D.zero()
-            for c, b in zip(rng.standard_normal(len(basis)), basis):
-                v = v + c * b
-            res = max(res, refelem.verify_relation(m, Family("RPlus"), v))
-        report(f"relation residual RPlus m={m}", res < 1e-12, f"max {res:.2e}")
     return 0 if ok else 1
 
 
@@ -284,7 +241,6 @@ def _run(args) -> int:
         mesh_kind=args.mesh,
         seed=args.seed,
         amplitude=args.amplitude,
-        quad_order=args.quad,
     ), args.csv)
 
 
@@ -331,7 +287,6 @@ def main(argv=None) -> int:
                        default="uniform")
     p_run.add_argument("--seed", type=int, default=0, metavar="S")
     p_run.add_argument("--amplitude", type=float, default=0.2, metavar="A")
-    p_run.add_argument("--quad", type=int, default=None, metavar="Q")
     p_run.add_argument("--csv", default=None, metavar="PATH")
     p_run.set_defaults(func=_run)
 

@@ -17,7 +17,6 @@ __all__ = [
     "QuadRule1D",
     "legendre_eval",
     "legendre_eval_with_deriv",
-    "legendre_coeffs",
     "legendre_leading_coeff",
     "gauss_rule",
     "gauss_lobatto_nodes",
@@ -95,14 +94,6 @@ def legendre_eval_with_deriv(n: int, x):
         p_prev, p = p, p_next
         dp_prev, dp = dp, dp_next
     return p, dp
-
-
-@lru_cache(maxsize=None)
-def legendre_coeffs(n: int) -> tuple:
-    """Monomial coefficients of L_n, ascending powers."""
-    c = np.zeros(n + 1)
-    c[n] = 1.0
-    return tuple(np.polynomial.legendre.leg2poly(c))
 
 
 def legendre_leading_coeff(n: int) -> float:

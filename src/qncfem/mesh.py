@@ -189,6 +189,14 @@ class QuadMesh:
     def corner_array(self) -> np.ndarray:
         return self.vertices[self.quads]
 
+    def map_points(self, xh, yh):
+        """Images (x, y) of the reference points (xh, yh) in every element,
+        each shaped (ne, npts)."""
+        c0, c1, c2, c3 = (c[:, None] for c in bilinear_coeffs(self.corner_array()))
+        x = c0[..., 0] + c1[..., 0] * xh + c2[..., 0] * yh + c3[..., 0] * xh * yh
+        y = c0[..., 1] + c1[..., 1] * xh + c2[..., 1] * yh + c3[..., 1] * xh * yh
+        return x, y
+
     def max_bisection_defect(self) -> float:
         return max(self.geom(e).bisection_defect() for e in range(self.n_elements))
 

@@ -5,6 +5,11 @@ freedom sets on edge Gauss points (or edge moments) and interior lattice
 points, the linear relation satisfied by the boundary values, and nodal basis
 construction with unisolvency checks.
 
+Every degree of freedom is a weighted sum of point values (Kirby, ACM TOMS
+30, 2004): the dofs of any v are `sampling @ v(points)`.  A point dof is an
+identity row; an edge moment of degree d holds w_k L_d(t_k) over the
+(m+3)-point Gauss rule on its edge.
+
 Families:
     R     (odd m)  : P_m + span{x^m y - x y^m}     (tilde variant: + {x y^m})
     ER    (odd m)  : P_m + span{x^m y - x y^m, x^{m+1} - y^{m+1}}
@@ -15,16 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import comb
 
 import numpy as np
+import scipy.linalg
 
-from .legendre1d import gauss_rule, legendre_coeffs
+from .legendre1d import gauss_rule
 
 __all__ = [
     "Poly2D",
     "Family",
-    "DofFunctional",
     "ReferenceElement",
     "build_shape_space",
     "boundary_dof_points",
@@ -35,6 +39,7 @@ __all__ = [
     "build_reference_element",
     "discrete_bubble",
     "gauss_grid",
+    "property_checks",
     "verify_relation",
 ]
 
@@ -58,15 +63,6 @@ def gauss_grid(q: int):
     X, Y = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
     W = np.outer(rule.weights, rule.weights)
     return X.ravel(), Y.ravel(), W.ravel()
-
-
-def _affine_substitution(n: int, offset: float) -> np.ndarray:
-    """S with ((t + offset) / 2)^a = sum_k S[a, k] t^k for a < n."""
-    S = np.zeros((n, n))
-    for a in range(n):
-        for k in range(a + 1):
-            S[a, k] = comb(a, k) * offset ** (a - k) / 2.0**a
-    return S
 
 
 class Poly2D:
@@ -130,18 +126,6 @@ class Poly2D:
                     deg = max(deg, i + j)
         return deg
 
-    def edge_trace(self, edge: int) -> np.ndarray:
-        """Monomial coefficients of the restriction to edge 1..4 in the edge
-        parameter (y on e1/e3, x on e2/e4)."""
-        c = self.coeffs
-        if edge in (1, 3):
-            s = -1.0 if edge == 1 else 1.0
-            powers = s ** np.arange(c.shape[0])
-            return powers @ c
-        s = -1.0 if edge == 2 else 1.0
-        powers = s ** np.arange(c.shape[1])
-        return c @ powers
-
     def norm(self) -> float:
         return float(np.max(np.abs(self.coeffs)))
 
@@ -194,35 +178,6 @@ class Family:
                 raise ValueError(f"RPlus family needs even order >= 2, got {m}")
 
 
-@dataclass(frozen=True)
-class DofFunctional:
-    """A single degree of freedom of the reference element.
-
-    kind is "point" (data = (x, y)) or "moment" (data = (edge, degree));
-    cls is "edge", "corner" or "interior".
-    """
-
-    kind: str
-    cls: str
-    data: tuple
-    edge: int = 0  # owning edge 1..4 for edge-class dofs
-    slot: int = -1  # position on the edge (point index or moment degree)
-
-    def apply(self, p: Poly2D) -> float:
-        if self.kind == "point":
-            x, y = self.data
-            return float(p(x, y))
-        edge, degree = self.data
-        trace = p.edge_trace(edge)
-        leg = np.asarray(legendre_coeffs(degree))
-        # exact moment: integrate monomials t^q over [-1, 1]
-        n = len(trace) + len(leg) - 1
-        prod = np.convolve(trace, leg)
-        q = np.arange(n)
-        mono_int = np.where(q % 2 == 0, 2.0 / (q + 1), 0.0)
-        return float(np.dot(prod, mono_int))
-
-
 def _pm_monomials(m: int) -> list[Poly2D]:
     out = []
     for d in range(m + 1):
@@ -251,35 +206,25 @@ def build_shape_space(family: Family, m: int) -> list[Poly2D]:
     return basis
 
 
-def boundary_dof_points(family: Family, m: int) -> list[DofFunctional]:
-    """Edge Gauss-point dofs in canonical order (e1, e2, e3, e4; increasing
-    parameter), plus the corner (1,1) dof for the even-order family."""
+def boundary_dof_points(family: Family, m: int) -> np.ndarray:
+    """Edge Gauss points in canonical order (e1, e2, e3, e4; increasing
+    parameter), plus the corner (1,1) for the even-order family; (n, 2)."""
     family.check_order(m)
-    nodes = gauss_rule(m).nodes
-    dofs = []
-    for edge in (1, 2, 3, 4):
-        xs, ys = EDGE_PARAM_POINT[edge](nodes)
-        for p, (x, y) in enumerate(zip(xs, ys)):
-            dofs.append(
-                DofFunctional("point", "edge", (float(x), float(y)), edge=edge, slot=p)
-            )
+    pts = [_edge_points(gauss_rule(m).nodes)]
     if family.tag == "RPlus":
-        dofs.append(DofFunctional("point", "corner", (1.0, 1.0)))
-    return dofs
+        pts.append([[1.0, 1.0]])
+    return np.vstack(pts)
 
 
-def edge_moment_dofs(m: int) -> list[DofFunctional]:
-    """Legendre moment dofs of degree 0..m-1 on each edge, canonical order."""
-    dofs = []
-    for edge in (1, 2, 3, 4):
-        for d in range(m):
-            dofs.append(DofFunctional("moment", "edge", (edge, d), edge=edge, slot=d))
-    return dofs
+def _edge_points(t) -> np.ndarray:
+    """The points of parameters t on e1, e2, e3, e4 in turn, (4 len(t), 2)."""
+    return np.vstack([np.column_stack(EDGE_PARAM_POINT[e](t)) for e in (1, 2, 3, 4)])
 
 
-def interior_dof_points(family: Family, m: int) -> list[DofFunctional]:
+def interior_dof_points(family: Family, m: int) -> np.ndarray:
     """Principal-lattice points on the triangle (-1/2,-1/2), (1/2,-1/2),
-    (-1/2,1/2), unisolvent for P_d with d = 2k-3 (odd families) or 2k-4."""
+    (-1/2,1/2), unisolvent for P_d with d = 2k-3 (odd families) or 2k-4;
+    shape (n, 2)."""
     family.check_order(m)
     if family.tag == "RPlus":
         k = m // 2
@@ -288,7 +233,7 @@ def interior_dof_points(family: Family, m: int) -> list[DofFunctional]:
         k = (m - 1) // 2
         d = 2 * k - 3
     if k <= 1:
-        return []
+        return np.empty((0, 2))
     v0 = np.array([-0.5, -0.5])
     v1 = np.array([0.5, -0.5])
     v2 = np.array([-0.5, 0.5])
@@ -299,7 +244,31 @@ def interior_dof_points(family: Family, m: int) -> list[DofFunctional]:
         for i in range(d + 1):
             for j in range(d + 1 - i):
                 pts.append(v0 + (i / d) * (v1 - v0) + (j / d) * (v2 - v0))
-    return [DofFunctional("point", "interior", (float(p[0]), float(p[1]))) for p in pts]
+    return np.array(pts)
+
+
+def _dof_set(family: Family, m: int, dof_mode: str):
+    """(points, sampling, dof_edge, dof_slot) of the dof set: m dofs per edge
+    in canonical order (Gauss-point values, or Legendre moments of degree
+    0..m-1), then the corner dof and the interior lattice points."""
+    if dof_mode not in ("point", "moment"):
+        raise ValueError(f"unknown dof mode {dof_mode!r}")
+    interior = interior_dof_points(family, m)
+    if dof_mode == "point":
+        points = np.vstack([boundary_dof_points(family, m), interior])
+        sampling = np.eye(len(points))
+    elif family.tag != "ER":
+        raise ValueError("moment dofs are defined for the ER family only")
+    else:
+        rule = gauss_rule(m + 3)
+        points = np.vstack([_edge_points(rule.nodes), interior])
+        moments = (rule.weights[:, None]
+                   * np.polynomial.legendre.legvander(rule.nodes, m - 1)).T
+        sampling = scipy.linalg.block_diag(*[moments] * 4, np.eye(len(interior)))
+    n_other = len(sampling) - 4 * m
+    dof_edge = np.concatenate([np.repeat([1, 2, 3, 4], m), np.zeros(n_other, int)])
+    dof_slot = np.concatenate([np.tile(np.arange(m), 4), np.full(n_other, -1)])
+    return points, sampling, dof_edge, dof_slot
 
 
 def _gamma_weights(m: int) -> np.ndarray:
@@ -425,10 +394,53 @@ def discrete_bubble(k: int) -> Poly2D:
 
 def verify_relation(m: int, family: Family, v: Poly2D) -> float:
     """Absolute residual of the boundary-value relation for v."""
-    weights = constraint_weights(family, m)
-    dofs = boundary_dof_points(family, m)
-    vals = np.array([d.apply(v) for d in dofs])
-    return float(abs(np.dot(weights, vals)))
+    w = constraint_weights(family, m)
+    ref = build_reference_element(family, m)
+    return float(abs(np.dot(w, ref.sampling[: len(w)] @ v(*ref.points.T))))
+
+
+def property_checks():
+    """The reference-element property suite, as (name, passed, detail):
+    unisolvency ranks and the Vandermonde null vector against the relation
+    weights (R, R~, ER, RPlus), the odd-order weights against the Lagrange
+    oracle, and relation residuals on 100 random Q_m polynomials (R) or
+    shape-space members (RPlus) per order."""
+    rng = np.random.default_rng(0)
+    for family, orders in ((Family("R"), (1, 3, 5, 7)),
+                           (Family("R", "tilde"), (3, 5, 7)),
+                           (Family("ER"), (1, 3, 5, 7)),
+                           (Family("RPlus"), (2, 4, 6))):
+        name = family.tag + ("~" if family.variant == "tilde" else "")
+        for m in orders:
+            ref = build_reference_element(family, m)
+            rank = np.linalg.matrix_rank(ref.vandermonde)
+            yield (f"unisolvency {name} m={m}", rank == ref.dim,
+                   f"rank {rank} / dim {ref.dim}")
+            if ref.constraint is not None:
+                null = np.linalg.svd(ref.vandermonde.T)[2][-1]
+                w = np.zeros(len(null))
+                w[: len(ref.constraint)] = ref.constraint
+                dist = 1 - abs(np.dot(null, w)) / np.linalg.norm(null) / np.linalg.norm(w)
+                yield (f"null vector {name} m={m}", dist < 1e-10,
+                       f"cosine distance {dist:.2e}")
+    for m in (1, 3, 5, 7):
+        gamma = constraint_weights(Family("R"), m)[:m]
+        oracle = constraint_weights_oracle(m)
+        dist = 1 - np.dot(gamma, oracle) / np.linalg.norm(gamma) / np.linalg.norm(oracle)
+        yield f"gamma oracle m={m}", abs(dist) < 1e-12, f"1-cos {dist:.2e}"
+        res = max(verify_relation(m, Family("R"),
+                                  Poly2D(rng.standard_normal((m + 1, m + 1))))
+                  for _ in range(100))
+        yield f"relation residual R m={m}", res <= 1e-12, f"max {res:.2e}"
+    for m in (2, 4, 6):
+        basis = build_shape_space(Family("RPlus"), m)
+        res = 0.0
+        for _ in range(100):
+            v = Poly2D.zero()
+            for c, b in zip(rng.standard_normal(len(basis)), basis):
+                v = v + c * b
+            res = max(res, verify_relation(m, Family("RPlus"), v))
+        yield f"relation residual RPlus m={m}", res <= 1e-12, f"max {res:.2e}"
 
 
 @dataclass
@@ -439,8 +451,11 @@ class ReferenceElement:
     m: int
     dof_mode: str
     basis: list
-    dofs: list
-    retained: np.ndarray  # indices into dofs used for the nodal basis
+    points: np.ndarray  # (npts, 2) reference sample points
+    sampling: np.ndarray  # (ndofs, npts): dof values of v are sampling @ v(points)
+    dof_edge: np.ndarray  # (ndofs,) edge 1..4 of each dof, 0 for corner/interior
+    dof_slot: np.ndarray  # (ndofs,) position on the edge (point or degree), or -1
+    retained: np.ndarray  # indices into the dofs used for the nodal basis
     dropped: int | None  # redundant boundary dof index, or None
     nodal: np.ndarray  # (dim, nret): nodal basis in `basis` coordinates
     constraint: np.ndarray | None  # weights over boundary dofs, or None
@@ -457,7 +472,7 @@ class ReferenceElement:
 
     @property
     def n_edge_dofs(self) -> int:
-        return sum(1 for d in self.dofs if d.cls == "edge")
+        return int(np.count_nonzero(self.dof_edge))
 
     def nodal_coeff_tensor(self) -> np.ndarray:
         """Monomial coefficient tables of the nodal basis, shape (nret, D, D)."""
@@ -509,47 +524,24 @@ class ReferenceElement:
         CHILD_OFFSETS) applied to the parent's nodal basis function phi_i.
         Exact, because each shape space maps into itself under these
         equal-scale maps: the top-degree part of every enrichment is only
-        rescaled, and the rest lies in P_m.  A point dof is phi_i at the
-        mapped point; a moment dof is applied to the composed polynomial."""
-        point = np.array([d.kind == "point" for d in self.dofs])
-        xy = np.array([d.data for d in self.dofs if d.kind == "point"])
-        mapped = (xy.reshape(1, -1, 2) + np.array(CHILD_OFFSETS)[:, None]) / 2.0
-        out = np.empty((4, len(self.dofs), self.n_retained))
+        rescaled, and the rest lies in P_m.  Each dof is `sampling` applied
+        to phi_i at the mapped points."""
+        mapped = (self.points + np.array(CHILD_OFFSETS)[:, None]) / 2.0
         phi = self.tabulate(mapped[..., 0], mapped[..., 1])[0]
-        out[:, point] = phi.reshape(4, -1, self.n_retained)
-        moments = [d for d in self.dofs if d.kind != "point"]
-        tens = self.nodal_coeff_tensor()
-        for c, offset in enumerate(CHILD_OFFSETS if moments else ()):
-            sx, sy = (_affine_substitution(n, o)
-                      for n, o in zip(tens.shape[1:], offset))
-            composed = [Poly2D(sx.T @ t @ sy) for t in tens]
-            out[c, ~point] = [[d.apply(p) for p in composed] for d in moments]
-        return out
+        return self.sampling @ phi.reshape(4, -1, self.n_retained)
 
     def nodal_poly(self, j: int) -> Poly2D:
         return Poly2D(self.nodal_coeff_tensor()[j])
-
-
-def _dof_list(family: Family, m: int, dof_mode: str) -> list[DofFunctional]:
-    if dof_mode == "point":
-        return boundary_dof_points(family, m) + interior_dof_points(family, m)
-    if dof_mode != "moment":
-        raise ValueError(f"unknown dof mode {dof_mode!r}")
-    if family.tag != "ER":
-        raise ValueError("moment dofs are defined for the ER family only")
-    return edge_moment_dofs(m) + interior_dof_points(family, m)
 
 
 @lru_cache(maxsize=None)
 def _build_cached(tag: str, variant: str, m: int, dof_mode: str) -> ReferenceElement:
     family = Family(tag, variant)
     basis = build_shape_space(family, m)
-    dofs = _dof_list(family, m, dof_mode)
+    points, sampling, dof_edge, dof_slot = _dof_set(family, m, dof_mode)
     dim = len(basis)
-    vand = np.empty((len(dofs), dim))
-    for i, d in enumerate(dofs):
-        for j, b in enumerate(basis):
-            vand[i, j] = d.apply(b)
+    x, y = points.T
+    vand = sampling @ np.column_stack([b(x, y) for b in basis])
 
     rank = np.linalg.matrix_rank(vand, tol=1e-8)
     if rank != dim:
@@ -564,12 +556,13 @@ def _build_cached(tag: str, variant: str, m: int, dof_mode: str) -> ReferenceEle
         constraint = constraint_weights(family, m)
         # drop the first Gauss point of edge e2 (boundary index m)
         dropped = m
-    if len(dofs) != dim + (1 if dropped is not None else 0):
+    ndofs = len(sampling)
+    if ndofs != dim + (1 if dropped is not None else 0):
         raise RuntimeError(
-            f"dof count {len(dofs)} inconsistent with dim {dim} for "
+            f"dof count {ndofs} inconsistent with dim {dim} for "
             f"{tag}/{variant} m={m} ({dof_mode})"
         )
-    retained = np.array([i for i in range(len(dofs)) if i != dropped])
+    retained = np.array([i for i in range(ndofs) if i != dropped])
     square = vand[retained]
     nodal = np.linalg.solve(square, np.eye(dim))
     return ReferenceElement(
@@ -577,7 +570,10 @@ def _build_cached(tag: str, variant: str, m: int, dof_mode: str) -> ReferenceEle
         m=m,
         dof_mode=dof_mode,
         basis=basis,
-        dofs=dofs,
+        points=points,
+        sampling=sampling,
+        dof_edge=dof_edge,
+        dof_slot=dof_slot,
         retained=retained,
         dropped=dropped,
         nodal=nodal,

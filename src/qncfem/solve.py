@@ -96,7 +96,7 @@ def _geometry_factors(space: GlobalSpace, q: int):
     """Jacobian entries and determinant at the quadrature grid for all
     elements; shapes (ne, nq)."""
     X, Y, W = gauss_grid(q)
-    c0, c1, c2, c3 = bilinear_coeffs(space.mesh.corner_array())
+    _, c1, c2, c3 = bilinear_coeffs(space.mesh.corner_array())
     j11 = c1[:, None, 0] + c3[:, None, 0] * Y[None, :]
     j12 = c2[:, None, 0] + c3[:, None, 0] * X[None, :]
     j21 = c1[:, None, 1] + c3[:, None, 1] * Y[None, :]
@@ -105,9 +105,7 @@ def _geometry_factors(space: GlobalSpace, q: int):
     if not np.min(det) > 0.0:
         bad = int(np.argmin(np.min(det, axis=1)))
         raise ValueError(f"nonpositive Jacobian in element {bad}")
-    px = c0[:, None, 0] + c1[:, None, 0] * X + c2[:, None, 0] * Y + c3[:, None, 0] * X * Y
-    py = c0[:, None, 1] + c1[:, None, 1] * X + c2[:, None, 1] * Y + c3[:, None, 1] * X * Y
-    return (X, Y, W), (j11, j12, j21, j22, det), (px, py)
+    return (X, Y, W), (j11, j12, j21, j22, det), space.mesh.map_points(X, Y)
 
 
 def _stiffness_blocks(space: GlobalSpace, q: int, jac):
@@ -137,10 +135,11 @@ def element_stiffness(space: GlobalSpace, e: int, quad_order: int | None = None)
     return _stiffness_blocks(space, q, jac)[e]
 
 
-def assemble(space: GlobalSpace, f, quad_order: int | None = None) -> SparseSystem:
-    """Assemble stiffness and load over the free dofs; attach the constraint
-    rows for the R / RPlus families."""
-    q = quad_order if quad_order is not None else space.m + 3
+def assemble(space: GlobalSpace, f) -> SparseSystem:
+    """Assemble stiffness and load over the free dofs with the (m+3)-point
+    tensor Gauss rule; attach the constraint rows for the R / RPlus
+    families."""
+    q = space.m + 3
     (_, _, W), jac, (px, py) = _geometry_factors(space, q)
     Kloc = _stiffness_blocks(space, q, jac)
     det = jac[-1]

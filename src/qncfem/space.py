@@ -2,7 +2,9 @@
 
 Degree-of-freedom enumeration with shared interior-edge dofs, homogeneous
 boundary masking, per-element constraint rows for the odd/even point families,
-interpolation operators and broken evaluation.
+interpolation operators and broken evaluation.  Every local dof is read
+through the reference element's sampling matrix (`ref.sampling`), so point
+and moment dofs share one code path.
 """
 
 from __future__ import annotations
@@ -12,15 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .legendre1d import gauss_rule, gauss_lobatto_nodes, legendre_coeffs
+from .legendre1d import gauss_lobatto_nodes, lagrange_basis
 from .mesh import QuadMesh, refined_children
-from .refelem import (
-    EDGE_PARAM_POINT,
-    Family,
-    Poly2D,
-    ReferenceElement,
-    build_reference_element,
-)
+from .refelem import Family, Poly2D, ReferenceElement, build_reference_element
 
 __all__ = [
     "GlobalSpace",
@@ -28,7 +24,6 @@ __all__ = [
     "build_global_space",
     "coarse_prolongation",
     "expected_dimension",
-    "q_interpolate",
     "interpolate",
     "jump_functionals",
     "prolong",
@@ -62,14 +57,16 @@ class GlobalSpace:
         r = self.ref.retained
         return self.free_index[self.ltg[:, r]], self.sign[:, r]
 
-    def local_values(self, coeffs: np.ndarray) -> np.ndarray:
-        """Per-element retained dof values from a free coefficient vector,
-        masked dofs contributing zero.  Shape (ne, n_retained)."""
-        lf, sgn = self.local_free()
+    def local_values(self, coeffs: np.ndarray, e=slice(None)) -> np.ndarray:
+        """Retained dof values of element e (all elements by default) from a
+        free coefficient vector, masked dofs contributing zero.  Shape
+        (n_retained,) for one element, (ne, n_retained) for all."""
+        r = self.ref.retained
+        lf = self.free_index[self.ltg[e, r]]
         if self.n_free == 0:
             return np.zeros(lf.shape)
         vals = np.where(lf >= 0, coeffs[np.clip(lf, 0, None)], 0.0)
-        return vals * sgn
+        return vals * self.sign[e, r]
 
     def scatter(self, local_vals: np.ndarray) -> np.ndarray:
         """Assemble a free coefficient vector from per-element values over
@@ -89,14 +86,11 @@ class FeFunction:
     space: GlobalSpace
     coeffs: np.ndarray
 
-    def element_values(self) -> np.ndarray:
-        return self.space.local_values(self.coeffs)
-
     def evaluate(self, e: int, xh, yh):
         """Value and physical gradient on element e at reference points."""
         space = self.space
         phi, dpx, dpy = space.ref.tabulate(xh, yh)
-        c = self.element_values()[e]
+        c = space.local_values(self.coeffs, e)
         val = phi @ c
         gxh = dpx @ c
         gyh = dpy @ c
@@ -109,10 +103,6 @@ class FeFunction:
         return val, np.stack([gx, gy])
 
 
-def _edge_dofs_per_edge(ref: ReferenceElement) -> int:
-    return ref.n_edge_dofs // 4
-
-
 def build_global_space(
     mesh: QuadMesh,
     family: Family,
@@ -122,31 +112,27 @@ def build_global_space(
 ) -> GlobalSpace:
     """Enumerate global dofs and constraint rows for a family on a mesh."""
     ref = build_reference_element(family, m, dof_mode)
-    per_edge = _edge_dofs_per_edge(ref)
+    n_edge = ref.n_edge_dofs  # the edge dofs come first
+    per_edge = n_edge // 4
     ne = mesh.n_elements
     n_edge_global = mesh.n_edges * per_edge
-    n_local = len(ref.dofs)
-
-    n_nonedge_local = sum(1 for d in ref.dofs if d.cls != "edge")
+    n_nonedge_local = len(ref.dof_edge) - n_edge
     n_global = n_edge_global + ne * n_nonedge_local
 
-    ltg = np.empty((ne, n_local), dtype=np.int64)
-    sign = np.ones((ne, n_local))
-    for j, dof in enumerate(ref.dofs):
-        if dof.cls != "edge":
-            continue
-        edge = mesh.elem_edges[:, dof.edge - 1]
-        same = mesh.elem_edge_orient[:, dof.edge - 1]
-        if dof.kind == "point":
-            slot = np.where(same, dof.slot, per_edge - 1 - dof.slot)
-        else:
-            slot = dof.slot
-            if dof.slot % 2 == 1:
-                sign[~same, j] = -1.0
-        ltg[:, j] = edge * per_edge + slot
-    nonedge = [j for j, d in enumerate(ref.dofs) if d.cls != "edge"]
-    for pos, j in enumerate(nonedge):
-        ltg[:, j] = n_edge_global + np.arange(ne) * n_nonedge_local + pos
+    ltg = np.empty((ne, len(ref.dof_edge)), dtype=np.int64)
+    sign = np.ones(ltg.shape)
+    local_edge = ref.dof_edge[:n_edge] - 1
+    slot = ref.dof_slot[:n_edge]
+    same = mesh.elem_edge_orient[:, local_edge]
+    if ref.dof_mode == "point":
+        # Gauss points are listed along the local parameter
+        slot = np.where(same, slot, per_edge - 1 - slot)
+    else:
+        # odd-degree Legendre moments change sign with the orientation
+        sign[:, :n_edge][~same & (slot % 2 == 1)] = -1.0
+    ltg[:, :n_edge] = mesh.elem_edges[:, local_edge] * per_edge + slot
+    ltg[:, n_edge:] = (n_edge_global + np.arange(ne)[:, None] * n_nonedge_local
+                       + np.arange(n_nonedge_local))
 
     masked = np.zeros(n_global, dtype=bool)
     if homogeneous:
@@ -185,8 +171,9 @@ def coarse_prolongation(space: GlobalSpace) -> sp.csr_matrix | None:
     Column v holds the dof values of the piecewise-bilinear hat function of
     the v-th interior vertex (in vertex order).  Every shape space with
     m >= 2 contains Q1, so each dof is its functional applied to the four
-    reference bilinears; a dof shared by two elements gets the same value
-    from both and is stored once.  Returns None when Q1 is not in the shape
+    reference bilinears (`ref.sampling` times their values at
+    `ref.points`); a dof shared by two elements gets the same value from
+    both and is stored once.  Returns None when Q1 is not in the shape
     space (m = 1) or the mesh has no interior vertex.
     """
     mesh, ref = space.mesh, space.ref
@@ -200,7 +187,8 @@ def coarse_prolongation(space: GlobalSpace) -> sp.csr_matrix | None:
     corner_signs = ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
     bilinears = [Poly2D(np.array([[1.0, sy], [sx, sx * sy]]) / 4.0)
                  for sx, sy in corner_signs]
-    local = np.array([[d.apply(b) for b in bilinears] for d in ref.dofs])
+    x, y = ref.points.T
+    local = ref.sampling @ np.column_stack([b(x, y) for b in bilinears])
 
     # every free dof once, from the first element that lists it; the hats
     # that do not vanish at a shared edge dof belong to that edge's vertices,
@@ -261,65 +249,26 @@ def expected_dimension(space: GlobalSpace) -> int:
     return ne * (2 * k - 1) * (k - 1) + nsi * (2 * k + 1)
 
 
-def q_interpolate(geom, m: int, u) -> Poly2D:
-    """Tensor-product Q_m interpolant of u o F_K at Gauss-Lobatto nodes."""
-    nodes = gauss_lobatto_nodes(m + 1)
-    X, Y = np.meshgrid(nodes, nodes, indexing="ij")
-    px, py = geom(X, Y)
-    vals = np.asarray(u(px, py), dtype=float)
-    vand = np.polynomial.polynomial.polyvander(nodes, m)
-    vinv = np.linalg.inv(vand)
-    return Poly2D(vinv @ vals @ vinv.T)
-
-
-def _edge_moment_values(mesh, e: int, edge_local: int, u, degrees: int, npts: int):
-    """Legendre moments of u along a local edge in the local parameter."""
-    rule = gauss_rule(npts)
-    t = rule.nodes
-    xh, yh = EDGE_PARAM_POINT[edge_local](t)
-    px, py = mesh.geom(e)(xh, yh)
-    uv = np.asarray(u(px, py), dtype=float)
-    out = np.empty(degrees)
-    for d in range(degrees):
-        ld = np.polynomial.polynomial.polyval(t, np.asarray(legendre_coeffs(d)))
-        out[d] = np.dot(rule.weights, uv * ld)
-    return out
-
-
 def interpolate(space: GlobalSpace, u) -> FeFunction:
-    """Canonical interpolation of a continuous u into the global space.
-
-    Point ER: point values of u.  Moment ER: edge moments and interior values
-    of u.  R / RPlus: point values of the elementwise Q_m interpolant, which
-    satisfy the boundary relation automatically.
-    """
+    """Canonical interpolation of a continuous u into the global space, for
+    all elements at once: the dofs of each element are `ref.sampling`
+    applied to u o F_K at `ref.points` (ER: point values, or edge moments
+    and interior values).  R / RPlus take the point values of the
+    elementwise Q_m interpolant of u o F_K at the Gauss-Lobatto nodes, which
+    satisfy the boundary relation automatically."""
     mesh, ref = space.mesh, space.ref
-    ne = mesh.n_elements
-    n_local = len(ref.dofs)
-    vals = np.empty((ne, n_local))
-    tag = ref.family.tag
-    m = ref.m
-
-    pts = np.array(
-        [d.data if d.kind == "point" else (np.nan, np.nan) for d in ref.dofs]
-    )
-    point_mask = np.array([d.kind == "point" for d in ref.dofs])
-
-    for e in range(ne):
-        geom = mesh.geom(e)
-        if tag == "ER" and ref.dof_mode == "point":
-            px, py = geom(pts[:, 0], pts[:, 1])
-            vals[e] = u(px, py)
-        elif tag == "ER":
-            for le in range(1, 5):
-                sl = slice((le - 1) * m, le * m)
-                vals[e, sl] = _edge_moment_values(mesh, e, le, u, m, m + 3)
-            if np.any(point_mask):
-                px, py = geom(pts[point_mask, 0], pts[point_mask, 1])
-                vals[e, point_mask] = u(px, py)
-        else:
-            p = q_interpolate(geom, m, u)
-            vals[e] = p(pts[:, 0], pts[:, 1])
+    if ref.family.tag == "ER":
+        pts, transfer = ref.points, ref.sampling
+    else:
+        nodes = gauss_lobatto_nodes(ref.m + 1)
+        pts = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 2)
+        # the Lagrange basis l_i(x) l_j(y) of node pts[i (m+1) + j] at the points
+        lx, ly = ([lagrange_basis(nodes, i, t) for i in range(len(nodes))]
+                  for t in ref.points.T)
+        lagrange = np.einsum("ip,jp->pij", lx, ly).reshape(len(ref.points), -1)
+        transfer = ref.sampling @ lagrange
+    px, py = mesh.map_points(pts[:, 0], pts[:, 1])
+    vals = np.asarray(u(px, py), dtype=float) @ transfer.T  # (ne, ndofs)
 
     coeffs = space.scatter(vals)
     if space.constraints is not None:
@@ -346,19 +295,15 @@ def jump_functionals(space: GlobalSpace):
     mesh = space.mesh
     m = ref.m
     nret = ref.n_retained
-    # value of the function at each of the 4m boundary points, as a row over
-    # the retained dofs
-    bpts = [d.data for d in ref.dofs if d.cls == "edge"]
-    xs = np.array([p[0] for p in bpts])
-    ys = np.array([p[1] for p in bpts])
-    phi, _, _ = ref.tabulate(xs, ys)  # (4m, nret)
+    # value of every dof of the function, as a row over the retained dofs
+    phi = ref.sampling @ ref.tabulate(*ref.points.T)[0]  # (ndofs, nret)
 
     rows, cols, vals = [], [], []
     row = 0
-    local_of_edge = {}  # (element, local_edge, slot) -> boundary point index
-    for j, d in enumerate(ref.dofs):
-        if d.cls == "edge":
-            local_of_edge[(d.edge, d.slot)] = j
+    local_of_edge = {  # (local_edge, slot) -> local dof
+        (int(le), int(s)): j
+        for j, (le, s) in enumerate(zip(ref.dof_edge, ref.dof_slot)) if le
+    }
 
     for edge in range(mesh.n_edges):
         inc = mesh.edge_elements[edge]

@@ -15,10 +15,9 @@ import time
 import numpy as np
 import pytest
 
-import qncfem.refelem as refelem
 from qncfem.cli import TABLES, StudyConfig, default_problem, run_study
 from qncfem.mesh import perturbed_mesh, uniform_rect_mesh
-from qncfem.refelem import Family, Poly2D, build_reference_element
+from qncfem.refelem import Family, property_checks
 from qncfem.solve import assemble, error_norms, solve
 from qncfem.space import FeFunction, build_global_space, expected_dimension, interpolate
 
@@ -186,64 +185,29 @@ class TestCriterion4:
 
 class TestCriterion5:
     def test_relation_suite(self):
-        rng = np.random.default_rng(0)
-        passed = True
-        worst = 0.0
-        for m in (1, 3, 5, 7):
-            res = max(
-                refelem.verify_relation(
-                    m, Family("R"), Poly2D(rng.standard_normal((m + 1, m + 1)))
-                )
-                for _ in range(100)
-            )
-            worst = max(worst, res)
-            gamma = refelem.constraint_weights(Family("R"), m)[:m]
-            oracle = refelem.constraint_weights_oracle(m)
-            cos = np.dot(gamma, oracle) / (
-                np.linalg.norm(gamma) * np.linalg.norm(oracle)
-            )
-            passed = passed and abs(1 - cos) < 1e-12
-        for m in (2, 4, 6):
-            basis = refelem.build_shape_space(Family("RPlus"), m)
-            for _ in range(100):
-                v = Poly2D.zero()
-                for c, b in zip(rng.standard_normal(len(basis)), basis):
-                    v = v + c * b
-                worst = max(worst, refelem.verify_relation(m, Family("RPlus"), v))
-        passed = passed and worst <= 1e-12
+        checks = [c for c in property_checks()
+                  if c[0].startswith(("gamma oracle", "relation residual"))]
+        failed = [f"{name} {detail}" for name, passed, detail in checks if not passed]
         assert report(
-            5, passed,
-            f"relation residual max {worst:.1e} over 700 random members, "
-            f"weights collinear with oracle",
+            5, not failed,
+            f"{len(checks)} checks: relation residuals <= 1e-12 over 700 random "
+            f"members, weights collinear with oracle"
+            + (": FAILED " + ", ".join(failed) if failed else ""),
         )
 
 
 class TestCriterion6:
     def test_unisolvency_suite(self):
-        pairs = [(Family("R"), m) for m in (1, 3, 5, 7)]
-        pairs += [(Family("R", "tilde"), m) for m in (3, 5, 7)]
-        pairs += [(Family("ER"), m) for m in (1, 3, 5, 7)]
-        pairs += [(Family("RPlus"), m) for m in (2, 4, 6)]
-        passed = True
-        worst_cos = 0.0
-        for family, m in pairs:
-            ref = build_reference_element(family, m)
-            rank = np.linalg.matrix_rank(ref.vandermonde)
-            passed = passed and rank == ref.dim
-            if ref.constraint is not None:
-                _, _, vt = np.linalg.svd(ref.vandermonde.T)
-                null = vt[-1]
-                w = np.zeros(len(ref.dofs))
-                w[: len(ref.constraint)] = ref.constraint
-                cos = abs(np.dot(null, w)) / (
-                    np.linalg.norm(null) * np.linalg.norm(w)
-                )
-                worst_cos = max(worst_cos, 1 - cos)
-        passed = passed and worst_cos < 1e-10
+        checks = [c for c in property_checks()
+                  if c[0].startswith(("unisolvency", "null vector"))]
+        pairs = sum(name.startswith("unisolvency") for name, _, _ in checks)
+        failed = [f"{name} {detail}" for name, passed, detail in checks if not passed]
+        assert pairs == 14
         assert report(
-            6, passed,
-            f"{len(pairs)} family/order pairs full rank, "
-            f"null-vector cosine distance max {worst_cos:.1e}",
+            6, not failed,
+            f"{pairs} family/order pairs full rank, null vectors collinear "
+            f"with the relation weights"
+            + (": FAILED " + ", ".join(failed) if failed else ""),
         )
 
 

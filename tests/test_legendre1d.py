@@ -12,7 +12,6 @@ from qncfem.legendre1d import (
     interp_gauss_1d,
     l2_project_1d,
     lagrange_basis,
-    legendre_coeffs,
     legendre_eval,
     legendre_eval_with_deriv,
     legendre_leading_coeff,
@@ -67,7 +66,7 @@ class TestLeadingCoeff:
 
     def test_matches_expansion(self):
         for n in range(11):
-            coeffs = legendre_coeffs(n)
+            coeffs = np.polynomial.legendre.leg2poly(np.eye(n + 1)[n])
             assert legendre_leading_coeff(n) == pytest.approx(coeffs[-1], rel=1e-12)
 
     def test_range_checks(self):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qncfem.legendre1d import gauss_rule
 from qncfem.refelem import (
-    DofFunctional,
+    EDGE_PARAM_POINT,
     Family,
     Poly2D,
     boundary_dof_points,
@@ -27,6 +27,15 @@ ALL_FAMILIES = [
     (Family("ER"), (1, 3, 5, 7)),
     (Family("RPlus"), (2, 4, 6)),
 ]
+
+
+def edge_trace(p, edge):
+    """Monomial coefficients of the restriction of p to edge 1..4 in the
+    edge parameter (y on e1/e3, x on e2/e4)."""
+    s = -1.0 if edge in (1, 2) else 1.0
+    if edge in (1, 3):
+        return s ** np.arange(p.coeffs.shape[0]) @ p.coeffs
+    return p.coeffs @ s ** np.arange(p.coeffs.shape[1])
 
 
 def random_member(rng, family, m):
@@ -104,7 +113,7 @@ class TestShapeSpace:
             for m in orders:
                 for b in build_shape_space(family, m):
                     for edge in (1, 2, 3, 4):
-                        tr = np.asarray(b.edge_trace(edge))
+                        tr = edge_trace(b, edge)
                         nz = np.nonzero(np.abs(tr) > 1e-13)[0]
                         deg = int(nz[-1]) if nz.size else -1
                         assert deg <= m + cap
@@ -112,42 +121,50 @@ class TestShapeSpace:
 
 class TestDofPoints:
     def test_r1_midpoints(self):
-        pts = [d.data for d in boundary_dof_points(Family("R"), 1)]
-        assert pts == [(-1.0, 0.0), (0.0, -1.0), (1.0, 0.0), (0.0, 1.0)]
+        pts = boundary_dof_points(Family("R"), 1)
+        assert pts.tolist() == [[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0]]
 
     def test_rplus2_points_and_corner(self):
-        dofs = boundary_dof_points(Family("RPlus"), 2)
-        assert len(dofs) == 9
+        pts = boundary_dof_points(Family("RPlus"), 2)
+        assert pts.shape == (9, 2)
         g = 0.5773502691896257
-        for d in dofs[:-1]:
-            x, y = d.data
+        for x, y in pts[:-1]:
             assert {abs(round(x, 13)), abs(round(y, 13))} == {1.0, round(g, 13)}
-        assert dofs[-1].cls == "corner"
-        assert dofs[-1].data == (1.0, 1.0)
+        assert pts[-1].tolist() == [1.0, 1.0]
+        ref = build_reference_element(Family("RPlus"), 2)
+        # the corner dof belongs to no edge
+        assert ref.dof_edge[8] == 0 and ref.points[8].tolist() == [1.0, 1.0]
 
     def test_r3_uses_three_point_nodes(self):
-        dofs = boundary_dof_points(Family("R"), 3)
-        assert len(dofs) == 12
-        params = sorted({round(abs(c), 13) for d in dofs for c in d.data})
+        pts = boundary_dof_points(Family("R"), 3)
+        assert pts.shape == (12, 2)
+        params = sorted({round(abs(c), 13) for c in pts.ravel()})
         assert params == [0.0, round(np.sqrt(3 / 5), 13), 1.0]
 
     def test_canonical_edge_order(self):
-        dofs = boundary_dof_points(Family("R"), 3)
-        assert [d.edge for d in dofs] == [1] * 3 + [2] * 3 + [3] * 3 + [4] * 3
-        for e in range(4):
-            slots = [d.slot for d in dofs[3 * e : 3 * e + 3]]
-            assert slots == [0, 1, 2]
+        for dof_mode in ("point", "moment"):
+            ref = build_reference_element(Family("ER"), 3, dof_mode)
+            assert ref.dof_edge[:12].tolist() == [1] * 3 + [2] * 3 + [3] * 3 + [4] * 3
+            for e in range(4):
+                assert ref.dof_slot[3 * e : 3 * e + 3].tolist() == [0, 1, 2]
+        # point dofs sit at their edge's Gauss points, in increasing parameter
+        t = gauss_rule(3).nodes
+        for j in range(12):
+            x, y = EDGE_PARAM_POINT[ref.dof_edge[j]](t[ref.dof_slot[j]])
+            assert build_reference_element(Family("ER"), 3).points[j].tolist() == [x, y]
 
     def test_interior_r3_empty(self):
-        assert interior_dof_points(Family("R"), 3) == []
+        assert interior_dof_points(Family("R"), 3).shape == (0, 2)
 
     def test_interior_rplus4_centroid(self):
         pts = interior_dof_points(Family("RPlus"), 4)
         assert len(pts) == 1
-        assert pts[0].data == pytest.approx((-1 / 6, -1 / 6))
+        assert pts[0] == pytest.approx((-1 / 6, -1 / 6))
+        ref = build_reference_element(Family("RPlus"), 4)
+        assert ref.dof_edge[-1] == 0 and ref.dof_slot[-1] == -1
 
     def test_interior_r5_triangle_vertices(self):
-        pts = {d.data for d in interior_dof_points(Family("R"), 5)}
+        pts = {tuple(p) for p in interior_dof_points(Family("R"), 5)}
         assert pts == {(-0.5, -0.5), (0.5, -0.5), (-0.5, 0.5)}
 
     def test_interior_counts(self):
@@ -244,8 +261,8 @@ class TestDiscreteBubble:
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_vanishes_on_gplus(self, k):
         b = discrete_bubble(k)
-        for d in boundary_dof_points(Family("RPlus"), 2 * k)[: 8 * k]:
-            assert abs(d.apply(b)) < 1e-13
+        x, y = boundary_dof_points(Family("RPlus"), 2 * k)[: 8 * k].T
+        assert np.max(np.abs(b(x, y))) < 1e-13
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
@@ -277,7 +294,7 @@ class TestReferenceElement:
             ref = build_reference_element(family, m)
             _, s, vt = np.linalg.svd(ref.vandermonde.T)
             null = vt[-1]
-            w = np.zeros(len(ref.dofs))
+            w = np.zeros(len(ref.sampling))
             w[: len(ref.constraint)] = ref.constraint
             cos = abs(np.dot(null, w)) / (np.linalg.norm(null) * np.linalg.norm(w))
             assert 1.0 - cos < 1e-10
@@ -286,19 +303,18 @@ class TestReferenceElement:
     def test_nodal_cardinality(self, family, orders):
         for m in orders:
             ref = build_reference_element(family, m)
-            vals = np.empty((ref.n_retained, ref.n_retained))
-            for col in range(ref.n_retained):
-                p = ref.nodal_poly(col)
-                for row, i in enumerate(ref.retained):
-                    vals[row, col] = ref.dofs[i].apply(p)
+            vals = np.column_stack([
+                ref.sampling[ref.retained] @ ref.nodal_poly(col)(*ref.points.T)
+                for col in range(ref.n_retained)
+            ])
             assert np.max(np.abs(vals - np.eye(ref.n_retained))) < 1e-11
 
     def test_dropped_dof_is_first_e2_point(self):
         for m in (1, 3, 5):
             ref = build_reference_element(Family("R"), m)
             assert ref.dropped == m
-            d = ref.dofs[ref.dropped]
-            assert d.edge == 2 and d.slot == 0
+            assert ref.dof_edge[ref.dropped] == 2
+            assert ref.dof_slot[ref.dropped] == 0
 
     def test_dropped_value_recovered_by_relation(self):
         """A nodal basis function's value at the dropped point follows from
@@ -307,7 +323,7 @@ class TestReferenceElement:
         w = ref.constraint
         for col in range(ref.n_retained):
             p = ref.nodal_poly(col)
-            bvals = np.array([d.apply(p) for d in ref.dofs[: len(w)]])
+            bvals = ref.sampling[: len(w)] @ p(*ref.points.T)
             # relation says w . bvals = 0; solve for the dropped entry
             rest = np.dot(w, bvals) - w[ref.dropped] * bvals[ref.dropped]
             assert bvals[ref.dropped] == pytest.approx(
@@ -352,17 +368,57 @@ class TestBubbleDivisibility:
             assert (q2 - lin).norm() < 1e-11
 
 
-class TestDofFunctional:
-    def test_point_apply(self):
-        d = DofFunctional("point", "edge", (0.5, -1.0), edge=2, slot=0)
-        assert d.apply(Poly2D.monomial(2, 1)) == pytest.approx(-0.25)
+class TestSampling:
+    def test_point_rows_evaluate(self):
+        # point rows are identity rows: the dofs of x^2 y are its values at
+        # the points; the first e2 dof of ER3 is (-sqrt(3/5), -1)
+        ref = build_reference_element(Family("ER"), 3)
+        assert np.array_equal(ref.sampling, np.eye(len(ref.points)))
+        vals = ref.sampling @ Poly2D.monomial(2, 1)(*ref.points.T)
+        assert vals[3] == pytest.approx(-0.6, rel=1e-14)
 
-    def test_moment_apply_exact(self):
+    def test_moment_row_apply_exact(self):
         # degree-0 Legendre moment of x^2 along e2 (y=-1): int_{-1}^{1} t^2 = 2/3
-        d = DofFunctional("moment", "edge", (2, 0), edge=2, slot=0)
-        assert d.apply(Poly2D.monomial(2, 0)) == pytest.approx(2 / 3, rel=1e-14)
+        ref = build_reference_element(Family("ER"), 3, "moment")
+        x, y = ref.points.T
+        row = np.flatnonzero((ref.dof_edge == 2) & (ref.dof_slot == 0))
+        assert len(row) == 1
+        got = ref.sampling[row[0]] @ (x**2)
+        assert got == pytest.approx(2 / 3, rel=1e-14)
 
-    def test_moment_orthogonality(self):
+    def test_moment_row_orthogonality(self):
         # L_2 moment of a linear trace vanishes
-        d = DofFunctional("moment", "edge", (4, 2), edge=4, slot=2)
-        assert abs(d.apply(Poly2D.monomial(1, 0))) < 1e-14
+        ref = build_reference_element(Family("ER"), 3, "moment")
+        x, y = ref.points.T
+        row = np.flatnonzero((ref.dof_edge == 4) & (ref.dof_slot == 2))
+        assert len(row) == 1
+        assert abs(ref.sampling[row[0]] @ x) < 1e-14
+
+    @pytest.mark.parametrize("m", [1, 3, 5, 7])
+    def test_moment_rows_exact_legendre_moments(self, m):
+        """The moment rows give int_{-1}^{1} v(edge(t)) L_d(t) dt of every
+        monomial x^i y^j with i + j <= m+1 on all four edges."""
+        ref = build_reference_element(Family("ER"), m, "moment")
+        x, y = ref.points.T
+        for i in range(m + 2):
+            for j in range(m + 2 - i):
+                got = ref.sampling[: 4 * m] @ (x**i * y**j)
+                for e, (power, s) in enumerate(((j, -1.0), (i, -1.0),
+                                                (j, 1.0), (i, 1.0))):
+                    # trace is s^(other power) t^power; int t^p L_d from
+                    # the Legendre expansion of t^p
+                    other = i + j - power
+                    leg = np.polynomial.legendre.poly2leg([0.0] * power + [1.0])
+                    for d in range(m):
+                        c = leg[d] if d < len(leg) else 0.0
+                        exact = s**other * c * 2.0 / (2 * d + 1)
+                        assert abs(got[e * m + d] - exact) < 1e-14
+
+    @pytest.mark.parametrize("family,orders", ALL_FAMILIES)
+    def test_point_vandermonde_is_scalar_polyval(self, family, orders):
+        for m in orders:
+            ref = build_reference_element(family, m)
+            for i, (x, y) in enumerate(ref.points):
+                for j, b in enumerate(ref.basis):
+                    assert ref.vandermonde[i, j] == np.polynomial.polynomial.polyval2d(
+                        x, y, b.coeffs)

@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
+from qncfem.legendre1d import gauss_lobatto_nodes, gauss_rule
 from qncfem.mesh import MeshError, perturbed_mesh, refine, uniform_rect_mesh
-from qncfem.refelem import CHILD_OFFSETS, Family
+from qncfem.refelem import (
+    CHILD_OFFSETS,
+    EDGE_PARAM_POINT,
+    Family,
+    interior_dof_points,
+)
 from qncfem.solve import error_norms
 from qncfem.space import (
     FeFunction,
@@ -14,7 +20,6 @@ from qncfem.space import (
     interpolate,
     jump_functionals,
     prolong,
-    q_interpolate,
 )
 
 FAMILY_ORDERS = [
@@ -114,9 +119,6 @@ class TestContinuity:
         assert self._point_jump(space, coeffs) < 1e-10
 
     def test_moment_continuity_er_moment_mode(self):
-        from qncfem.legendre1d import gauss_rule, legendre_coeffs
-        from qncfem.refelem import EDGE_PARAM_POINT
-
         m = 3
         space = build_global_space(uniform_rect_mesh(3), Family("ER"), m, "moment")
         rng = np.random.default_rng(1)
@@ -137,9 +139,7 @@ class TestContinuity:
                 traces.append(phi @ cloc[e])
             jump = traces[0] - traces[1]
             for d in range(m):
-                ld = np.polynomial.polynomial.polyval(
-                    rule.nodes, np.asarray(legendre_coeffs(d))
-                )
+                ld = np.polynomial.legendre.legval(rule.nodes, np.eye(m)[d])
                 assert abs(np.dot(rule.weights, jump * ld)) < 1e-10
 
     def test_boundary_values_masked(self):
@@ -160,37 +160,87 @@ class TestContinuity:
 
 
 class TestQInterpolate:
-    def test_reproduces_constant(self):
-        from qncfem.mesh import GeomMap
+    """R / RPlus interpolate through the elementwise Q_m interpolant, which
+    reproduces Q_m: on an affine mesh, the dofs of u with u o F_K in Q_m are
+    the values of u at the dof points."""
 
-        geom = GeomMap([[0, 0], [1, 0], [1, 1], [0, 1]])
-        p = q_interpolate(geom, 3, lambda x, y: np.ones_like(x))
-        xs = np.linspace(-1, 1, 5)
-        assert np.allclose(p(xs, xs), 1.0, atol=1e-12)
+    def _dof_values(self, space, u):
+        """Retained dof values of interpolate(space, u) next to u at the dof
+        points, (ne, nret) each."""
+        got = space.local_values(interpolate(space, u).coeffs)
+        px, py = space.mesh.map_points(*space.ref.points[space.ref.retained].T)
+        return got, u(px, py)
+
+    def test_reproduces_constant(self):
+        space = build_global_space(uniform_rect_mesh(2), Family("R"), 3,
+                                   homogeneous=False)
+        got, _ = self._dof_values(space, lambda x, y: np.ones_like(x))
+        assert np.max(np.abs(got - 1.0)) < 1e-12
 
     def test_reproduces_qm(self):
-        from qncfem.mesh import GeomMap
-
-        geom = GeomMap([[0, 0], [1, 0], [1, 1], [0, 1]])
-        u = lambda x, y: (2 * x - 1) ** 3 * (2 * y - 1) ** 3  # in Q_3 o F^{-1}
-        p = q_interpolate(geom, 3, u)
-        xh = np.linspace(-1, 1, 7)
-        yh = np.linspace(-1, 1, 7)[::-1]
-        px, py = geom(xh, yh)
-        assert np.max(np.abs(p(xh, yh) - u(px, py))) < 1e-11
+        for family, m in ((Family("R"), 3), (Family("R", "tilde"), 5),
+                          (Family("RPlus"), 4)):
+            space = build_global_space(uniform_rect_mesh(3), family, m,
+                                       homogeneous=False)
+            u = lambda x, y: (2 * x - 1) ** m * (2 * y - 1) ** m  # Q_m o F^{-1}
+            got, expect = self._dof_values(space, u)
+            assert np.max(np.abs(got - expect)) < 1e-11
 
     def test_affine_composition(self):
-        from qncfem.mesh import GeomMap
+        space = build_global_space(uniform_rect_mesh(2), Family("RPlus"), 2,
+                                   homogeneous=False)
+        got, expect = self._dof_values(space, lambda x, y: x + y)
+        assert np.max(np.abs(got - expect)) < 1e-12
 
-        geom = GeomMap([[0, 0], [1, 0], [1, 1], [0, 1]])
-        p = q_interpolate(geom, 2, lambda x, y: x + y)
-        # x = (xh+1)/2, y = (yh+1)/2 so u o F = (xh + yh)/2 + 1
-        assert p(0.0, 0.0) == pytest.approx(1.0, abs=1e-12)
-        assert p(1.0, -1.0) == pytest.approx(1.0, abs=1e-12)
-        assert p(0.5, 0.5) == pytest.approx(1.5, abs=1e-12)
+
+def _interpolate_per_element(space, u):
+    """Reference for `interpolate`: the local dofs of one element at a time,
+    from the dof definitions (point values; edge Legendre moments by the
+    (m+3)-point Gauss rule; R / RPlus through the Q_m interpolant at the
+    Gauss-Lobatto nodes, by its monomial Vandermonde)."""
+    mesh, ref, m = space.mesh, space.ref, space.m
+    vals = np.empty(space.ltg.shape)
+    for e in range(mesh.n_elements):
+        geom = mesh.geom(e)
+        if ref.family.tag != "ER":
+            nodes = gauss_lobatto_nodes(m + 1)
+            X, Y = np.meshgrid(nodes, nodes, indexing="ij")
+            vinv = np.linalg.inv(np.polynomial.polynomial.polyvander(nodes, m))
+            c = vinv @ u(*geom(X, Y)) @ vinv.T
+            vals[e] = np.polynomial.polynomial.polyval2d(*ref.points.T, c)
+        elif ref.dof_mode == "point":
+            vals[e] = u(*geom(*ref.points.T))
+        else:
+            rule = gauss_rule(m + 3)
+            for le in (1, 2, 3, 4):
+                uv = u(*geom(*EDGE_PARAM_POINT[le](rule.nodes)))
+                for d in range(m):
+                    ld = np.polynomial.legendre.legval(rule.nodes, np.eye(m)[d])
+                    vals[e, (le - 1) * m + d] = np.dot(rule.weights, uv * ld)
+            vals[e, 4 * m:] = u(*geom(*interior_dof_points(ref.family, m).T))
+    return space.scatter(vals)
 
 
 class TestInterpolate:
+    @pytest.mark.parametrize(
+        "family,m,dof_mode",
+        [
+            (Family("ER"), 3, "point"),
+            (Family("ER"), 5, "moment"),
+            (Family("R"), 3, "point"),
+            (Family("R", "tilde"), 5, "point"),
+            (Family("RPlus"), 4, "point"),
+        ],
+    )
+    @pytest.mark.parametrize("mesh", [uniform_rect_mesh(3),
+                                      perturbed_mesh(4, seed=4)],
+                             ids=["uniform", "perturbed"])
+    def test_matches_per_element_reference(self, family, m, dof_mode, mesh):
+        space = build_global_space(mesh, family, m, dof_mode, homogeneous=False)
+        u = lambda x, y: np.sin(np.pi * x) * np.cos(0.7 * y) + x * y**2
+        got = interpolate(space, u).coeffs
+        assert np.max(np.abs(got - _interpolate_per_element(space, u))) < 1e-12
+
     @pytest.mark.parametrize("family,m", FAMILY_ORDERS)
     def test_reproduces_pm(self, family, m):
         """The interpolant of a degree <= m polynomial is exact on affine
@@ -284,6 +334,14 @@ class TestEvaluate:
         gy = (-J[0, 1] * gxh + J[0, 0] * gyh) / det
         assert np.max(np.abs(grad[0] - gx)) < 1e-5
         assert np.max(np.abs(grad[1] - gy)) < 1e-5
+
+    def test_one_element_values_match_all(self):
+        # moment dofs carry orientation signs, and the boundary dofs are masked
+        space = build_global_space(perturbed_mesh(4, seed=2), Family("ER"), 3, "moment")
+        coeffs = np.random.default_rng(4).standard_normal(space.n_free)
+        every = space.local_values(coeffs)
+        for e in range(space.mesh.n_elements):
+            assert np.array_equal(space.local_values(coeffs, e), every[e])
 
     def test_tabulation_cache_bounded(self):
         # the reference element lives as long as the process; evaluating at
