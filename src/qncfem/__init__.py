@@ -13,25 +13,22 @@ The package solves the homogeneous Poisson problem on (0,1)^2 and reports
 L2 / broken-H1 convergence tables via the ``qncfem`` command line tool.
 """
 
-from .legendre1d import Poly1D, QuadRule1D, gauss_rule
-from .mesh import GeomMap, QuadMesh, perturbed_mesh, refine, uniform_rect_mesh
-from .refelem import Family, Poly2D, ReferenceElement, build_reference_element
+from .legendre1d import QuadRule1D, gauss_rule
+from .mesh import QuadMesh, perturbed_mesh, refine, uniform_rect_mesh
+from .refelem import Family, ReferenceElement, build_reference_element
 from .solve import SparseSystem, assemble, error_norms, solve
 from .space import FeFunction, GlobalSpace, build_global_space, interpolate, prolong
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Poly1D",
     "QuadRule1D",
     "gauss_rule",
-    "GeomMap",
     "QuadMesh",
     "uniform_rect_mesh",
     "perturbed_mesh",
     "refine",
     "Family",
-    "Poly2D",
     "ReferenceElement",
     "build_reference_element",
     "GlobalSpace",

@@ -2,7 +2,7 @@
 
 Legendre polynomial evaluation, Gauss-Legendre rules (Newton iteration on
 Chebyshev seeds), Lagrange bases, L2 projection and Gauss-point interpolation
-on [-1, 1].
+on [-1, 1]; the last two return `numpy.polynomial.Polynomial`.
 """
 
 from __future__ import annotations
@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
 __all__ = [
-    "Poly1D",
     "QuadRule1D",
     "legendre_eval",
     "legendre_eval_with_deriv",
@@ -24,32 +24,6 @@ __all__ = [
     "l2_project_1d",
     "interp_gauss_1d",
 ]
-
-
-@dataclass(frozen=True)
-class Poly1D:
-    """Polynomial in monomial form; coeffs[i] multiplies x**i."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-
-    def __call__(self, x):
-        return np.polynomial.polynomial.polyval(x, np.asarray(self.coeffs))
-
-    @property
-    def degree(self) -> int:
-        c = np.asarray(self.coeffs)
-        nz = np.nonzero(np.abs(c) > 0)[0]
-        return int(nz[-1]) if nz.size else -1
-
-    def trimmed(self, tol: float = 0.0) -> "Poly1D":
-        c = np.asarray(self.coeffs)
-        nz = np.nonzero(np.abs(c) > tol)[0]
-        if nz.size == 0:
-            return Poly1D((0.0,))
-        return Poly1D(tuple(c[: nz[-1] + 1]))
 
 
 @dataclass(frozen=True)
@@ -163,7 +137,7 @@ def lagrange_basis(nodes, i: int, x):
     return out
 
 
-def l2_project_1d(f, d: int, npoints: int | None = None) -> Poly1D:
+def l2_project_1d(f, d: int, npoints: int | None = None) -> Polynomial:
     """L2-orthogonal projection of f onto P_d on [-1, 1].
 
     For polynomial f of degree <= d+2 the default d+2 point rule is exact;
@@ -177,14 +151,14 @@ def l2_project_1d(f, d: int, npoints: int | None = None) -> Poly1D:
     for j in range(d + 1):
         lj = legendre_eval(j, rule.nodes)
         leg[j] = (2 * j + 1) / 2.0 * np.dot(rule.weights, fv * lj)
-    return Poly1D(tuple(np.polynomial.legendre.leg2poly(leg))).trimmed(0.0)
+    return Polynomial(np.polynomial.legendre.leg2poly(leg)).trim()
 
 
-def interp_gauss_1d(v, m: int) -> Poly1D:
+def interp_gauss_1d(v, m: int) -> Polynomial:
     """Interpolate v in P_{m-1} at the m Gauss points (odd m)."""
     if m < 1 or m % 2 == 0:
         raise ValueError("order must be odd and positive")
     nodes = gauss_rule(m).nodes
     vand = np.polynomial.polynomial.polyvander(nodes, m - 1)
     coef = np.linalg.solve(vand, np.asarray(v(nodes), dtype=float))
-    return Poly1D(tuple(coef))
+    return Polynomial(coef)

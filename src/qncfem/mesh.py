@@ -1,5 +1,9 @@
 """Quadrilateral meshes: bilinear geometry, generators, edge adjacency, I/O.
 
+`bilinear_map` is the one implementation of the element maps and their
+Jacobians; it takes corner arrays, so it serves all elements at once or
+one element alone.
+
 Element corners A1..A4 are counterclockwise; local edges are
 e1 = (A1, A4), e2 = (A1, A2), e3 = (A2, A3), e4 = (A4, A3), matching the
 reference square edges x=-1, y=-1, x=+1, y=+1.  Interior edges carry a
@@ -16,8 +20,8 @@ import numpy as np
 from .legendre1d import gauss_rule
 
 __all__ = [
-    "GeomMap",
     "QuadMesh",
+    "bilinear_map",
     "MeshError",
     "uniform_rect_mesh",
     "perturbed_mesh",
@@ -38,15 +42,27 @@ class MeshError(Exception):
     pass
 
 
-def bilinear_coeffs(corners):
-    """Coefficients c0..c3 of the bilinear map x = c0 + c1 xh + c2 yh
-    + c3 xh yh through corners A1..A4 shaped (..., 4, 2)."""
-    a1, a2, a3, a4 = np.moveaxis(np.asarray(corners, dtype=float), -2, 0)
+def bilinear_map(corners, xh, yh):
+    """The bilinear maps of [-1,1]^2 onto quadrilaterals with corners A1..A4,
+    shaped (..., 4, 2), at the reference points (xh, yh): the images (x, y)
+    and the Jacobian entries (j11, j12, j21, j22, det), j_ik = d x_i / d xh_k,
+    each shaped corners.shape[:-2] + xh.shape.  Pass `mesh.corner_array()`
+    for all elements, `mesh.vertices[mesh.quads[e]]` for element e alone."""
+    xh = np.asarray(xh, dtype=float)
+    yh = np.asarray(yh, dtype=float)
+    # corners first, then the coordinate, then the element axes
+    P = np.moveaxis(np.asarray(corners, dtype=float), (-2, -1), (0, 1))
+    a1, a2, a3, a4 = P.reshape(P.shape + (1,) * xh.ndim)
+    # x = c0 + c1 xh + c2 yh + c3 xh yh
     c0 = (a1 + a2 + a3 + a4) / 4.0
     c1 = (-a1 + a2 + a3 - a4) / 4.0
     c2 = (-a1 - a2 + a3 + a4) / 4.0
     c3 = (a1 - a2 + a3 - a4) / 4.0
-    return c0, c1, c2, c3
+    # one coordinate at a time: separate arrays, and temporaries half the size
+    x, y = (c0[k] + c1[k] * xh + c2[k] * yh + c3[k] * xh * yh for k in (0, 1))
+    j11, j21 = (c1[k] + c3[k] * yh for k in (0, 1))
+    j12, j22 = (c2[k] + c3[k] * xh for k in (0, 1))
+    return (x, y), (j11, j12, j21, j22, j11 * j22 - j12 * j21)
 
 
 def _first_appearance(keys):
@@ -57,42 +73,6 @@ def _first_appearance(keys):
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     return rank[inverse.ravel()], first[order]
-
-
-@dataclass(frozen=True)
-class GeomMap:
-    """Bilinear map from [-1,1]^2 onto one quadrilateral."""
-
-    corners: np.ndarray  # (4, 2)
-
-    def __post_init__(self):
-        object.__setattr__(self, "corners", np.asarray(self.corners, dtype=float))
-
-    def __call__(self, xh, yh):
-        c0, c1, c2, c3 = bilinear_coeffs(self.corners)
-        xh = np.asarray(xh, dtype=float)
-        yh = np.asarray(yh, dtype=float)
-        x = c0[0] + c1[0] * xh + c2[0] * yh + c3[0] * xh * yh
-        y = c0[1] + c1[1] * xh + c2[1] * yh + c3[1] * xh * yh
-        return x, y
-
-    def jacobian(self, xh, yh):
-        """Return (J, det J) with J[i][j] = d x_i / d xh_j."""
-        c0, c1, c2, c3 = bilinear_coeffs(self.corners)
-        xh = np.asarray(xh, dtype=float)
-        yh = np.asarray(yh, dtype=float)
-        j11 = c1[0] + c3[0] * yh
-        j12 = c2[0] + c3[0] * xh
-        j21 = c1[1] + c3[1] * yh
-        j22 = c2[1] + c3[1] * xh
-        det = j11 * j22 - j12 * j21
-        J = np.array([[j11, j12], [j21, j22]])
-        return J, det
-
-    def bisection_defect(self) -> float:
-        """Distance between the midpoints of the two diagonals."""
-        a1, a2, a3, a4 = self.corners
-        return float(np.linalg.norm((a1 + a3) / 2.0 - (a2 + a4) / 2.0))
 
 
 @dataclass
@@ -183,22 +163,13 @@ class QuadMesh:
     def n_boundary_vertices(self) -> int:
         return int(np.sum(self.vertex_is_boundary))
 
-    def geom(self, e: int) -> GeomMap:
-        return GeomMap(self.vertices[self.quads[e]])
-
     def corner_array(self) -> np.ndarray:
         return self.vertices[self.quads]
 
-    def map_points(self, xh, yh):
-        """Images (x, y) of the reference points (xh, yh) in every element,
-        each shaped (ne, npts)."""
-        c0, c1, c2, c3 = (c[:, None] for c in bilinear_coeffs(self.corner_array()))
-        x = c0[..., 0] + c1[..., 0] * xh + c2[..., 0] * yh + c3[..., 0] * xh * yh
-        y = c0[..., 1] + c1[..., 1] * xh + c2[..., 1] * yh + c3[..., 1] * xh * yh
-        return x, y
-
     def max_bisection_defect(self) -> float:
-        return max(self.geom(e).bisection_defect() for e in range(self.n_elements))
+        """Largest distance between the midpoints of an element's diagonals."""
+        a1, a2, a3, a4 = np.moveaxis(self.corner_array(), 1, 0)
+        return float(np.max(np.linalg.norm((a1 + a3) / 2.0 - (a2 + a4) / 2.0, axis=1)))
 
     def edge_gauss_points(self, edge: int, m: int) -> np.ndarray:
         """Physical Gauss points of an edge, ordered by the global orientation
@@ -349,6 +320,8 @@ def load_mesh(path) -> QuadMesh:
     ln = 1
     try:
         nv = int(lines[ln])
+        if nv < 0:
+            raise ValueError
     except (ValueError, IndexError):
         fail("expected vertex count")
     vertices = []
@@ -362,6 +335,8 @@ def load_mesh(path) -> QuadMesh:
     ln = 2 + nv
     try:
         ne = int(lines[ln])
+        if ne < 0:
+            raise ValueError
     except (ValueError, IndexError):
         fail("expected quad count")
     quads = []
@@ -374,4 +349,7 @@ def load_mesh(path) -> QuadMesh:
             quads.append([int(p) for p in parts])
         except (ValueError, IndexError):
             fail("expected four vertex indices")
+    for ln in range(3 + nv + ne, len(lines)):
+        if lines[ln]:
+            fail(f"unexpected line after the {ne} declared quads: {lines[ln]!r}")
     return QuadMesh(np.array(vertices), np.array(quads))

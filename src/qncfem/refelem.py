@@ -5,8 +5,13 @@ freedom sets on edge Gauss points (or edge moments) and interior lattice
 points, the linear relation satisfied by the boundary values, and nodal basis
 construction with unisolvency checks.
 
-Every degree of freedom is a weighted sum of point values (Kirby, ACM TOMS
-30, 2004): the dofs of any v are `sampling @ v(points)`.  A point dof is an
+Polynomials are monomial coefficient tables, c[i, j] <-> x^i y^j, and a
+basis is a stack of them, (n, D, D) (the coefficient-array view of FIAT,
+Kirby, ACM TOMS 30, 2004); `poly_values` evaluates a whole stack in one
+`polyval2d` call over a trailing coefficient axis.
+
+Every degree of freedom is a weighted sum of point values (Kirby, op.
+cit.): the dofs of any v are `sampling @ v(points)`.  A point dof is an
 identity row; an edge moment of degree d holds w_k L_d(t_k) over the
 (m+3)-point Gauss rule on its edge.
 
@@ -18,6 +23,7 @@ Families:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -27,10 +33,10 @@ import scipy.linalg
 from .legendre1d import gauss_rule
 
 __all__ = [
-    "Poly2D",
     "Family",
     "ReferenceElement",
     "build_shape_space",
+    "poly_values",
     "boundary_dof_points",
     "interior_dof_points",
     "constraint_weights",
@@ -65,93 +71,6 @@ def gauss_grid(q: int):
     return X.ravel(), Y.ravel(), W.ravel()
 
 
-class Poly2D:
-    """Bivariate polynomial as a dense monomial table coeffs[i, j] <-> x^i y^j."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = np.atleast_2d(np.asarray(coeffs, dtype=float))
-
-    @classmethod
-    def monomial(cls, i: int, j: int, scale: float = 1.0) -> "Poly2D":
-        c = np.zeros((i + 1, j + 1))
-        c[i, j] = scale
-        return cls(c)
-
-    @classmethod
-    def zero(cls) -> "Poly2D":
-        return cls(np.zeros((1, 1)))
-
-    def __call__(self, x, y):
-        return np.polynomial.polynomial.polyval2d(x, y, self.coeffs)
-
-    def __add__(self, other: "Poly2D") -> "Poly2D":
-        a, b = self.coeffs, other.coeffs
-        n = (max(a.shape[0], b.shape[0]), max(a.shape[1], b.shape[1]))
-        c = np.zeros(n)
-        c[: a.shape[0], : a.shape[1]] += a
-        c[: b.shape[0], : b.shape[1]] += b
-        return Poly2D(c)
-
-    def __sub__(self, other: "Poly2D") -> "Poly2D":
-        return self + (other * -1.0)
-
-    def __mul__(self, other):
-        if isinstance(other, Poly2D):
-            # 2D coefficient convolution
-            a, b = self.coeffs, other.coeffs
-            c = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
-            for i in range(a.shape[0]):
-                for j in range(a.shape[1]):
-                    if a[i, j] != 0.0:
-                        c[i : i + b.shape[0], j : j + b.shape[1]] += a[i, j] * b
-            return Poly2D(c)
-        return Poly2D(self.coeffs * float(other))
-
-    __rmul__ = __mul__
-
-    def grad(self):
-        """Return (d/dx, d/dy) as Poly2D pair."""
-        gx = np.polynomial.polynomial.polyder(self.coeffs, axis=0)
-        gy = np.polynomial.polynomial.polyder(self.coeffs, axis=1)
-        return Poly2D(gx), Poly2D(gy)
-
-    def total_degree(self, tol: float = 0.0) -> int:
-        deg = -1
-        c = self.coeffs
-        for i in range(c.shape[0]):
-            for j in range(c.shape[1]):
-                if abs(c[i, j]) > tol:
-                    deg = max(deg, i + j)
-        return deg
-
-    def norm(self) -> float:
-        return float(np.max(np.abs(self.coeffs)))
-
-    def divide_1d(self, divisor, axis: int):
-        """Divide by a univariate polynomial in x (axis=0) or y (axis=1).
-
-        Returns (quotient, remainder) as Poly2D; exactness is up to rounding.
-        """
-        c = self.coeffs.copy()
-        if axis == 1:
-            c = c.T
-        div = np.asarray(divisor, dtype=float)
-        quo = np.zeros_like(c)
-        rows = c.shape[0]
-        d = len(div) - 1
-        for i in range(rows - 1, d - 1, -1):
-            factor = c[i] / div[d]
-            quo[i - d] = factor
-            for r in range(d + 1):
-                c[i - d + r] -= factor * div[r]
-        rem = c
-        if axis == 1:
-            quo, rem = quo.T, rem.T
-        return Poly2D(quo), Poly2D(rem)
-
-
 @dataclass(frozen=True)
 class Family:
     """One of the three nonconforming element families."""
@@ -178,31 +97,38 @@ class Family:
                 raise ValueError(f"RPlus family needs even order >= 2, got {m}")
 
 
-def _pm_monomials(m: int) -> list[Poly2D]:
-    out = []
-    for d in range(m + 1):
-        for i in range(d, -1, -1):
-            out.append(Poly2D.monomial(i, d - i))
-    return out
+def poly_values(tables, x, y) -> np.ndarray:
+    """Values at the points (x, y) of the polynomials whose monomial
+    coefficient tables are stacked in `tables`, (n, D, D) with
+    tables[k, i, j] <-> x^i y^j; shape (npts, n), in C order (the products
+    that use these values round differently on a transposed layout)."""
+    vals = np.polynomial.polynomial.polyval2d(x, y, np.moveaxis(tables, 0, -1))
+    return np.ascontiguousarray(vals.T)
 
 
-def build_shape_space(family: Family, m: int) -> list[Poly2D]:
-    """Monomial basis of P_m plus the family's enrichment polynomials."""
+def build_shape_space(family: Family, m: int) -> np.ndarray:
+    """Monomial coefficient tables (dim, D, D) of the basis of P_m (by
+    degree, then decreasing power of x) plus the family's enrichment
+    polynomials; D = m + 2 for ER, else m + 1."""
     family.check_order(m)
-    basis = _pm_monomials(m)
+    terms = [[(i, d - i, 1.0)] for d in range(m + 1) for i in range(d, -1, -1)]
+    antisym = [(m, 1, 1.0), (1, m, -1.0)]  # x^m y - x y^m, zero at m = 1
     if family.tag == "R":
         if family.variant == "tilde":
-            basis.append(Poly2D.monomial(1, m))
+            terms.append([(1, m, 1.0)])
         elif m >= 3:
-            basis.append(Poly2D.monomial(m, 1) - Poly2D.monomial(1, m))
-        # m == 1 standard: x y - x y vanishes; R_1 = P_1
+            terms.append(antisym)
     elif family.tag == "ER":
         if m >= 3:
-            basis.append(Poly2D.monomial(m, 1) - Poly2D.monomial(1, m))
-        basis.append(Poly2D.monomial(m + 1, 0) - Poly2D.monomial(0, m + 1))
+            terms.append(antisym)
+        terms.append([(m + 1, 0, 1.0), (0, m + 1, -1.0)])
     else:
-        basis.append(Poly2D.monomial(m, 1))
-        basis.append(Poly2D.monomial(1, m))
+        terms += [[(m, 1, 1.0)], [(1, m, 1.0)]]
+    size = m + 2 if family.tag == "ER" else m + 1
+    basis = np.zeros((len(terms), size, size))
+    for k, poly in enumerate(terms):
+        for i, j, c in poly:
+            basis[k, i, j] = c
     return basis
 
 
@@ -375,28 +301,29 @@ def constraint_weights_oracle(m: int) -> np.ndarray:
     return out
 
 
-def discrete_bubble(k: int) -> Poly2D:
+def discrete_bubble(k: int) -> np.ndarray:
     """prod_{i=1}^k (x^2 + y^2 - 1 - g_i^2) over the positive nodes of the
-    2k-point Gauss rule; vanishes at all 4m even-family edge Gauss points."""
+    2k-point Gauss rule, as a monomial coefficient table (2k+1, 2k+1);
+    vanishes at all 4m even-family edge Gauss points."""
     if k < 1:
         raise ValueError("k must be at least 1")
     g = gauss_rule(2 * k).nodes
-    out = Poly2D(np.ones((1, 1)))
-    for gi in g[k:]:
-        factor = (
-            Poly2D.monomial(2, 0)
-            + Poly2D.monomial(0, 2)
-            + Poly2D.monomial(0, 0, -(1.0 + gi**2))
-        )
-        out = out * factor
+    # a polynomial in r = x^2 + y^2, and r^p = sum_l C(p, l) x^2l y^2(p-l)
+    radial = np.polynomial.polynomial.polyfromroots(1.0 + g[k:] ** 2)
+    out = np.zeros((2 * k + 1, 2 * k + 1))
+    for p, a in enumerate(radial):
+        for l in range(p + 1):
+            out[2 * l, 2 * (p - l)] = a * math.comb(p, l)
     return out
 
 
-def verify_relation(m: int, family: Family, v: Poly2D) -> float:
-    """Absolute residual of the boundary-value relation for v."""
+def verify_relation(m: int, family: Family, v) -> float:
+    """Absolute residual of the boundary-value relation for the polynomial
+    with monomial coefficient table v."""
     w = constraint_weights(family, m)
     ref = build_reference_element(family, m)
-    return float(abs(np.dot(w, ref.sampling[: len(w)] @ v(*ref.points.T))))
+    vals = np.polynomial.polynomial.polyval2d(*ref.points.T, v)
+    return float(abs(np.dot(w, ref.sampling[: len(w)] @ vals)))
 
 
 def property_checks():
@@ -428,18 +355,14 @@ def property_checks():
         oracle = constraint_weights_oracle(m)
         dist = 1 - np.dot(gamma, oracle) / np.linalg.norm(gamma) / np.linalg.norm(oracle)
         yield f"gamma oracle m={m}", abs(dist) < 1e-12, f"1-cos {dist:.2e}"
-        res = max(verify_relation(m, Family("R"),
-                                  Poly2D(rng.standard_normal((m + 1, m + 1))))
+        res = max(verify_relation(m, Family("R"), rng.standard_normal((m + 1, m + 1)))
                   for _ in range(100))
         yield f"relation residual R m={m}", res <= 1e-12, f"max {res:.2e}"
     for m in (2, 4, 6):
         basis = build_shape_space(Family("RPlus"), m)
-        res = 0.0
-        for _ in range(100):
-            v = Poly2D.zero()
-            for c, b in zip(rng.standard_normal(len(basis)), basis):
-                v = v + c * b
-            res = max(res, verify_relation(m, Family("RPlus"), v))
+        res = max(verify_relation(m, Family("RPlus"),
+                                  np.tensordot(rng.standard_normal(len(basis)), basis, 1))
+                  for _ in range(100))
         yield f"relation residual RPlus m={m}", res <= 1e-12, f"max {res:.2e}"
 
 
@@ -450,7 +373,7 @@ class ReferenceElement:
     family: Family
     m: int
     dof_mode: str
-    basis: list
+    basis: np.ndarray  # (dim, D, D) monomial coefficient tables
     points: np.ndarray  # (npts, 2) reference sample points
     sampling: np.ndarray  # (ndofs, npts): dof values of v are sampling @ v(points)
     dof_edge: np.ndarray  # (ndofs,) edge 1..4 of each dof, 0 for corner/interior
@@ -474,20 +397,10 @@ class ReferenceElement:
     def n_edge_dofs(self) -> int:
         return int(np.count_nonzero(self.dof_edge))
 
-    def nodal_coeff_tensor(self) -> np.ndarray:
-        """Monomial coefficient tables of the nodal basis, shape (nret, D, D)."""
-        key = "coeff"
-        if key not in self._tab_cache:
-            deg = max(max(b.coeffs.shape) for b in self.basis)
-            tens = np.zeros((self.n_retained, deg, deg))
-            for jn in range(self.n_retained):
-                acc = np.zeros((deg, deg))
-                for jb, b in enumerate(self.basis):
-                    c = b.coeffs
-                    acc[: c.shape[0], : c.shape[1]] += self.nodal[jb, jn] * c
-                tens[jn] = acc
-            self._tab_cache[key] = tens
-        return self._tab_cache[key]
+    @cached_property
+    def nodal_coeffs(self) -> np.ndarray:
+        """Monomial coefficient tables of the nodal basis, (nret, D, D)."""
+        return np.einsum("bn,bij->nij", self.nodal, self.basis)
 
     def tabulate(self, x, y):
         """Values and reference gradients of the nodal basis at points (x, y).
@@ -496,18 +409,10 @@ class ReferenceElement:
         """
         x = np.asarray(x, dtype=float).ravel()
         y = np.asarray(y, dtype=float).ravel()
-        tens = self.nodal_coeff_tensor()
-        polyval2d = np.polynomial.polynomial.polyval2d
+        c = self.nodal_coeffs
         polyder = np.polynomial.polynomial.polyder
-        phi = np.empty((x.size, self.n_retained))
-        dphix = np.empty_like(phi)
-        dphiy = np.empty_like(phi)
-        for j in range(self.n_retained):
-            c = tens[j]
-            phi[:, j] = polyval2d(x, y, c)
-            dphix[:, j] = polyval2d(x, y, polyder(c, axis=0))
-            dphiy[:, j] = polyval2d(x, y, polyder(c, axis=1))
-        return phi, dphix, dphiy
+        return tuple(poly_values(t, x, y)
+                     for t in (c, polyder(c, axis=1), polyder(c, axis=2)))
 
     def tabulate_gauss(self, q: int):
         """`tabulate` at the points of `gauss_grid(q)`, cached by q."""
@@ -530,9 +435,6 @@ class ReferenceElement:
         phi = self.tabulate(mapped[..., 0], mapped[..., 1])[0]
         return self.sampling @ phi.reshape(4, -1, self.n_retained)
 
-    def nodal_poly(self, j: int) -> Poly2D:
-        return Poly2D(self.nodal_coeff_tensor()[j])
-
 
 @lru_cache(maxsize=None)
 def _build_cached(tag: str, variant: str, m: int, dof_mode: str) -> ReferenceElement:
@@ -540,10 +442,9 @@ def _build_cached(tag: str, variant: str, m: int, dof_mode: str) -> ReferenceEle
     basis = build_shape_space(family, m)
     points, sampling, dof_edge, dof_slot = _dof_set(family, m, dof_mode)
     dim = len(basis)
-    x, y = points.T
-    vand = sampling @ np.column_stack([b(x, y) for b in basis])
+    vand = sampling @ poly_values(basis, *points.T)
 
-    rank = np.linalg.matrix_rank(vand, tol=1e-8)
+    rank = np.linalg.matrix_rank(vand)
     if rank != dim:
         raise RuntimeError(
             f"unisolvency failure for {tag}/{variant} m={m} ({dof_mode}): "

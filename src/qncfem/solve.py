@@ -41,7 +41,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import bilinear_coeffs
+from .mesh import bilinear_map
 from .refelem import gauss_grid
 from .space import GlobalSpace, coarse_prolongation
 
@@ -96,16 +96,12 @@ def _geometry_factors(space: GlobalSpace, q: int):
     """Jacobian entries and determinant at the quadrature grid for all
     elements; shapes (ne, nq)."""
     X, Y, W = gauss_grid(q)
-    _, c1, c2, c3 = bilinear_coeffs(space.mesh.corner_array())
-    j11 = c1[:, None, 0] + c3[:, None, 0] * Y[None, :]
-    j12 = c2[:, None, 0] + c3[:, None, 0] * X[None, :]
-    j21 = c1[:, None, 1] + c3[:, None, 1] * Y[None, :]
-    j22 = c2[:, None, 1] + c3[:, None, 1] * X[None, :]
-    det = j11 * j22 - j12 * j21
+    points, jac = bilinear_map(space.mesh.corner_array(), X, Y)
+    det = jac[-1]
     if not np.min(det) > 0.0:
         bad = int(np.argmin(np.min(det, axis=1)))
         raise ValueError(f"nonpositive Jacobian in element {bad}")
-    return (X, Y, W), (j11, j12, j21, j22, det), space.mesh.map_points(X, Y)
+    return (X, Y, W), jac, points
 
 
 def _stiffness_blocks(space: GlobalSpace, q: int, jac):

@@ -15,8 +15,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .legendre1d import gauss_lobatto_nodes, lagrange_basis
-from .mesh import QuadMesh, refined_children
-from .refelem import Family, Poly2D, ReferenceElement, build_reference_element
+from .mesh import QuadMesh, bilinear_map, refined_children
+from .refelem import Family, ReferenceElement, build_reference_element, poly_values
 
 __all__ = [
     "GlobalSpace",
@@ -94,12 +94,14 @@ class FeFunction:
         val = phi @ c
         gxh = dpx @ c
         gyh = dpy @ c
-        J, det = space.mesh.geom(e).jacobian(
+        mesh = space.mesh
+        _, (j11, j12, j21, j22, det) = bilinear_map(
+            mesh.vertices[mesh.quads[e]],
             np.asarray(xh, dtype=float).ravel(), np.asarray(yh, dtype=float).ravel()
         )
         # grad = J^{-T} grad_hat
-        gx = (J[1, 1] * gxh - J[1, 0] * gyh) / det
-        gy = (-J[0, 1] * gxh + J[0, 0] * gyh) / det
+        gx = (j22 * gxh - j21 * gyh) / det
+        gy = (-j12 * gxh + j11 * gyh) / det
         return val, np.stack([gx, gy])
 
 
@@ -184,11 +186,9 @@ def coarse_prolongation(space: GlobalSpace) -> sp.csr_matrix | None:
     coarse_index = np.full(len(mesh.vertices), -1, dtype=np.int64)
     coarse_index[interior] = np.arange(n_coarse)
     # bilinear of corner c: (1 + sx x)(1 + sy y) / 4, corners A1..A4 CCW
-    corner_signs = ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
-    bilinears = [Poly2D(np.array([[1.0, sy], [sx, sx * sy]]) / 4.0)
-                 for sx, sy in corner_signs]
-    x, y = ref.points.T
-    local = ref.sampling @ np.column_stack([b(x, y) for b in bilinears])
+    sx, sy = np.array([[-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])
+    bilinears = np.moveaxis(np.array([[np.ones(4), sy], [sx, sx * sy]]), -1, 0) / 4.0
+    local = ref.sampling @ poly_values(bilinears, *ref.points.T)
 
     # every free dof once, from the first element that lists it; the hats
     # that do not vanish at a shared edge dof belong to that edge's vertices,
@@ -267,7 +267,7 @@ def interpolate(space: GlobalSpace, u) -> FeFunction:
                   for t in ref.points.T)
         lagrange = np.einsum("ip,jp->pij", lx, ly).reshape(len(ref.points), -1)
         transfer = ref.sampling @ lagrange
-    px, py = mesh.map_points(pts[:, 0], pts[:, 1])
+    (px, py), _ = bilinear_map(mesh.corner_array(), pts[:, 0], pts[:, 1])
     vals = np.asarray(u(px, py), dtype=float) @ transfer.T  # (ne, ndofs)
 
     coeffs = space.scatter(vals)

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from qncfem.mesh import (
     LOCAL_EDGES,
-    GeomMap,
     MeshError,
     QuadMesh,
     _match_points,
+    bilinear_map,
     refine,
     refined_children,
     load_mesh,
@@ -22,51 +22,61 @@ from qncfem.mesh import (
 UNIT_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
 
+def one_element(corners):
+    """A one-element mesh over the corners A1..A4."""
+    return QuadMesh(corners, [[0, 1, 2, 3]])
+
+
+def element_map(corners, xh, yh):
+    """(images, Jacobian entries) of the bilinear map of a one-element mesh."""
+    mesh = one_element(corners)
+    return bilinear_map(mesh.vertices[mesh.quads[0]], xh, yh)
+
+
 class TestGeomMap:
+    """The bilinear element map, on one-element meshes."""
+
     def test_corner_mapping(self):
-        g = GeomMap(UNIT_CORNERS)
-        assert g(-1.0, -1.0) == (0.0, 0.0)
-        assert g(1.0, 1.0) == (1.0, 1.0)
+        assert element_map(UNIT_CORNERS, -1.0, -1.0)[0] == (0.0, 0.0)
+        assert element_map(UNIT_CORNERS, 1.0, 1.0)[0] == (1.0, 1.0)
 
     def test_center(self):
-        g = GeomMap(UNIT_CORNERS)
-        assert g(0.0, 0.0) == (0.5, 0.5)
+        assert element_map(UNIT_CORNERS, 0.0, 0.0)[0] == (0.5, 0.5)
 
     def test_general_quad_corner(self):
-        g = GeomMap([[0, 0], [2, 0], [3, 2], [0, 1]])
-        assert g(1.0, 1.0) == (3.0, 2.0)
+        assert element_map([[0, 0], [2, 0], [3, 2], [0, 1]], 1.0, 1.0)[0] == (3.0, 2.0)
 
     def test_jacobian_affine(self):
-        g = GeomMap(UNIT_CORNERS)
-        J, det = g.jacobian(0.3, -0.2)
-        assert np.allclose(J, np.diag([0.5, 0.5]))
+        _, (j11, j12, j21, j22, det) = element_map(UNIT_CORNERS, 0.3, -0.2)
+        assert np.allclose([[j11, j12], [j21, j22]], np.diag([0.5, 0.5]))
         assert det == pytest.approx(0.25)
 
     def test_jacobian_parallelogram(self):
-        g = GeomMap([[0, 0], [2, 0], [3, 1], [1, 1]])
-        J1, det1 = g.jacobian(-0.5, 0.7)
-        J2, det2 = g.jacobian(0.9, -0.1)
-        assert np.allclose(J1, J2)  # affine map, constant Jacobian
-        assert det1 == pytest.approx(0.5)
+        corners = [[0, 0], [2, 0], [3, 1], [1, 1]]
+        _, jac1 = element_map(corners, -0.5, 0.7)
+        _, jac2 = element_map(corners, 0.9, -0.1)
+        assert np.allclose(jac1[:4], jac2[:4])  # affine map, constant Jacobian
+        assert jac1[4] == pytest.approx(0.5)
 
     def test_jacobian_finite_difference(self):
-        g = GeomMap([[0, 0], [1, 0], [1.2, 1], [0, 1]])
+        corners = [[0, 0], [1, 0], [1.2, 1], [0, 1]]
+        F = lambda xh, yh: np.array(element_map(corners, xh, yh)[0])
         h = 1e-6
         for (xh, yh) in [(0.0, 0.0), (0.4, -0.3), (-0.8, 0.6)]:
-            J, _ = g.jacobian(xh, yh)
-            fx = (np.array(g(xh + h, yh)) - np.array(g(xh - h, yh))) / (2 * h)
-            fy = (np.array(g(xh, yh + h)) - np.array(g(xh, yh - h))) / (2 * h)
-            assert np.allclose(J[:, 0], fx, atol=1e-6)
-            assert np.allclose(J[:, 1], fy, atol=1e-6)
+            j11, j12, j21, j22, _ = element_map(corners, xh, yh)[1]
+            fx = (F(xh + h, yh) - F(xh - h, yh)) / (2 * h)
+            fy = (F(xh, yh + h) - F(xh, yh - h)) / (2 * h)
+            assert np.allclose([j11, j21], fx, atol=1e-6)
+            assert np.allclose([j12, j22], fy, atol=1e-6)
 
     def test_bisection_defect_parallelogram(self):
-        g = GeomMap([[0, 0], [2, 0], [3, 1], [1, 1]])
-        assert g.bisection_defect() == 0.0
+        mesh = one_element([[0, 0], [2, 0], [3, 1], [1, 1]])
+        assert mesh.max_bisection_defect() == 0.0
 
     def test_bisection_defect_value(self):
         # midpoints (0.5, 0.5) and (0.5, 1.0): distance 0.5
-        g = GeomMap([[0, 0], [1, 0], [1, 1], [0, 2]])
-        assert g.bisection_defect() == pytest.approx(0.5)
+        mesh = one_element([[0, 0], [1, 0], [1, 1], [0, 2]])
+        assert mesh.max_bisection_defect() == pytest.approx(0.5)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -85,7 +95,7 @@ class TestGeomMap:
         corner = (a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]) / 4.0
         s = np.linspace(-1.0, 1.0, 5)
         X, Y = np.meshgrid(s, s)
-        _, det = GeomMap(A).jacobian(X, Y)
+        det = element_map(A, X, Y)[1][4]
         interp = sum(
             d * (1 + sx * X) * (1 + sy * Y) / 4.0
             for d, (sx, sy) in zip(corner, ((-1, -1), (1, -1), (1, 1), (-1, 1)))
@@ -196,9 +206,9 @@ class TestPerturbedMesh:
         mesh = perturbed_mesh(8, seed=1, amplitude=0.2)
         s = np.linspace(-1.0, 1.0, 5)
         X, Y = np.meshgrid(s, s)
-        for e in range(mesh.n_elements):
-            _, det = mesh.geom(e).jacobian(X.ravel(), Y.ravel())
-            assert np.min(det) > 0.0
+        det = bilinear_map(mesh.corner_array(), X.ravel(), Y.ravel())[1][4]
+        assert det.shape == (mesh.n_elements, 25)
+        assert np.min(det) > 0.0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_refinement_restricts_parent_map(self, seed):
@@ -211,10 +221,10 @@ class TestPerturbedMesh:
         low = ((-1, -1), (0, -1), (0, 0), (-1, 0))
         square = np.array([(0, 0), (1, 0), (1, 1), (0, 1)])
         for e in range(parent.n_elements):
-            geom = parent.geom(e)
+            corners = parent.vertices[parent.quads[e]]
             for k, lo in enumerate(low):
                 ref = square + lo
-                expect = np.column_stack(geom(ref[:, 0], ref[:, 1]))
+                expect = np.column_stack(bilinear_map(corners, ref[:, 0], ref[:, 1])[0])
                 got = child.vertices[child.quads[4 * e + k]]
                 assert np.max(np.abs(got - expect)) < 1e-13
         gaps = np.linalg.norm(
@@ -349,7 +359,7 @@ class TestEdgeGaussPoints:
             seqs = []
             for (e, le, same) in mesh.edge_elements[edge]:
                 xh, yh = EDGE_PARAM_POINT[le](t if same else t[::-1])
-                px, py = mesh.geom(e)(xh, yh)
+                (px, py), _ = bilinear_map(mesh.vertices[mesh.quads[e]], xh, yh)
                 seqs.append(np.column_stack([px, py]))
             ref = mesh.edge_gauss_points(edge, m)
             for s in seqs:
@@ -384,6 +394,31 @@ class TestMeshIO:
         path.write_text("quadmesh v1\n1\n0.0 0.0\n1\n0 1 2\n")
         with pytest.raises(MeshError):
             load_mesh(path)
+
+    def test_lines_past_declared_quads_rejected(self, tmp_path):
+        # one quad declared, two listed, then a garbage line: the error names
+        # the second quad line (line 10)
+        path = tmp_path / "bad.txt"
+        path.write_text("quadmesh v1\n5\n0 0\n1 0\n1 1\n0 1\n2 2\n1\n"
+                        "0 1 2 3\n1 4 2 2\ngarbage\n")
+        with pytest.raises(MeshError, match=r":10: .*'1 4 2 2'"):
+            load_mesh(path)
+
+    @pytest.mark.parametrize("text,match", [
+        ("quadmesh v1\n-1\n0 0\n", ":2: expected vertex count"),
+        ("quadmesh v1\n4\n0 0\n1 0\n1 1\n0 1\n-2\n", ":7: expected quad count"),
+    ], ids=["vertices", "quads"])
+    def test_negative_count_rejected(self, tmp_path, text, match):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(MeshError, match=match):
+            load_mesh(path)
+
+    def test_trailing_blank_lines_accepted(self, tmp_path):
+        path = tmp_path / "mesh.txt"
+        save_mesh(uniform_rect_mesh(2), path)
+        path.write_text(path.read_text() + "\n  \n\n")
+        assert load_mesh(path).n_elements == 4
 
     def test_nan_vertex_rejected(self, tmp_path):
         path = tmp_path / "nan.txt"

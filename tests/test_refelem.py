@@ -5,21 +5,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qncfem import refelem
 from qncfem.legendre1d import gauss_rule
 from qncfem.refelem import (
     EDGE_PARAM_POINT,
     Family,
-    Poly2D,
     boundary_dof_points,
     build_reference_element,
     build_shape_space,
     constraint_weights,
     constraint_weights_oracle,
     discrete_bubble,
+    gauss_grid,
     interior_dof_points,
     simplified_constraint_weights,
     verify_relation,
 )
+
+polyval2d = np.polynomial.polynomial.polyval2d
 
 ALL_FAMILIES = [
     (Family("R"), (1, 3, 5, 7)),
@@ -29,21 +32,26 @@ ALL_FAMILIES = [
 ]
 
 
-def edge_trace(p, edge):
-    """Monomial coefficients of the restriction of p to edge 1..4 in the
-    edge parameter (y on e1/e3, x on e2/e4)."""
+def monomial(i, j):
+    """Coefficient table of x^i y^j."""
+    c = np.zeros((i + 1, j + 1))
+    c[i, j] = 1.0
+    return c
+
+
+def edge_trace(c, edge):
+    """Monomial coefficients of the restriction of the polynomial with
+    coefficient table c to edge 1..4 in the edge parameter (y on e1/e3, x on
+    e2/e4)."""
     s = -1.0 if edge in (1, 2) else 1.0
     if edge in (1, 3):
-        return s ** np.arange(p.coeffs.shape[0]) @ p.coeffs
-    return p.coeffs @ s ** np.arange(p.coeffs.shape[1])
+        return s ** np.arange(c.shape[0]) @ c
+    return c @ s ** np.arange(c.shape[1])
 
 
 def random_member(rng, family, m):
     basis = build_shape_space(family, m)
-    v = Poly2D.zero()
-    for c, b in zip(rng.standard_normal(len(basis)), basis):
-        v = v + c * b
-    return v
+    return np.tensordot(rng.standard_normal(len(basis)), basis, 1)
 
 
 class TestFamily:
@@ -70,7 +78,7 @@ class TestShapeSpace:
     def test_r1_is_p1(self):
         basis = build_shape_space(Family("R"), 1)
         assert len(basis) == 3  # span{1, x, y}
-        degs = sorted(b.total_degree() for b in basis)
+        degs = sorted(max(i + j for i, j in zip(*np.nonzero(b))) for b in basis)
         assert degs == [0, 1, 1]
 
     def test_er1_rotated_q1(self):
@@ -80,7 +88,7 @@ class TestShapeSpace:
         last = basis[-1]
         x = np.array([0.5, -0.3])
         y = np.array([0.1, 0.7])
-        assert np.allclose(last(x, y), x**2 - y**2)
+        assert np.allclose(polyval2d(x, y, last), x**2 - y**2)
 
     def test_rplus2_dim8(self):
         basis = build_shape_space(Family("RPlus"), 2)
@@ -103,7 +111,7 @@ class TestShapeSpace:
         for m in orders:
             basis = build_shape_space(family, m)
             pts = rng.uniform(-1, 1, size=(3 * len(basis), 2))
-            V = np.column_stack([b(pts[:, 0], pts[:, 1]) for b in basis])
+            V = np.column_stack([polyval2d(pts[:, 0], pts[:, 1], b) for b in basis])
             assert np.linalg.matrix_rank(V, tol=1e-9) == len(basis)
 
     def test_trace_degree(self):
@@ -221,14 +229,14 @@ class TestConstraintWeights:
 
 class TestRelation:
     def test_m1_xy(self):
-        assert verify_relation(1, Family("R"), Poly2D.monomial(1, 1)) < 1e-15
+        assert verify_relation(1, Family("R"), monomial(1, 1)) < 1e-15
 
     @pytest.mark.parametrize("m", [1, 3, 5, 7])
     def test_odd_qm_montecarlo(self, m):
         rng = np.random.default_rng(7)
         worst = 0.0
         for _ in range(100):
-            v = Poly2D(rng.standard_normal((m + 1, m + 1)))
+            v = rng.standard_normal((m + 1, m + 1))
             worst = max(worst, verify_relation(m, Family("R"), v))
         assert worst < 1e-12
 
@@ -244,7 +252,7 @@ class TestRelation:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=3))
     def test_relation_on_q3_monomials(self, i, j):
-        assert verify_relation(3, Family("R"), Poly2D.monomial(i, j)) < 1e-13
+        assert verify_relation(3, Family("R"), monomial(i, j)) < 1e-13
 
 
 class TestDiscreteBubble:
@@ -252,17 +260,17 @@ class TestDiscreteBubble:
         b = discrete_bubble(1)
         x = np.array([0.2, -0.8])
         y = np.array([0.5, 0.1])
-        assert np.allclose(b(x, y), x**2 + y**2 - 4 / 3)
+        assert np.allclose(polyval2d(x, y, b), x**2 + y**2 - 4 / 3)
 
     def test_k1_vanishes_at_edge_gauss_point(self):
         b = discrete_bubble(1)
-        assert abs(b(1.0, 1 / np.sqrt(3))) < 1e-14
+        assert abs(polyval2d(1.0, 1 / np.sqrt(3), b)) < 1e-14
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_vanishes_on_gplus(self, k):
         b = discrete_bubble(k)
         x, y = boundary_dof_points(Family("RPlus"), 2 * k)[: 8 * k].T
-        assert np.max(np.abs(b(x, y))) < 1e-13
+        assert np.max(np.abs(polyval2d(x, y, b))) < 1e-13
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
@@ -281,6 +289,43 @@ class TestReferenceElement:
             ref = build_reference_element(Family("ER"), m, "moment")
             assert np.linalg.matrix_rank(ref.vandermonde, tol=1e-8) == ref.dim
             assert ref.dropped is None
+
+    @pytest.mark.parametrize("family,m", [(Family("ER"), 13), (Family("R"), 13),
+                                          (Family("R", "tilde"), 13),
+                                          (Family("RPlus"), 14)])
+    def test_unisolvent_at_high_order(self, family, m):
+        # sigma_min / sigma_max is 1e-10 to 1e-11 here, far above roundoff:
+        # the rank test is relative to the largest singular value
+        ref = build_reference_element(family, m)
+        assert np.linalg.matrix_rank(ref.vandermonde) == ref.dim
+
+    def test_deficient_dof_set_rejected(self, monkeypatch):
+        lattice = refelem.interior_dof_points
+
+        def repeated(family, m):
+            pts = lattice(family, m)
+            pts[-1] = pts[0]  # one lattice point twice, one missing
+            return pts
+
+        monkeypatch.setattr(refelem, "interior_dof_points", repeated)
+        with pytest.raises(RuntimeError, match="unisolvency failure"):
+            refelem._build_cached.__wrapped__("ER", "standard", 7, "point")
+
+    @pytest.mark.parametrize("family,orders", ALL_FAMILIES)
+    def test_tabulate_is_scalar_polyval(self, family, orders):
+        """Every column of `tabulate` equals polyval2d of that nodal
+        function's coefficient table and of its two derivatives, bitwise."""
+        polyder = np.polynomial.polynomial.polyder
+        rng = np.random.default_rng(2)
+        for m in orders:
+            ref = build_reference_element(family, m)
+            X, Y, _ = gauss_grid(m + 3)
+            x = np.concatenate([X, rng.uniform(-1, 1, 7)])
+            y = np.concatenate([Y, rng.uniform(-1, 1, 7)])
+            tab = ref.tabulate(x, y)
+            for j, c in enumerate(ref.nodal_coeffs):
+                for got, table in zip(tab, (c, polyder(c, axis=0), polyder(c, axis=1))):
+                    assert np.array_equal(got[:, j], polyval2d(x, y, table))
 
     def test_moment_mode_restricted_to_er(self):
         with pytest.raises(ValueError):
@@ -304,8 +349,8 @@ class TestReferenceElement:
         for m in orders:
             ref = build_reference_element(family, m)
             vals = np.column_stack([
-                ref.sampling[ref.retained] @ ref.nodal_poly(col)(*ref.points.T)
-                for col in range(ref.n_retained)
+                ref.sampling[ref.retained] @ polyval2d(*ref.points.T, c)
+                for c in ref.nodal_coeffs
             ])
             assert np.max(np.abs(vals - np.eye(ref.n_retained))) < 1e-11
 
@@ -322,8 +367,8 @@ class TestReferenceElement:
         ref = build_reference_element(Family("R"), 3)
         w = ref.constraint
         for col in range(ref.n_retained):
-            p = ref.nodal_poly(col)
-            bvals = ref.sampling[: len(w)] @ p(*ref.points.T)
+            p = ref.nodal_coeffs[col]
+            bvals = ref.sampling[: len(w)] @ polyval2d(*ref.points.T, p)
             # relation says w . bvals = 0; solve for the dropped entry
             rest = np.dot(w, bvals) - w[ref.dropped] * bvals[ref.dropped]
             assert bvals[ref.dropped] == pytest.approx(
@@ -348,33 +393,14 @@ class TestReferenceElement:
         assert np.max(np.abs(dpy - fy)) < 1e-6
 
 
-class TestBubbleDivisibility:
-    def test_vanishing_on_boundary_divisible(self):
-        """A shape-space member vanishing on the whole boundary is divisible
-        by (1-x^2)(1-y^2)."""
-        # construct (1-x^2)(1-y^2) * (linear) inside the R_7 space? Total
-        # degree 4+1=5 <= 7, so it lies in P_7 and vanishes on the boundary.
-        bub = (
-            (Poly2D.monomial(0, 0) - Poly2D.monomial(2, 0))
-            * (Poly2D.monomial(0, 0) - Poly2D.monomial(0, 2))
-        )
-        for lin in (Poly2D.monomial(0, 0), Poly2D.monomial(1, 0), Poly2D.monomial(0, 1)):
-            v = bub * lin
-            q1, r1 = v.divide_1d((1.0, 0.0, -1.0), axis=0)  # 1 - x^2
-            assert r1.norm() < 1e-11
-            q2, r2 = q1.divide_1d((1.0, 0.0, -1.0), axis=1)  # 1 - y^2
-            assert r2.norm() < 1e-11
-            # the quotient reproduces the linear factor
-            assert (q2 - lin).norm() < 1e-11
-
-
 class TestSampling:
     def test_point_rows_evaluate(self):
         # point rows are identity rows: the dofs of x^2 y are its values at
         # the points; the first e2 dof of ER3 is (-sqrt(3/5), -1)
         ref = build_reference_element(Family("ER"), 3)
         assert np.array_equal(ref.sampling, np.eye(len(ref.points)))
-        vals = ref.sampling @ Poly2D.monomial(2, 1)(*ref.points.T)
+        x, y = ref.points.T
+        vals = ref.sampling @ (x**2 * y)
         assert vals[3] == pytest.approx(-0.6, rel=1e-14)
 
     def test_moment_row_apply_exact(self):
@@ -420,5 +446,4 @@ class TestSampling:
             ref = build_reference_element(family, m)
             for i, (x, y) in enumerate(ref.points):
                 for j, b in enumerate(ref.basis):
-                    assert ref.vandermonde[i, j] == np.polynomial.polynomial.polyval2d(
-                        x, y, b.coeffs)
+                    assert ref.vandermonde[i, j] == polyval2d(x, y, b)

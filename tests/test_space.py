@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qncfem.legendre1d import gauss_lobatto_nodes, gauss_rule
-from qncfem.mesh import MeshError, perturbed_mesh, refine, uniform_rect_mesh
+from qncfem.mesh import MeshError, bilinear_map, perturbed_mesh, refine, uniform_rect_mesh
 from qncfem.refelem import (
     CHILD_OFFSETS,
     EDGE_PARAM_POINT,
@@ -168,7 +168,8 @@ class TestQInterpolate:
         """Retained dof values of interpolate(space, u) next to u at the dof
         points, (ne, nret) each."""
         got = space.local_values(interpolate(space, u).coeffs)
-        px, py = space.mesh.map_points(*space.ref.points[space.ref.retained].T)
+        mesh, ref = space.mesh, space.ref
+        (px, py), _ = bilinear_map(mesh.corner_array(), *ref.points[ref.retained].T)
         return got, u(px, py)
 
     def test_reproduces_constant(self):
@@ -201,7 +202,8 @@ def _interpolate_per_element(space, u):
     mesh, ref, m = space.mesh, space.ref, space.m
     vals = np.empty(space.ltg.shape)
     for e in range(mesh.n_elements):
-        geom = mesh.geom(e)
+        corners = mesh.vertices[mesh.quads[e]]
+        geom = lambda xh, yh: bilinear_map(corners, xh, yh)[0]
         if ref.family.tag != "ER":
             nodes = gauss_lobatto_nodes(m + 1)
             X, Y = np.meshgrid(nodes, nodes, indexing="ij")
@@ -304,7 +306,7 @@ class TestEvaluate:
             xh = rng.uniform(-0.9, 0.9, 5)
             yh = rng.uniform(-0.9, 0.9, 5)
             val, grad = fe.evaluate(e, xh, yh)
-            px, py = mesh.geom(e)(xh, yh)
+            (px, py), _ = bilinear_map(mesh.vertices[mesh.quads[e]], xh, yh)
             assert np.max(np.abs(val - u(px, py))) < 1e-11
             assert np.max(np.abs(grad[0] - 2.0)) < 1e-10
             assert np.max(np.abs(grad[1] + 0.5)) < 1e-10
@@ -320,7 +322,6 @@ class TestEvaluate:
         xh = np.array([0.2, -0.4])
         yh = np.array([-0.1, 0.55])
         _, grad = fe.evaluate(e, xh, yh)
-        geom = mesh.geom(e)
         # central differences in physical coordinates via the inverse map:
         # differentiate value(xh, yh) and divide by the Jacobian instead
         vxp, _ = fe.evaluate(e, xh + h, yh)
@@ -329,9 +330,9 @@ class TestEvaluate:
         vym, _ = fe.evaluate(e, xh, yh - h)
         gxh = (vxp - vxm) / (2 * h)
         gyh = (vyp - vym) / (2 * h)
-        J, det = geom.jacobian(xh, yh)
-        gx = (J[1, 1] * gxh - J[1, 0] * gyh) / det
-        gy = (-J[0, 1] * gxh + J[0, 0] * gyh) / det
+        _, (j11, j12, j21, j22, det) = bilinear_map(mesh.vertices[mesh.quads[e]], xh, yh)
+        gx = (j22 * gxh - j21 * gyh) / det
+        gy = (-j12 * gxh + j11 * gyh) / det
         assert np.max(np.abs(grad[0] - gx)) < 1e-5
         assert np.max(np.abs(grad[1] - gy)) < 1e-5
 
