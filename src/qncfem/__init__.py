@@ -14,10 +14,17 @@ L2 / broken-H1 convergence tables via the ``qncfem`` command line tool.
 """
 
 from .legendre1d import QuadRule1D, gauss_rule
-from .mesh import QuadMesh, perturbed_mesh, refine, uniform_rect_mesh
+from .mesh import QuadMesh, load_mesh, perturbed_mesh, refine, uniform_rect_mesh
 from .refelem import Family, ReferenceElement, build_reference_element
 from .solve import SparseSystem, assemble, error_norms, solve
-from .space import FeFunction, GlobalSpace, build_global_space, interpolate, prolong
+from .space import (
+    FeFunction,
+    GlobalSpace,
+    build_global_space,
+    expected_dimension,
+    interpolate,
+    prolong,
+)
 
 __version__ = "0.1.0"
 
@@ -28,12 +35,14 @@ __all__ = [
     "uniform_rect_mesh",
     "perturbed_mesh",
     "refine",
+    "load_mesh",
     "Family",
     "ReferenceElement",
     "build_reference_element",
     "GlobalSpace",
     "FeFunction",
     "build_global_space",
+    "expected_dimension",
     "interpolate",
     "prolong",
     "SparseSystem",

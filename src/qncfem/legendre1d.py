@@ -1,8 +1,7 @@
-"""One-dimensional Legendre / Gauss machinery.
+"""One-dimensional Gauss machinery on [-1, 1].
 
-Legendre polynomial evaluation, Gauss-Legendre rules (Newton iteration on
-Chebyshev seeds), Lagrange bases, L2 projection and Gauss-point interpolation
-on [-1, 1]; the last two return `numpy.polynomial.Polynomial`.
+Gauss-Legendre rules (Newton iteration on Chebyshev seeds, with the
+Legendre three-term recurrence), Gauss-Lobatto nodes and Lagrange bases.
 """
 
 from __future__ import annotations
@@ -11,18 +10,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 __all__ = [
     "QuadRule1D",
-    "legendre_eval",
-    "legendre_eval_with_deriv",
-    "legendre_leading_coeff",
     "gauss_rule",
     "gauss_lobatto_nodes",
     "lagrange_basis",
-    "l2_project_1d",
-    "interp_gauss_1d",
 ]
 
 
@@ -39,20 +32,10 @@ class QuadRule1D:
         self.nodes.setflags(write=False)
         self.weights.setflags(write=False)
 
-    def __len__(self) -> int:
-        return len(self.nodes)
 
-    def integrate(self, f) -> float:
-        return float(np.dot(self.weights, f(self.nodes)))
-
-
-def legendre_eval(n: int, x):
-    """Evaluate L_n(x) by the three-term recurrence."""
-    return legendre_eval_with_deriv(n, x)[0]
-
-
-def legendre_eval_with_deriv(n: int, x):
-    """Return (L_n(x), L_n'(x)); x may be a scalar or array."""
+def _legendre_eval_with_deriv(n: int, x):
+    """(L_n(x), L_n'(x)) by the three-term recurrence; x may be a scalar or
+    an array."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     x = np.asarray(x, dtype=float)
@@ -70,18 +53,6 @@ def legendre_eval_with_deriv(n: int, x):
     return p, dp
 
 
-def legendre_leading_coeff(n: int) -> float:
-    """Leading coefficient (2n)! / (2^n (n!)^2) of L_n, built multiplicatively."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    if n > 40:
-        raise ValueError("degree out of supported range")
-    out = 1.0
-    for i in range(1, n + 1):
-        out *= (2 * i - 1) / i
-    return out
-
-
 @lru_cache(maxsize=None)
 def gauss_rule(n: int) -> QuadRule1D:
     """n-point Gauss-Legendre rule: Newton iteration from Chebyshev seeds."""
@@ -90,7 +61,7 @@ def gauss_rule(n: int) -> QuadRule1D:
     i = np.arange(1, n + 1)
     x = np.cos(np.pi * (4 * i - 1) / (4 * n + 2))
     for _ in range(100):
-        p, dp = legendre_eval_with_deriv(n, x)
+        p, dp = _legendre_eval_with_deriv(n, x)
         dx = p / dp
         x = x - dx
         if np.max(np.abs(dx)) < 4e-16:
@@ -102,7 +73,7 @@ def gauss_rule(n: int) -> QuadRule1D:
     x = 0.5 * (x - x[::-1])
     if n % 2 == 1:
         x[n // 2] = 0.0
-    _, dp = legendre_eval_with_deriv(n, x)
+    _, dp = _legendre_eval_with_deriv(n, x)
     w = 2.0 / ((1.0 - x**2) * dp**2)
     return QuadRule1D(x, w)
 
@@ -136,29 +107,3 @@ def lagrange_basis(nodes, i: int, x):
             out = out * (x - nj) / (nodes[i] - nj)
     return out
 
-
-def l2_project_1d(f, d: int, npoints: int | None = None) -> Polynomial:
-    """L2-orthogonal projection of f onto P_d on [-1, 1].
-
-    For polynomial f of degree <= d+2 the default d+2 point rule is exact;
-    pass npoints for rougher integrands.
-    """
-    if d < 0:
-        raise ValueError("target degree must be nonnegative")
-    rule = gauss_rule(npoints if npoints is not None else d + 2)
-    fv = np.asarray(f(rule.nodes), dtype=float)
-    leg = np.zeros(d + 1)
-    for j in range(d + 1):
-        lj = legendre_eval(j, rule.nodes)
-        leg[j] = (2 * j + 1) / 2.0 * np.dot(rule.weights, fv * lj)
-    return Polynomial(np.polynomial.legendre.leg2poly(leg)).trim()
-
-
-def interp_gauss_1d(v, m: int) -> Polynomial:
-    """Interpolate v in P_{m-1} at the m Gauss points (odd m)."""
-    if m < 1 or m % 2 == 0:
-        raise ValueError("order must be odd and positive")
-    nodes = gauss_rule(m).nodes
-    vand = np.polynomial.polynomial.polyvander(nodes, m - 1)
-    coef = np.linalg.solve(vand, np.asarray(v(nodes), dtype=float))
-    return Polynomial(coef)

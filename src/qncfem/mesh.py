@@ -1,4 +1,5 @@
-"""Quadrilateral meshes: bilinear geometry, generators, edge adjacency, I/O.
+"""Quadrilateral meshes of the unit square: bilinear geometry, generators,
+edge adjacency, refinement, I/O.
 
 `bilinear_map` is the one implementation of the element maps and their
 Jacobians; it takes corner arrays, so it serves all elements at once or
@@ -13,11 +14,8 @@ global orientation from the lower to the higher vertex index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-
-from .legendre1d import gauss_rule
 
 __all__ = [
     "QuadMesh",
@@ -127,17 +125,6 @@ class QuadMesh:
         self.vertex_is_boundary = np.zeros(len(self.vertices), dtype=bool)
         self.vertex_is_boundary[self.edge_vertices[self.edge_is_boundary]] = True
 
-    @cached_property
-    def edge_elements(self) -> list:
-        """Per edge, its (element, local edge 1..4, same orientation)
-        incidences in element order."""
-        out = [[] for _ in range(self.n_edges)]
-        edges = self.elem_edges.ravel().tolist()
-        same = self.elem_edge_orient.ravel().tolist()
-        for k, (edge, s) in enumerate(zip(edges, same)):
-            out[edge].append((k // 4, k % 4 + 1, s))
-        return out
-
     # counts used by the dimension formulas
     @property
     def n_elements(self) -> int:
@@ -166,28 +153,13 @@ class QuadMesh:
     def corner_array(self) -> np.ndarray:
         return self.vertices[self.quads]
 
-    def max_bisection_defect(self) -> float:
-        """Largest distance between the midpoints of an element's diagonals."""
-        a1, a2, a3, a4 = np.moveaxis(self.corner_array(), 1, 0)
-        return float(np.max(np.linalg.norm((a1 + a3) / 2.0 - (a2 + a4) / 2.0, axis=1)))
 
-    def edge_gauss_points(self, edge: int, m: int) -> np.ndarray:
-        """Physical Gauss points of an edge, ordered by the global orientation
-        (from the lower to the higher vertex index)."""
-        a, b = self.edge_vertices[edge]
-        va, vb = self.vertices[a], self.vertices[b]
-        t = gauss_rule(m).nodes
-        return 0.5 * np.outer(1.0 - t, va) + 0.5 * np.outer(1.0 + t, vb)
-
-
-def uniform_rect_mesh(n: int, domain=(0.0, 0.0, 1.0, 1.0)) -> QuadMesh:
-    """n x n grid of congruent rectangles over an axis-aligned rectangle."""
+def uniform_rect_mesh(n: int) -> QuadMesh:
+    """n x n grid of congruent squares over the unit square."""
     if n < 1:
         raise ValueError("need at least one subdivision")
-    x0, y0, x1, y1 = domain
-    xs = np.linspace(x0, x1, n + 1)
-    ys = np.linspace(y0, y1, n + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="xy")
+    t = np.linspace(0.0, 1.0, n + 1)
+    X, Y = np.meshgrid(t, t, indexing="xy")
     vertices = np.column_stack([X.ravel(), Y.ravel()])
     vid = np.arange((n + 1) ** 2).reshape(n + 1, n + 1)  # vid[j, i]
     quads = np.column_stack([vid[:-1, :-1].ravel(), vid[:-1, 1:].ravel(),
@@ -269,19 +241,17 @@ def refined_children(coarse: QuadMesh, fine: QuadMesh) -> np.ndarray:
     return kids.reshape(-1, 4)
 
 
-def perturbed_mesh(
-    n: int, seed: int = 0, amplitude: float = 0.2, domain=(0.0, 0.0, 1.0, 1.0)
-) -> QuadMesh:
-    """Randomly shift the interior vertices of a coarse 2x2 mesh, then refine
-    by midpoint subdivision to n x n elements (n a power of two >= 2)."""
-    if amplitude > 0.3:
-        raise ValueError("amplitude must be at most 0.3")
+def perturbed_mesh(n: int, seed: int = 0, amplitude: float = 0.2) -> QuadMesh:
+    """Randomly shift the interior vertices of a coarse 2x2 mesh of the unit
+    square by at most amplitude * h per coordinate (h = 1/2), then refine by
+    midpoint subdivision to n x n elements (n a power of two >= 2)."""
+    if not 0.0 <= amplitude <= 0.3:  # false for NaN too
+        raise ValueError(f"amplitude must lie in [0, 0.3], got {amplitude}")
     if n < 2 or n & (n - 1):
         raise ValueError("n must be a power of two, at least 2")
-    x0, y0, x1, y1 = domain
-    h = min(x1 - x0, y1 - y0) / 2.0
+    h = 0.5  # the coarse mesh width
     rng = np.random.default_rng(seed)
-    coarse = uniform_rect_mesh(2, domain)
+    coarse = uniform_rect_mesh(2)
     interior = np.nonzero(~coarse.vertex_is_boundary)[0]
     vertices = coarse.vertices.copy()
     vertices[interior] += rng.uniform(

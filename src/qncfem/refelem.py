@@ -23,7 +23,6 @@ Families:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -41,9 +40,7 @@ __all__ = [
     "interior_dof_points",
     "constraint_weights",
     "constraint_weights_oracle",
-    "simplified_constraint_weights",
     "build_reference_element",
-    "discrete_bubble",
     "gauss_grid",
     "property_checks",
     "verify_relation",
@@ -252,33 +249,6 @@ def constraint_weights(family: Family, m: int) -> np.ndarray:
     return np.concatenate([-w, w, w, -w, [0.0]])
 
 
-def simplified_constraint_weights(m: int) -> np.ndarray:
-    """Reduced form of the odd-order relation coefficients.
-
-    Canceling the common positive factor 2 (-1)^(k-1) prod(1 - g_j^2) from
-    gamma leaves -2 / prod(g_j^2 - g_i^2) at the center node and
-    1 / (g_i^2 (1 - g_i^2) prod_{j != |i|} (g_j^2 - g_i^2)) elsewhere, up to
-    the overall sign (-1)^(k-1) folded in here.
-    """
-    k = (m - 1) // 2
-    g = gauss_rule(m).nodes
-    gpos = g[k + 1 :]
-    sign = (-1.0) ** (k - 1)
-    out = np.empty(m)
-    for idx, gi in enumerate(g):
-        if idx == k:
-            val = -2.0
-            for gj in gpos:
-                val /= gj**2
-        else:
-            val = 1.0 / (gi**2 * (1.0 - gi**2))
-            for gj in gpos:
-                if abs(gj**2 - gi**2) > 1e-12:
-                    val /= gj**2 - gi**2
-        out[idx] = sign * val
-    return np.concatenate([out, -out, out, -out])
-
-
 def constraint_weights_oracle(m: int) -> np.ndarray:
     """Independent relation coefficients alpha_i + beta_i from the two
     augmented Lagrange bases (Gauss nodes plus -1, resp. plus +1)."""
@@ -298,22 +268,6 @@ def constraint_weights_oracle(m: int) -> np.ndarray:
             if nj != g[i]:
                 beta *= (-1.0 - nj) / (g[i] - nj)
         out[i] = alpha + beta
-    return out
-
-
-def discrete_bubble(k: int) -> np.ndarray:
-    """prod_{i=1}^k (x^2 + y^2 - 1 - g_i^2) over the positive nodes of the
-    2k-point Gauss rule, as a monomial coefficient table (2k+1, 2k+1);
-    vanishes at all 4m even-family edge Gauss points."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    g = gauss_rule(2 * k).nodes
-    # a polynomial in r = x^2 + y^2, and r^p = sum_l C(p, l) x^2l y^2(p-l)
-    radial = np.polynomial.polynomial.polyfromroots(1.0 + g[k:] ** 2)
-    out = np.zeros((2 * k + 1, 2 * k + 1))
-    for p, a in enumerate(radial):
-        for l in range(p + 1):
-            out[2 * l, 2 * (p - l)] = a * math.comb(p, l)
     return out
 
 

@@ -34,7 +34,6 @@ larger than that of zero.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,7 +48,6 @@ __all__ = [
     "SparseSystem",
     "SolveReport",
     "SolverError",
-    "element_stiffness",
     "assemble",
     "solve",
     "error_norms",
@@ -70,7 +68,6 @@ class SolveReport:
     iterations: int = 0
     relative_residual: float = np.inf
     constraint_residual: float = 0.0
-    seconds: float = 0.0
 
 
 @dataclass
@@ -120,15 +117,6 @@ def _stiffness_blocks(space: GlobalSpace, q: int, jac):
     g -= j12[:, :, None] * dpx[None]
     K += np.einsum("ep,epi,epj->eij", a, g, g, optimize=True)
     return K
-
-
-def element_stiffness(space: GlobalSpace, e: int, quad_order: int | None = None):
-    """Local stiffness over the retained dofs of one element."""
-    q = quad_order if quad_order is not None else space.m + 3
-    if q < space.m + 2:
-        raise ValueError("quadrature order too low for the stiffness integrand")
-    _, jac, _ = _geometry_factors(space, q)
-    return _stiffness_blocks(space, q, jac)[e]
 
 
 def assemble(space: GlobalSpace, f) -> SparseSystem:
@@ -266,7 +254,6 @@ def solve(system: SparseSystem, x0=None):
     Returns (x, SolveReport); raises SolverError when the residual does not
     reach REL_TOL within the budget, on a breakdown or non-finite residual,
     or when C x is not zero."""
-    t0 = time.perf_counter()
     A, b, C = system.matrix, system.rhs, system.constraints
     if C is None or C.nnz == 0:
         C = None
@@ -287,7 +274,6 @@ def solve(system: SparseSystem, x0=None):
         iterations=it,
         relative_residual=true_rel,
         constraint_residual=cres,
-        seconds=time.perf_counter() - t0,
     )
     if not rel <= REL_TOL:
         raise SolverError(
@@ -321,9 +307,3 @@ def error_norms(space: GlobalSpace, coeffs, u_exact, grad_exact,
     h1 = float(np.sqrt(np.sum(wdet * ((gx - gex) ** 2 + (gy - gey) ** 2))))
     return l2, h1
 
-
-def broken_h1_norm(space: GlobalSpace, coeffs, quad_order: int | None = None):
-    """Broken H1 seminorm of an FE function (no exact solution)."""
-    zero = lambda x, y: np.zeros_like(x)
-    return error_norms(space, coeffs, zero, lambda x, y: (zero(x, y), zero(x, y)),
-                       quad_order)[1]

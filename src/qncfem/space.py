@@ -25,7 +25,6 @@ __all__ = [
     "coarse_prolongation",
     "expected_dimension",
     "interpolate",
-    "jump_functionals",
     "prolong",
 ]
 
@@ -280,45 +279,3 @@ def interpolate(space: GlobalSpace, u) -> FeFunction:
             )
     return FeFunction(space, coeffs)
 
-
-def jump_functionals(space: GlobalSpace):
-    """Jump/trace functionals at edge Gauss points, as a sparse matrix over
-    the broken (elementwise) coefficient space.
-
-    The broken space is parameterized by the retained local dofs of every
-    element, stacked element by element; the value at a dropped boundary
-    point is expanded through the nodal basis.
-    """
-    ref = space.ref
-    if ref.dof_mode != "point":
-        raise ValueError("jump functionals are defined for point-dof families")
-    mesh = space.mesh
-    m = ref.m
-    nret = ref.n_retained
-    # value of every dof of the function, as a row over the retained dofs
-    phi = ref.sampling @ ref.tabulate(*ref.points.T)[0]  # (ndofs, nret)
-
-    rows, cols, vals = [], [], []
-    row = 0
-    local_of_edge = {  # (local_edge, slot) -> local dof
-        (int(le), int(s)): j
-        for j, (le, s) in enumerate(zip(ref.dof_edge, ref.dof_slot)) if le
-    }
-
-    for edge in range(mesh.n_edges):
-        inc = mesh.edge_elements[edge]
-        for slot in range(m):
-            for s, (e, le, same) in enumerate(inc):
-                lslot = slot if same else m - 1 - slot
-                j = local_of_edge[(le, lslot)]
-                coeff = 1.0 if s == 0 else -1.0
-                for r in range(nret):
-                    v = phi[j, r]
-                    if v != 0.0:
-                        rows.append(row)
-                        cols.append(e * nret + r)
-                        vals.append(coeff * v)
-            row += 1
-    return sp.csr_matrix(
-        (vals, (rows, cols)), shape=(row, mesh.n_elements * nret)
-    )

@@ -182,3 +182,20 @@ class TestMain:
         # even order for the odd-order family must fail cleanly
         with pytest.raises(SystemExit):
             main(["run", "--family", "r", "--order", "2"])
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--mesh", "perturbed", "--amplitude", "nan", "--levels", "2"],
+        ["mesh", "--kind", "perturbed", "--amplitude", "nan", "--out", "m.txt"],
+    ], ids=["run", "mesh"])
+    def test_nan_amplitude_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "qncfem: error: amplitude" in capsys.readouterr().err
+
+    def test_rank_deficient_order_rejected(self, capsys):
+        # ER m=17 is unisolvent in exact arithmetic, not in floating point
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--family", "er", "--order", "17", "--levels", "2"])
+        assert exc.value.code == 2
+        assert "qncfem: error: unisolvency failure" in capsys.readouterr().err

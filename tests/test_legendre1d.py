@@ -4,21 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.polynomial import Polynomial
+from numpy.polynomial import legendre as L
+from numpy.polynomial import polynomial as P
 
 from qncfem.legendre1d import (
+    _legendre_eval_with_deriv,
     gauss_lobatto_nodes,
     gauss_rule,
-    interp_gauss_1d,
-    l2_project_1d,
     lagrange_basis,
-    legendre_eval,
-    legendre_eval_with_deriv,
-    legendre_leading_coeff,
 )
 
 
+def legendre_eval(n, x):
+    return _legendre_eval_with_deriv(n, x)[0]
+
+
 class TestLegendreEval:
+    """The three-term recurrence behind the Newton step of `gauss_rule`."""
+
     def test_degree_zero(self):
         assert legendre_eval(0, 0.3) == 1.0
 
@@ -44,36 +47,13 @@ class TestLegendreEval:
         x = np.linspace(-0.9, 0.9, 19)
         h = 1e-6
         for n in (1, 3, 6):
-            _, dp = legendre_eval_with_deriv(n, x)
+            _, dp = _legendre_eval_with_deriv(n, x)
             fd = (legendre_eval(n, x + h) - legendre_eval(n, x - h)) / (2 * h)
             assert np.max(np.abs(dp - fd)) < 1e-8
 
     def test_negative_degree_rejected(self):
         with pytest.raises(ValueError):
             legendre_eval(-1, 0.0)
-
-
-class TestLeadingCoeff:
-    def test_linear(self):
-        assert legendre_leading_coeff(1) == 1.0
-
-    def test_cubic(self):
-        assert legendre_leading_coeff(3) == 2.5
-
-    def test_quintic(self):
-        # expand L_5 by the recurrence and read the x^5 coefficient
-        assert legendre_leading_coeff(5) == pytest.approx(7.875, rel=1e-14)
-
-    def test_matches_expansion(self):
-        for n in range(11):
-            coeffs = np.polynomial.legendre.leg2poly(np.eye(n + 1)[n])
-            assert legendre_leading_coeff(n) == pytest.approx(coeffs[-1], rel=1e-12)
-
-    def test_range_checks(self):
-        with pytest.raises(ValueError):
-            legendre_leading_coeff(-1)
-        with pytest.raises(ValueError):
-            legendre_leading_coeff(41)
 
 
 class TestGaussRule:
@@ -122,10 +102,6 @@ class TestGaussRule:
         with pytest.raises(ValueError):
             gauss_rule(0)
 
-    def test_quadrule_integrate(self):
-        r = gauss_rule(4)
-        assert r.integrate(lambda x: x**4) == pytest.approx(0.4, abs=1e-13)
-
 
 class TestGaussLobatto:
     def test_endpoints(self):
@@ -160,39 +136,17 @@ class TestLagrangeBasis:
         assert np.max(np.abs(s - 1.0)) < 1e-12
 
 
-class TestL2Project:
-    def test_identity_on_target_space(self):
-        p = l2_project_1d(lambda x: x**2, 2)
-        assert np.allclose(p.coef, (0.0, 0.0, 1.0), atol=1e-13)
-
-    def test_cubic_projects_to_linear(self):
-        # x^3 = (2/5) L_3 + (3/5) L_1
-        p = l2_project_1d(lambda x: x**3, 2)
-        assert p(0.5) == pytest.approx(0.3, abs=1e-13)
-        assert p.trim(1e-13).degree() == 1
-        assert p.coef[1] == pytest.approx(0.6, abs=1e-13)
-
-    def test_orthogonality_kills_l5(self):
-        p = l2_project_1d(lambda x: legendre_eval(5, x), 4, npoints=8)
-        assert np.max(np.abs(p.coef)) < 1e-13
-
-
 class TestInterpGauss:
-    def test_reproduces_linear(self):
-        p = interp_gauss_1d(lambda x: x, 3)
-        assert np.allclose(p.trim(1e-13).coef, (0.0, 1.0), atol=1e-13)
+    """Interpolation at the m Gauss points equals L2 projection on P_m: both
+    drop exactly the L_m component, which vanishes at the nodes."""
 
     def test_kills_l3(self):
-        p = interp_gauss_1d(lambda x: legendre_eval(3, x), 3)
-        assert np.max(np.abs(p.coef)) < 1e-13
+        assert np.max(np.abs(L.legval(gauss_rule(3).nodes, [0, 0, 0, 1]))) < 1e-15
 
     def test_cubic(self):
-        p = interp_gauss_1d(lambda x: x**3, 3)
-        assert p(0.5) == pytest.approx(0.3, abs=1e-13)
-
-    def test_even_order_rejected(self):
-        with pytest.raises(ValueError):
-            interp_gauss_1d(lambda x: x, 2)
+        # x^3 = (2/5) L_3 + (3/5) L_1: the interpolant is 0.6 x
+        x = gauss_rule(3).nodes
+        assert np.allclose(P.polyfit(x, x**3, 2), (0.0, 0.6, 0.0), atol=1e-13)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -203,13 +157,9 @@ class TestInterpGauss:
         )
     )
     def test_interp_equals_projection_on_pm(self, coeffs):
-        """Both operators kill exactly the L_m component of a P_m polynomial."""
         m = 5
-        p = Polynomial(coeffs)
-        pi = interp_gauss_1d(p, m)
-        pr = l2_project_1d(p, m - 1, npoints=m + 2)
-        ca = np.zeros(m)
-        cb = np.zeros(m)
-        ca[: len(pi.coef)] = pi.coef[:m]
-        cb[: len(pr.coef)] = pr.coef[:m]
-        assert np.max(np.abs(ca - cb)) < 1e-12
+        x = gauss_rule(m).nodes
+        interp = P.polyfit(x, P.polyval(x, coeffs), m - 1)
+        t = np.linspace(-1.0, 1.0, 11)
+        proj = L.legval(t, L.poly2leg(coeffs)[:m])
+        assert np.max(np.abs(P.polyval(t, interp) - proj)) < 1e-12

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paper_identities import edge_elements
+from qncfem.legendre1d import gauss_rule
 from qncfem.mesh import (
     LOCAL_EDGES,
     MeshError,
@@ -18,6 +20,7 @@ from qncfem.mesh import (
     save_mesh,
     uniform_rect_mesh,
 )
+from qncfem.refelem import EDGE_PARAM_POINT
 
 UNIT_CORNERS = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -69,14 +72,26 @@ class TestGeomMap:
             assert np.allclose([j11, j21], fx, atol=1e-6)
             assert np.allclose([j12, j22], fy, atol=1e-6)
 
+    @staticmethod
+    def defect_and_bilinear_term(corners):
+        """The distance between the midpoints of the diagonals, and twice
+        the length of the x^ y^ coefficient of the map (half the change of
+        dF/dx^ from y^ = -1 to y^ = 1)."""
+        a1, a2, a3, a4 = np.asarray(corners, dtype=float)
+        _, (j11, _, j21, _, _) = element_map(corners, np.zeros(2), np.array([-1, 1]))
+        term = np.array([j11[1] - j11[0], j21[1] - j21[0]]) / 2.0
+        defect = np.linalg.norm((a1 + a3) / 2 - (a2 + a4) / 2)
+        return defect, 2 * np.linalg.norm(term)
+
     def test_bisection_defect_parallelogram(self):
-        mesh = one_element([[0, 0], [2, 0], [3, 1], [1, 1]])
-        assert mesh.max_bisection_defect() == 0.0
+        corners = [[0, 0], [2, 0], [3, 1], [1, 1]]
+        assert self.defect_and_bilinear_term(corners) == (0.0, 0.0)
 
     def test_bisection_defect_value(self):
         # midpoints (0.5, 0.5) and (0.5, 1.0): distance 0.5
-        mesh = one_element([[0, 0], [1, 0], [1, 1], [0, 2]])
-        assert mesh.max_bisection_defect() == pytest.approx(0.5)
+        corners = [[0, 0], [1, 0], [1, 1], [0, 2]]
+        defect, term = self.defect_and_bilinear_term(corners)
+        assert defect == term == pytest.approx(0.5)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -185,11 +200,11 @@ class TestUniformMesh:
                 assert mesh.elem_edges[e, le] == edge_of[key]
                 assert mesh.elem_edge_orient[e, le] == (a < b)
         assert mesh.edge_vertices.tolist() == [list(k) for k in edge_of]
-        assert mesh.edge_elements == incidences
+        assert edge_elements(mesh) == incidences
 
     def test_interior_edge_has_two_elements(self):
         mesh = uniform_rect_mesh(3)
-        for edge, inc in enumerate(mesh.edge_elements):
+        for edge, inc in enumerate(edge_elements(mesh)):
             assert len(inc) == (1 if mesh.edge_is_boundary[edge] else 2)
 
 
@@ -285,16 +300,20 @@ class TestPerturbedMesh:
             refined_children(coarse, fine)
 
     def test_defect_decay_slope(self):
-        defects = [
-            perturbed_mesh(n, seed=3, amplitude=0.2).max_bisection_defect()
-            for n in (2, 4, 8, 16)
-        ]
+        """The largest distance between the midpoints of an element's
+        diagonals decays like h^2 under refinement."""
+        defects = []
+        for n in (2, 4, 8, 16):
+            P = perturbed_mesh(n, seed=3).corner_array()
+            gap = (P[:, 0] + P[:, 2] - P[:, 1] - P[:, 3]) / 2.0
+            defects.append(np.max(np.linalg.norm(gap, axis=1)))
         slopes = np.diff(np.log2(defects))
         assert np.all(-slopes >= 1.9)
 
     def test_amplitude_cap(self):
-        with pytest.raises(ValueError):
-            perturbed_mesh(4, amplitude=0.5)
+        for amplitude in (0.5, -0.1, np.nan):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 0.3\]"):
+                perturbed_mesh(4, amplitude=amplitude)
 
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
@@ -323,47 +342,38 @@ class TestPerturbedMesh:
 
 
 class TestEdgeGaussPoints:
-    def test_single_midpoint(self):
+    """The physical points of the edge dofs: the bilinear map is affine on
+    edges, so they are the Gauss points of the physical edge."""
+
+    @staticmethod
+    def bottom_points(m):
+        """Physical points of the e2 (bottom) dofs of the unit square."""
         mesh = uniform_rect_mesh(1)
-        bottom = next(
-            e
-            for e in range(mesh.n_edges)
-            if np.allclose(mesh.vertices[mesh.edge_vertices[e]][:, 1], 0.0)
-        )
-        pts = mesh.edge_gauss_points(bottom, 1)
-        assert np.allclose(pts, [[0.5, 0.0]])
+        xh, yh = EDGE_PARAM_POINT[2](gauss_rule(m).nodes)
+        return np.column_stack(bilinear_map(mesh.corner_array()[0], xh, yh)[0])
+
+    def test_single_midpoint(self):
+        assert np.allclose(self.bottom_points(1), [[0.5, 0.0]])
 
     def test_three_point_coordinates(self):
-        mesh = uniform_rect_mesh(1)
-        bottom = next(
-            e
-            for e in range(mesh.n_edges)
-            if np.allclose(mesh.vertices[mesh.edge_vertices[e]][:, 1], 0.0)
-        )
-        pts = mesh.edge_gauss_points(bottom, 3)
         s = np.sqrt(3 / 5)
-        assert np.allclose(sorted(pts[:, 0]), [(1 - s) / 2, 0.5, (1 + s) / 2])
+        expect = [[(1 - s) / 2, 0.0], [0.5, 0.0], [(1 + s) / 2, 0.0]]
+        assert np.allclose(self.bottom_points(3), expect)
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=0, max_value=10), st.integers(min_value=1, max_value=4))
     def test_shared_edges_consistent(self, seed, m):
-        """Both incident elements see the same physical Gauss points: the
-        bilinear map is affine on edges, so the points depend on the edge
-        endpoints only."""
+        """Both incident elements see the same physical Gauss points, in the
+        global orientation of the edge."""
         mesh = perturbed_mesh(4, seed=seed, amplitude=0.2)
-        from qncfem.legendre1d import gauss_rule
-        from qncfem.refelem import EDGE_PARAM_POINT
-
         t = gauss_rule(m).nodes
-        for edge in range(mesh.n_edges):
+        for inc in edge_elements(mesh):
             seqs = []
-            for (e, le, same) in mesh.edge_elements[edge]:
+            for (e, le, same) in inc:
                 xh, yh = EDGE_PARAM_POINT[le](t if same else t[::-1])
                 (px, py), _ = bilinear_map(mesh.vertices[mesh.quads[e]], xh, yh)
                 seqs.append(np.column_stack([px, py]))
-            ref = mesh.edge_gauss_points(edge, m)
-            for s in seqs:
-                assert np.max(np.abs(s - ref)) < 1e-13
+            assert np.max(np.abs(seqs[0] - seqs[-1])) < 1e-13
 
 
 class TestMeshIO:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paper_identities import discrete_bubble, simplified_constraint_weights
 from qncfem import refelem
 from qncfem.legendre1d import gauss_rule
 from qncfem.refelem import (
@@ -15,10 +16,8 @@ from qncfem.refelem import (
     build_shape_space,
     constraint_weights,
     constraint_weights_oracle,
-    discrete_bubble,
     gauss_grid,
     interior_dof_points,
-    simplified_constraint_weights,
     verify_relation,
 )
 

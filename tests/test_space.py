@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from paper_identities import edge_elements, jump_functionals
 from qncfem.legendre1d import gauss_lobatto_nodes, gauss_rule
 from qncfem.mesh import MeshError, bilinear_map, perturbed_mesh, refine, uniform_rect_mesh
 from qncfem.refelem import (
@@ -18,7 +19,6 @@ from qncfem.space import (
     coarse_prolongation,
     expected_dimension,
     interpolate,
-    jump_functionals,
     prolong,
 )
 
@@ -95,8 +95,7 @@ class TestContinuity:
         t = gauss_rule(m).nodes
         cloc = space.local_values(coeffs)
         worst = 0.0
-        for edge in range(mesh.n_edges):
-            inc = mesh.edge_elements[edge]
+        for inc in edge_elements(mesh):
             if len(inc) < 2:
                 continue
             vals = []
@@ -126,8 +125,7 @@ class TestContinuity:
         cloc = space.local_values(coeffs)
         rule = gauss_rule(m + 3)
         mesh = space.mesh
-        for edge in range(mesh.n_edges):
-            inc = mesh.edge_elements[edge]
+        for inc in edge_elements(mesh):
             if len(inc) < 2:
                 continue
             # traces in the global (lower -> higher vertex) parameter
@@ -152,8 +150,9 @@ class TestContinuity:
 
         t = gauss_rule(3).nodes
         mesh = space.mesh
+        incidences = edge_elements(mesh)
         for edge in np.nonzero(mesh.edge_is_boundary)[0]:
-            (e, le, same), = mesh.edge_elements[edge]
+            (e, le, same), = incidences[edge]
             xh, yh = EDGE_PARAM_POINT[le](t)
             phi, _, _ = space.ref.tabulate(xh, yh)
             assert np.max(np.abs(phi @ cloc[e])) < 1e-12
