@@ -4,8 +4,8 @@ Three families on the reference square [-1,1]^2, any supported order:
 
 * ``R``     (odd m):  P_m + span{x^m y - x y^m}; continuity at m Gauss points
   per edge plus one linear relation among each element's boundary values.
-* ``ER``    (odd m):  P_m + span{x^m y - x y^m, x^{m+1} - y^{m+1}}; point or
-  edge-moment continuity, no relation.
+* ``ER``    (odd m):  P_m + span{x^m y - x y^m, x^{m+1} - y^{m+1}}; continuity
+  at m Gauss points per edge, no relation.
 * ``RPlus`` (even m): P_m + span{x^m y, x y^m}; Gauss-point continuity, a
   corner degree of freedom, and an even-order relation.
 

@@ -65,7 +65,6 @@ class StudyConfig:
     family: str = "er"  # "r" | "er" | "rplus"
     variant: str = "standard"
     m: int = 3
-    dof_mode: str = "point"
     levels: int = 5
     mesh_kind: str = "uniform"  # "uniform" | "perturbed"
     seed: int = 0
@@ -132,7 +131,7 @@ def run_study(config: StudyConfig, problem=None) -> list[StudyRow]:
     for level in range(config.min_level, config.levels + 1):
         t0 = time.perf_counter()
         mesh = _mesh_for_level(config, level)
-        space = build_global_space(mesh, family, config.m, config.dof_mode)
+        space = build_global_space(mesh, family, config.m)
         # the previous system is freed when this one replaces it; freeing it
         # right after its solve left the heap such that this assembly's peak
         # RSS varied by ~7 MB from one process to the next
@@ -232,14 +231,13 @@ def _run(args) -> int:
         family=args.family,
         variant=args.variant,
         m=args.order,
-        dof_mode=args.dof_mode,
         levels=args.levels,
         mesh_kind=args.mesh,
         seed=args.seed,
         amplitude=args.amplitude,
     )
     try:  # an order whose dof set is rank-deficient in floating point
-        build_reference_element(config.family_obj(), config.m, config.dof_mode)
+        build_reference_element(config.family_obj(), config.m)
     except RuntimeError as err:
         raise ValueError(err) from err
     return _print_study(config, args.csv)
@@ -281,8 +279,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--variant", choices=("standard", "tilde"),
                        default="standard")
     p_run.add_argument("--order", type=int, default=3, metavar="M")
-    p_run.add_argument("--dof-mode", choices=("point", "moment"),
-                       default="point")
     p_run.add_argument("--levels", type=int, default=5, metavar="L")
     p_run.add_argument("--mesh", choices=("uniform", "perturbed"),
                        default="uniform")

@@ -1,19 +1,18 @@
 """Reference element layer on [-1,1]^2.
 
 Shape-function spaces for the three nonconforming families, their degree-of-
-freedom sets on edge Gauss points (or edge moments) and interior lattice
-points, the linear relation satisfied by the boundary values, and nodal basis
-construction with unisolvency checks.
+freedom sets on edge Gauss points and interior lattice points, the linear
+relation satisfied by the boundary values, and nodal basis construction
+with unisolvency checks.
 
 Polynomials are monomial coefficient tables, c[i, j] <-> x^i y^j, and a
 basis is a stack of them, (n, D, D) (the coefficient-array view of FIAT,
 Kirby, ACM TOMS 30, 2004); `poly_values` evaluates a whole stack in one
 `polyval2d` call over a trailing coefficient axis.
 
-Every degree of freedom is a weighted sum of point values (Kirby, op.
-cit.): the dofs of any v are `sampling @ v(points)`.  A point dof is an
-identity row; an edge moment of degree d holds w_k L_d(t_k) over the
-(m+3)-point Gauss rule on its edge.
+The dofs of any v are `sampling @ v(points)`, each a weighted sum of point
+values (Kirby, op. cit.); the dofs are point values, so every row is an
+identity row.
 
 Families:
     R     (odd m)  : P_m + span{x^m y - x y^m}     (tilde variant: + {x y^m})
@@ -27,7 +26,6 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .legendre1d import gauss_rule
 
@@ -133,15 +131,11 @@ def boundary_dof_points(family: Family, m: int) -> np.ndarray:
     """Edge Gauss points in canonical order (e1, e2, e3, e4; increasing
     parameter), plus the corner (1,1) for the even-order family; (n, 2)."""
     family.check_order(m)
-    pts = [_edge_points(gauss_rule(m).nodes)]
+    t = gauss_rule(m).nodes
+    pts = [np.column_stack(EDGE_PARAM_POINT[e](t)) for e in (1, 2, 3, 4)]
     if family.tag == "RPlus":
         pts.append([[1.0, 1.0]])
     return np.vstack(pts)
-
-
-def _edge_points(t) -> np.ndarray:
-    """The points of parameters t on e1, e2, e3, e4 in turn, (4 len(t), 2)."""
-    return np.vstack([np.column_stack(EDGE_PARAM_POINT[e](t)) for e in (1, 2, 3, 4)])
 
 
 def interior_dof_points(family: Family, m: int) -> np.ndarray:
@@ -170,24 +164,12 @@ def interior_dof_points(family: Family, m: int) -> np.ndarray:
     return np.array(pts)
 
 
-def _dof_set(family: Family, m: int, dof_mode: str):
-    """(points, sampling, dof_edge, dof_slot) of the dof set: m dofs per edge
-    in canonical order (Gauss-point values, or Legendre moments of degree
-    0..m-1), then the corner dof and the interior lattice points."""
-    if dof_mode not in ("point", "moment"):
-        raise ValueError(f"unknown dof mode {dof_mode!r}")
-    interior = interior_dof_points(family, m)
-    if dof_mode == "point":
-        points = np.vstack([boundary_dof_points(family, m), interior])
-        sampling = np.eye(len(points))
-    elif family.tag != "ER":
-        raise ValueError("moment dofs are defined for the ER family only")
-    else:
-        rule = gauss_rule(m + 3)
-        points = np.vstack([_edge_points(rule.nodes), interior])
-        moments = (rule.weights[:, None]
-                   * np.polynomial.legendre.legvander(rule.nodes, m - 1)).T
-        sampling = scipy.linalg.block_diag(*[moments] * 4, np.eye(len(interior)))
+def _dof_set(family: Family, m: int):
+    """(points, sampling, dof_edge, dof_slot) of the dof set: the values at
+    the m Gauss points of each edge in canonical order, then the corner dof
+    and the interior lattice points."""
+    points = np.vstack([boundary_dof_points(family, m), interior_dof_points(family, m)])
+    sampling = np.eye(len(points))
     n_other = len(sampling) - 4 * m
     dof_edge = np.concatenate([np.repeat([1, 2, 3, 4], m), np.zeros(n_other, int)])
     dof_slot = np.concatenate([np.tile(np.arange(m), 4), np.full(n_other, -1)])
@@ -326,14 +308,15 @@ class ReferenceElement:
 
     family: Family
     m: int
-    dof_mode: str
     basis: np.ndarray  # (dim, D, D) monomial coefficient tables
     points: np.ndarray  # (npts, 2) reference sample points
-    sampling: np.ndarray  # (ndofs, npts): dof values of v are sampling @ v(points)
+    # (ndofs, npts): dof values of v are sampling @ v(points).  Every row
+    # is an identity row (point dofs); the matrix stays so that weighted
+    # rows (interior Legendre moments) can join without another code path
+    sampling: np.ndarray
     dof_edge: np.ndarray  # (ndofs,) edge 1..4 of each dof, 0 for corner/interior
-    dof_slot: np.ndarray  # (ndofs,) position on the edge (point or degree), or -1
+    dof_slot: np.ndarray  # (ndofs,) Gauss point on the edge, or -1
     retained: np.ndarray  # indices into the dofs used for the nodal basis
-    dropped: int | None  # redundant boundary dof index, or None
     nodal: np.ndarray  # (dim, nret): nodal basis in `basis` coordinates
     constraint: np.ndarray | None  # weights over boundary dofs, or None
     vandermonde: np.ndarray  # full generalized Vandermonde (ndofs, dim)
@@ -391,17 +374,17 @@ class ReferenceElement:
 
 
 @lru_cache(maxsize=None)
-def _build_cached(tag: str, variant: str, m: int, dof_mode: str) -> ReferenceElement:
+def _build_cached(tag: str, variant: str, m: int) -> ReferenceElement:
     family = Family(tag, variant)
     basis = build_shape_space(family, m)
-    points, sampling, dof_edge, dof_slot = _dof_set(family, m, dof_mode)
+    points, sampling, dof_edge, dof_slot = _dof_set(family, m)
     dim = len(basis)
     vand = sampling @ poly_values(basis, *points.T)
 
     rank = np.linalg.matrix_rank(vand)
     if rank != dim:
         raise RuntimeError(
-            f"unisolvency failure for {tag}/{variant} m={m} ({dof_mode}): "
+            f"unisolvency failure for {tag}/{variant} m={m}: "
             f"rank {rank} != dim {dim}"
         )
 
@@ -415,7 +398,7 @@ def _build_cached(tag: str, variant: str, m: int, dof_mode: str) -> ReferenceEle
     if ndofs != dim + (1 if dropped is not None else 0):
         raise RuntimeError(
             f"dof count {ndofs} inconsistent with dim {dim} for "
-            f"{tag}/{variant} m={m} ({dof_mode})"
+            f"{tag}/{variant} m={m}"
         )
     retained = np.array([i for i in range(ndofs) if i != dropped])
     square = vand[retained]
@@ -423,23 +406,19 @@ def _build_cached(tag: str, variant: str, m: int, dof_mode: str) -> ReferenceEle
     return ReferenceElement(
         family=family,
         m=m,
-        dof_mode=dof_mode,
         basis=basis,
         points=points,
         sampling=sampling,
         dof_edge=dof_edge,
         dof_slot=dof_slot,
         retained=retained,
-        dropped=dropped,
         nodal=nodal,
         constraint=constraint,
         vandermonde=vand,
     )
 
 
-def build_reference_element(
-    family: Family, m: int, dof_mode: str = "point"
-) -> ReferenceElement:
+def build_reference_element(family: Family, m: int) -> ReferenceElement:
     """Build (and cache) the nodal reference element for a family and order."""
     family.check_order(m)
-    return _build_cached(family.tag, family.variant, m, dof_mode)
+    return _build_cached(family.tag, family.variant, m)

@@ -3,8 +3,7 @@
 Degree-of-freedom enumeration with shared interior-edge dofs, homogeneous
 boundary masking, per-element constraint rows for the odd/even point families,
 interpolation operators and broken evaluation.  Every local dof is read
-through the reference element's sampling matrix (`ref.sampling`), so point
-and moment dofs share one code path.
+through the reference element's sampling matrix (`ref.sampling`).
 """
 
 from __future__ import annotations
@@ -35,12 +34,10 @@ class GlobalSpace:
 
     mesh: QuadMesh
     ref: ReferenceElement
-    homogeneous: bool
     n_global: int  # all global dofs, incl. masked boundary dofs
     n_free: int
     free_index: np.ndarray  # (n_global,) free index or -1 for masked
     ltg: np.ndarray  # (ne, ndofs_local) global dof per local dof
-    sign: np.ndarray  # (ne, ndofs_local) orientation sign (+-1)
     constraints: sp.csr_matrix | None  # (ne, n_free) relation rows, or None
 
     @property
@@ -51,10 +48,10 @@ class GlobalSpace:
     def m(self) -> int:
         return self.ref.m
 
-    def local_free(self):
-        """ltg and sign restricted to the retained local dofs."""
-        r = self.ref.retained
-        return self.free_index[self.ltg[:, r]], self.sign[:, r]
+    def local_free(self) -> np.ndarray:
+        """Free index (-1 where masked) of every retained local dof,
+        (ne, n_retained)."""
+        return self.free_index[self.ltg[:, self.ref.retained]]
 
     def local_values(self, coeffs: np.ndarray, e=slice(None)) -> np.ndarray:
         """Retained dof values of element e (all elements by default) from a
@@ -64,8 +61,7 @@ class GlobalSpace:
         lf = self.free_index[self.ltg[e, r]]
         if self.n_free == 0:
             return np.zeros(lf.shape)
-        vals = np.where(lf >= 0, coeffs[np.clip(lf, 0, None)], 0.0)
-        return vals * self.sign[e, r]
+        return np.where(lf >= 0, coeffs[np.clip(lf, 0, None)], 0.0)
 
     def scatter(self, local_vals: np.ndarray) -> np.ndarray:
         """Assemble a free coefficient vector from per-element values over
@@ -74,7 +70,7 @@ class GlobalSpace:
         out = np.zeros(self.n_free)
         fi = self.free_index[self.ltg]
         keep = fi >= 0
-        out[fi[keep]] = (local_vals * self.sign)[keep]
+        out[fi[keep]] = local_vals[keep]
         return out
 
 
@@ -108,11 +104,11 @@ def build_global_space(
     mesh: QuadMesh,
     family: Family,
     m: int,
-    dof_mode: str = "point",
     homogeneous: bool = True,
 ) -> GlobalSpace:
-    """Enumerate global dofs and constraint rows for a family on a mesh."""
-    ref = build_reference_element(family, m, dof_mode)
+    """Enumerate global dofs and constraint rows for a family on a mesh;
+    `homogeneous` masks the boundary-edge dofs."""
+    ref = build_reference_element(family, m)
     n_edge = ref.n_edge_dofs  # the edge dofs come first
     per_edge = n_edge // 4
     ne = mesh.n_elements
@@ -121,16 +117,10 @@ def build_global_space(
     n_global = n_edge_global + ne * n_nonedge_local
 
     ltg = np.empty((ne, len(ref.dof_edge)), dtype=np.int64)
-    sign = np.ones(ltg.shape)
     local_edge = ref.dof_edge[:n_edge] - 1
     slot = ref.dof_slot[:n_edge]
-    same = mesh.elem_edge_orient[:, local_edge]
-    if ref.dof_mode == "point":
-        # Gauss points are listed along the local parameter
-        slot = np.where(same, slot, per_edge - 1 - slot)
-    else:
-        # odd-degree Legendre moments change sign with the orientation
-        sign[:, :n_edge][~same & (slot % 2 == 1)] = -1.0
+    # Gauss points are listed along the local parameter
+    slot = np.where(mesh.elem_edge_orient[:, local_edge], slot, per_edge - 1 - slot)
     ltg[:, :n_edge] = mesh.elem_edges[:, local_edge] * per_edge + slot
     ltg[:, n_edge:] = (n_edge_global + np.arange(ne)[:, None] * n_nonedge_local
                        + np.arange(n_nonedge_local))
@@ -156,12 +146,10 @@ def build_global_space(
     return GlobalSpace(
         mesh=mesh,
         ref=ref,
-        homogeneous=homogeneous,
         n_global=n_global,
         n_free=n_free,
         free_index=free_index,
         ltg=ltg,
-        sign=sign,
         constraints=constraints,
     )
 
@@ -197,7 +185,7 @@ def coarse_prolongation(space: GlobalSpace) -> sp.csr_matrix | None:
     rows = space.free_index[space.ltg[e, j]]
     e, j, rows = e[rows >= 0], j[rows >= 0], rows[rows >= 0]
     cols = coarse_index[mesh.quads[e]]  # (k, 4)
-    vals = local[j] * space.sign[e, j][:, None]
+    vals = local[j]
     keep = (cols >= 0) & (vals != 0.0)
     rows = np.broadcast_to(rows[:, None], cols.shape)
     return sp.csr_matrix(
@@ -224,7 +212,6 @@ def prolong(coarse: GlobalSpace, coeffs: np.ndarray, fine: GlobalSpace) -> np.nd
     parent = coarse.local_values(coeffs)  # (ne_coarse, nret)
     local = np.empty(fine.ltg.shape)
     local[kids] = np.einsum("ckr,er->eck", fine.ref.child_transfer, parent)
-    local *= fine.sign
     ltg = fine.ltg.ravel()
     total = np.bincount(ltg, weights=local.ravel(), minlength=fine.n_global)
     count = np.bincount(ltg, minlength=fine.n_global)
@@ -251,10 +238,10 @@ def expected_dimension(space: GlobalSpace) -> int:
 def interpolate(space: GlobalSpace, u) -> FeFunction:
     """Canonical interpolation of a continuous u into the global space, for
     all elements at once: the dofs of each element are `ref.sampling`
-    applied to u o F_K at `ref.points` (ER: point values, or edge moments
-    and interior values).  R / RPlus take the point values of the
-    elementwise Q_m interpolant of u o F_K at the Gauss-Lobatto nodes, which
-    satisfy the boundary relation automatically."""
+    applied to u o F_K at `ref.points`.  ER takes the values of u o F_K
+    itself; R / RPlus take the values of its elementwise Q_m interpolant at
+    the Gauss-Lobatto nodes, which satisfy the boundary relation
+    automatically."""
     mesh, ref = space.mesh, space.ref
     if ref.family.tag == "ER":
         pts, transfer = ref.points, ref.sampling

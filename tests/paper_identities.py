@@ -74,8 +74,6 @@ def jump_functionals(space):
     point is expanded through the nodal basis.
     """
     ref = space.ref
-    if ref.dof_mode != "point":
-        raise ValueError("jump functionals are defined for point-dof families")
     mesh = space.mesh
     m = ref.m
     nret = ref.n_retained

@@ -149,16 +149,15 @@ class TestDofPoints:
         assert params == [0.0, round(np.sqrt(3 / 5), 13), 1.0]
 
     def test_canonical_edge_order(self):
-        for dof_mode in ("point", "moment"):
-            ref = build_reference_element(Family("ER"), 3, dof_mode)
-            assert ref.dof_edge[:12].tolist() == [1] * 3 + [2] * 3 + [3] * 3 + [4] * 3
-            for e in range(4):
-                assert ref.dof_slot[3 * e : 3 * e + 3].tolist() == [0, 1, 2]
-        # point dofs sit at their edge's Gauss points, in increasing parameter
+        ref = build_reference_element(Family("ER"), 3)
+        assert ref.dof_edge[:12].tolist() == [1] * 3 + [2] * 3 + [3] * 3 + [4] * 3
+        for e in range(4):
+            assert ref.dof_slot[3 * e : 3 * e + 3].tolist() == [0, 1, 2]
+        # the dofs sit at their edge's Gauss points, in increasing parameter
         t = gauss_rule(3).nodes
         for j in range(12):
             x, y = EDGE_PARAM_POINT[ref.dof_edge[j]](t[ref.dof_slot[j]])
-            assert build_reference_element(Family("ER"), 3).points[j].tolist() == [x, y]
+            assert ref.points[j].tolist() == [x, y]
 
     def test_interior_r3_empty(self):
         assert interior_dof_points(Family("R"), 3).shape == (0, 2)
@@ -283,12 +282,6 @@ class TestReferenceElement:
             ref = build_reference_element(family, m)
             assert np.linalg.matrix_rank(ref.vandermonde, tol=1e-8) == ref.dim
 
-    def test_er_moment_mode(self):
-        for m in (1, 3, 5):
-            ref = build_reference_element(Family("ER"), m, "moment")
-            assert np.linalg.matrix_rank(ref.vandermonde, tol=1e-8) == ref.dim
-            assert ref.dropped is None
-
     @pytest.mark.parametrize("family,m", [(Family("ER"), 13), (Family("R"), 13),
                                           (Family("R", "tilde"), 13),
                                           (Family("RPlus"), 14)])
@@ -308,7 +301,7 @@ class TestReferenceElement:
 
         monkeypatch.setattr(refelem, "interior_dof_points", repeated)
         with pytest.raises(RuntimeError, match="unisolvency failure"):
-            refelem._build_cached.__wrapped__("ER", "standard", 7, "point")
+            refelem._build_cached.__wrapped__("ER", "standard", 7)
 
     @pytest.mark.parametrize("family,orders", ALL_FAMILIES)
     def test_tabulate_is_scalar_polyval(self, family, orders):
@@ -325,10 +318,6 @@ class TestReferenceElement:
             for j, c in enumerate(ref.nodal_coeffs):
                 for got, table in zip(tab, (c, polyder(c, axis=0), polyder(c, axis=1))):
                     assert np.array_equal(got[:, j], polyval2d(x, y, table))
-
-    def test_moment_mode_restricted_to_er(self):
-        with pytest.raises(ValueError):
-            build_reference_element(Family("R"), 3, "moment")
 
     @pytest.mark.parametrize("family,orders", ALL_FAMILIES)
     def test_null_vector_collinear_with_constraint(self, family, orders):
@@ -356,23 +345,23 @@ class TestReferenceElement:
     def test_dropped_dof_is_first_e2_point(self):
         for m in (1, 3, 5):
             ref = build_reference_element(Family("R"), m)
-            assert ref.dropped == m
-            assert ref.dof_edge[ref.dropped] == 2
-            assert ref.dof_slot[ref.dropped] == 0
+            dropped = np.setdiff1d(np.arange(len(ref.points)), ref.retained)
+            assert dropped.tolist() == [m]
+            assert ref.dof_edge[m] == 2
+            assert ref.dof_slot[m] == 0
 
     def test_dropped_value_recovered_by_relation(self):
         """A nodal basis function's value at the dropped point follows from
         the relation applied to its retained boundary values."""
         ref = build_reference_element(Family("R"), 3)
         w = ref.constraint
+        (dropped,) = np.setdiff1d(np.arange(len(ref.points)), ref.retained)
         for col in range(ref.n_retained):
             p = ref.nodal_coeffs[col]
             bvals = ref.sampling[: len(w)] @ polyval2d(*ref.points.T, p)
             # relation says w . bvals = 0; solve for the dropped entry
-            rest = np.dot(w, bvals) - w[ref.dropped] * bvals[ref.dropped]
-            assert bvals[ref.dropped] == pytest.approx(
-                -rest / w[ref.dropped], abs=1e-11
-            )
+            rest = np.dot(w, bvals) - w[dropped] * bvals[dropped]
+            assert bvals[dropped] == pytest.approx(-rest / w[dropped], abs=1e-11)
 
     def test_caching_returns_same_object(self):
         a = build_reference_element(Family("ER"), 3)
@@ -401,43 +390,6 @@ class TestSampling:
         x, y = ref.points.T
         vals = ref.sampling @ (x**2 * y)
         assert vals[3] == pytest.approx(-0.6, rel=1e-14)
-
-    def test_moment_row_apply_exact(self):
-        # degree-0 Legendre moment of x^2 along e2 (y=-1): int_{-1}^{1} t^2 = 2/3
-        ref = build_reference_element(Family("ER"), 3, "moment")
-        x, y = ref.points.T
-        row = np.flatnonzero((ref.dof_edge == 2) & (ref.dof_slot == 0))
-        assert len(row) == 1
-        got = ref.sampling[row[0]] @ (x**2)
-        assert got == pytest.approx(2 / 3, rel=1e-14)
-
-    def test_moment_row_orthogonality(self):
-        # L_2 moment of a linear trace vanishes
-        ref = build_reference_element(Family("ER"), 3, "moment")
-        x, y = ref.points.T
-        row = np.flatnonzero((ref.dof_edge == 4) & (ref.dof_slot == 2))
-        assert len(row) == 1
-        assert abs(ref.sampling[row[0]] @ x) < 1e-14
-
-    @pytest.mark.parametrize("m", [1, 3, 5, 7])
-    def test_moment_rows_exact_legendre_moments(self, m):
-        """The moment rows give int_{-1}^{1} v(edge(t)) L_d(t) dt of every
-        monomial x^i y^j with i + j <= m+1 on all four edges."""
-        ref = build_reference_element(Family("ER"), m, "moment")
-        x, y = ref.points.T
-        for i in range(m + 2):
-            for j in range(m + 2 - i):
-                got = ref.sampling[: 4 * m] @ (x**i * y**j)
-                for e, (power, s) in enumerate(((j, -1.0), (i, -1.0),
-                                                (j, 1.0), (i, 1.0))):
-                    # trace is s^(other power) t^power; int t^p L_d from
-                    # the Legendre expansion of t^p
-                    other = i + j - power
-                    leg = np.polynomial.legendre.poly2leg([0.0] * power + [1.0])
-                    for d in range(m):
-                        c = leg[d] if d < len(leg) else 0.0
-                        exact = s**other * c * 2.0 / (2 * d + 1)
-                        assert abs(got[e * m + d] - exact) < 1e-14
 
     @pytest.mark.parametrize("family,orders", ALL_FAMILIES)
     def test_point_vandermonde_is_scalar_polyval(self, family, orders):

@@ -5,12 +5,18 @@ import pytest
 
 from paper_identities import edge_elements, jump_functionals
 from qncfem.legendre1d import gauss_lobatto_nodes, gauss_rule
-from qncfem.mesh import MeshError, bilinear_map, perturbed_mesh, refine, uniform_rect_mesh
+from qncfem.mesh import (
+    MeshError,
+    QuadMesh,
+    bilinear_map,
+    perturbed_mesh,
+    refine,
+    uniform_rect_mesh,
+)
 from qncfem.refelem import (
     CHILD_OFFSETS,
     EDGE_PARAM_POINT,
     Family,
-    interior_dof_points,
 )
 from qncfem.solve import error_norms
 from qncfem.space import (
@@ -30,6 +36,13 @@ FAMILY_ORDERS = [
     (Family("RPlus"), 2),
     (Family("RPlus"), 4),
 ]
+
+
+def rotated_listing(mesh):
+    """The same mesh with every other quad listed from its last corner."""
+    quads = mesh.quads.copy()
+    quads[1::2] = np.roll(quads[1::2], 1, axis=1)
+    return QuadMesh(mesh.vertices, quads)
 
 
 def kernel_dimension(space):
@@ -81,16 +94,9 @@ class TestDimensions:
             rank = np.linalg.matrix_rank(space.constraints.toarray(), tol=1e-9)
             assert rank == mesh.n_elements - 1
 
-    def test_er_moment_dimension(self):
-        space = build_global_space(uniform_rect_mesh(4), Family("ER"), 3, "moment")
-        assert space.n_free == expected_dimension(space) == 72
-
 
 class TestContinuity:
     def _point_jump(self, space, coeffs):
-        from qncfem.legendre1d import gauss_rule
-        from qncfem.refelem import EDGE_PARAM_POINT
-
         mesh, m = space.mesh, space.m
         t = gauss_rule(m).nodes
         cloc = space.local_values(coeffs)
@@ -108,46 +114,29 @@ class TestContinuity:
 
     @pytest.mark.parametrize("family,m", FAMILY_ORDERS)
     def test_point_continuity_random_coeffs(self, family, m):
-        space = build_global_space(uniform_rect_mesh(3), family, m)
-        rng = np.random.default_rng(0)
-        coeffs = rng.standard_normal(space.n_free)
-        if space.constraints is not None:
-            # project onto the admissible set first
-            C = space.constraints.toarray()[:-1]
-            coeffs -= C.T @ np.linalg.solve(C @ C.T, C @ coeffs)
-        assert self._point_jump(space, coeffs) < 1e-10
-
-    def test_moment_continuity_er_moment_mode(self):
-        m = 3
-        space = build_global_space(uniform_rect_mesh(3), Family("ER"), m, "moment")
-        rng = np.random.default_rng(1)
-        coeffs = rng.standard_normal(space.n_free)
-        cloc = space.local_values(coeffs)
-        rule = gauss_rule(m + 3)
-        mesh = space.mesh
-        for inc in edge_elements(mesh):
-            if len(inc) < 2:
-                continue
-            # traces in the global (lower -> higher vertex) parameter
-            traces = []
-            for (e, le, same) in inc:
-                t = rule.nodes if same else rule.nodes[::-1]
-                xh, yh = EDGE_PARAM_POINT[le](t)
-                phi, _, _ = space.ref.tabulate(xh, yh)
-                traces.append(phi @ cloc[e])
-            jump = traces[0] - traces[1]
-            for d in range(m):
-                ld = np.polynomial.legendre.legval(rule.nodes, np.eye(m)[d])
-                assert abs(np.dot(rule.weights, jump * ld)) < 1e-10
+        # the perturbed mesh runs interior edges against their global
+        # direction, but in both elements; only on the mesh with rotated
+        # quad listings do two neighbours run along their shared edge in
+        # opposite directions, so that the slot reversal of
+        # build_global_space decides continuity
+        rotated = rotated_listing(uniform_rect_mesh(3))
+        assert any(len(inc) == 2 and inc[0][2] != inc[1][2]
+                   for inc in edge_elements(rotated))
+        for mesh in (uniform_rect_mesh(3), perturbed_mesh(4, seed=1), rotated):
+            space = build_global_space(mesh, family, m)
+            rng = np.random.default_rng(0)
+            coeffs = rng.standard_normal(space.n_free)
+            if space.constraints is not None:
+                # project onto the admissible set first
+                C = space.constraints.toarray()[:-1]
+                coeffs -= C.T @ np.linalg.solve(C @ C.T, C @ coeffs)
+            assert self._point_jump(space, coeffs) < 1e-10
 
     def test_boundary_values_masked(self):
         space = build_global_space(uniform_rect_mesh(2), Family("ER"), 3)
         rng = np.random.default_rng(2)
         coeffs = rng.standard_normal(space.n_free)
         cloc = space.local_values(coeffs)
-        from qncfem.legendre1d import gauss_rule
-        from qncfem.refelem import EDGE_PARAM_POINT
-
         t = gauss_rule(3).nodes
         mesh = space.mesh
         incidences = edge_elements(mesh)
@@ -195,9 +184,8 @@ class TestQInterpolate:
 
 def _interpolate_per_element(space, u):
     """Reference for `interpolate`: the local dofs of one element at a time,
-    from the dof definitions (point values; edge Legendre moments by the
-    (m+3)-point Gauss rule; R / RPlus through the Q_m interpolant at the
-    Gauss-Lobatto nodes, by its monomial Vandermonde)."""
+    from the dof definitions (ER: point values; R / RPlus through the Q_m
+    interpolant at the Gauss-Lobatto nodes, by its monomial Vandermonde)."""
     mesh, ref, m = space.mesh, space.ref, space.m
     vals = np.empty(space.ltg.shape)
     for e in range(mesh.n_elements):
@@ -209,35 +197,27 @@ def _interpolate_per_element(space, u):
             vinv = np.linalg.inv(np.polynomial.polynomial.polyvander(nodes, m))
             c = vinv @ u(*geom(X, Y)) @ vinv.T
             vals[e] = np.polynomial.polynomial.polyval2d(*ref.points.T, c)
-        elif ref.dof_mode == "point":
-            vals[e] = u(*geom(*ref.points.T))
         else:
-            rule = gauss_rule(m + 3)
-            for le in (1, 2, 3, 4):
-                uv = u(*geom(*EDGE_PARAM_POINT[le](rule.nodes)))
-                for d in range(m):
-                    ld = np.polynomial.legendre.legval(rule.nodes, np.eye(m)[d])
-                    vals[e, (le - 1) * m + d] = np.dot(rule.weights, uv * ld)
-            vals[e, 4 * m:] = u(*geom(*interior_dof_points(ref.family, m).T))
+            vals[e] = u(*geom(*ref.points.T))
     return space.scatter(vals)
 
 
 class TestInterpolate:
+    # explicit ids keep each case's test id stable when the list changes
     @pytest.mark.parametrize(
-        "family,m,dof_mode",
+        "family,m",
         [
-            (Family("ER"), 3, "point"),
-            (Family("ER"), 5, "moment"),
-            (Family("R"), 3, "point"),
-            (Family("R", "tilde"), 5, "point"),
-            (Family("RPlus"), 4, "point"),
+            pytest.param(Family("ER"), 3, id="family0-3-point"),
+            pytest.param(Family("R"), 3, id="family2-3-point"),
+            pytest.param(Family("R", "tilde"), 5, id="family3-5-point"),
+            pytest.param(Family("RPlus"), 4, id="family4-4-point"),
         ],
     )
     @pytest.mark.parametrize("mesh", [uniform_rect_mesh(3),
                                       perturbed_mesh(4, seed=4)],
                              ids=["uniform", "perturbed"])
-    def test_matches_per_element_reference(self, family, m, dof_mode, mesh):
-        space = build_global_space(mesh, family, m, dof_mode, homogeneous=False)
+    def test_matches_per_element_reference(self, family, m, mesh):
+        space = build_global_space(mesh, family, m, homogeneous=False)
         u = lambda x, y: np.sin(np.pi * x) * np.cos(0.7 * y) + x * y**2
         got = interpolate(space, u).coeffs
         assert np.max(np.abs(got - _interpolate_per_element(space, u))) < 1e-12
@@ -336,8 +316,8 @@ class TestEvaluate:
         assert np.max(np.abs(grad[1] - gy)) < 1e-5
 
     def test_one_element_values_match_all(self):
-        # moment dofs carry orientation signs, and the boundary dofs are masked
-        space = build_global_space(perturbed_mesh(4, seed=2), Family("ER"), 3, "moment")
+        # the boundary dofs are masked
+        space = build_global_space(perturbed_mesh(4, seed=2), Family("ER"), 3)
         coeffs = np.random.default_rng(4).standard_normal(space.n_free)
         every = space.local_values(coeffs)
         for e in range(space.mesh.n_elements):
@@ -371,24 +351,23 @@ def _refined_vertex_values(coarse_mesh, fine_mesh, vertex_values):
 
 class TestProlong:
     @pytest.mark.parametrize(
-        "family,m,dof_mode",
+        "family,m",
         [
-            (Family("ER"), 3, "point"),
-            (Family("ER"), 3, "moment"),
-            (Family("R"), 3, "point"),
-            (Family("R", "tilde"), 5, "point"),
-            (Family("RPlus"), 4, "point"),
+            pytest.param(Family("ER"), 3, id="family0-3-point"),
+            pytest.param(Family("R"), 3, id="family2-3-point"),
+            pytest.param(Family("R", "tilde"), 5, id="family3-5-point"),
+            pytest.param(Family("RPlus"), 4, id="family4-4-point"),
         ],
     )
     @pytest.mark.parametrize("fine_mesh", [uniform_rect_mesh(8),
                                            refine(uniform_rect_mesh(4))],
                              ids=["generated", "refined"])
-    def test_carries_interpolant_of_pm(self, family, m, dof_mode, fine_mesh):
+    def test_carries_interpolant_of_pm(self, family, m, fine_mesh):
         # without masking, the coarse interpolant of u in P_m is u itself;
         # the generated 8x8 mesh numbers its children row by row, the
         # refined one in child order
         coarse, fine = (
-            build_global_space(mesh, family, m, dof_mode, homogeneous=False)
+            build_global_space(mesh, family, m, homogeneous=False)
             for mesh in (uniform_rect_mesh(4), fine_mesh)
         )
         rng = np.random.default_rng(m)
@@ -399,20 +378,19 @@ class TestProlong:
         assert np.max(np.abs(got - interpolate(fine, u).coeffs)) < 1e-12
 
     @pytest.mark.parametrize(
-        "family,m,dof_mode",
+        "family,m",
         [
-            (Family("ER"), 3, "point"),
-            (Family("ER"), 5, "moment"),
-            (Family("R"), 3, "point"),
-            (Family("RPlus"), 4, "point"),
+            pytest.param(Family("ER"), 3, id="family0-3-point"),
+            pytest.param(Family("R"), 3, id="family2-3-point"),
+            pytest.param(Family("RPlus"), 4, id="family3-4-point"),
         ],
     )
-    def test_carries_q1_on_perturbed_mesh(self, family, m, dof_mode):
+    def test_carries_q1_on_perturbed_mesh(self, family, m):
         # perturbed_mesh(8) is perturbed_mesh(4) refined, in child order
         coarse_mesh = perturbed_mesh(4, seed=3)
         fine_mesh = perturbed_mesh(8, seed=3)
-        coarse = build_global_space(coarse_mesh, family, m, dof_mode)
-        fine = build_global_space(fine_mesh, family, m, dof_mode)
+        coarse = build_global_space(coarse_mesh, family, m)
+        fine = build_global_space(fine_mesh, family, m)
         y = np.random.default_rng(5).standard_normal(
             coarse_mesh.n_interior_vertices)
         vertex_values = np.zeros(len(coarse_mesh.vertices))
@@ -466,8 +444,3 @@ class TestJumpFunctionals:
         space = build_global_space(mesh, Family("ER"), 3)
         J = jump_functionals(space)
         assert np.linalg.matrix_rank(J.toarray(), tol=1e-9) == mesh.n_edges * 3
-
-    def test_moment_mode_rejected(self):
-        space = build_global_space(uniform_rect_mesh(2), Family("ER"), 3, "moment")
-        with pytest.raises(ValueError):
-            jump_functionals(space)
