@@ -60,6 +60,10 @@ def default_problem():
     return u, grad_u, f
 
 
+_FAMILY_TAGS = {"r": "R", "er": "ER", "rplus": "RPlus"}
+_MESH_KINDS = ("uniform", "perturbed")
+
+
 @dataclass
 class StudyConfig:
     family: str = "er"  # "r" | "er" | "rplus"
@@ -71,9 +75,16 @@ class StudyConfig:
     amplitude: float = 0.2
     min_level: int = 1
 
+    def __post_init__(self):
+        if self.family not in _FAMILY_TAGS:
+            raise ValueError(f"unknown family {self.family!r}; "
+                             f"expected one of {', '.join(map(repr, _FAMILY_TAGS))}")
+        if self.mesh_kind not in _MESH_KINDS:
+            raise ValueError(f"unknown mesh kind {self.mesh_kind!r}; "
+                             f"expected one of {', '.join(map(repr, _MESH_KINDS))}")
+
     def family_obj(self) -> Family:
-        tag = {"r": "R", "er": "ER", "rplus": "RPlus"}[self.family]
-        return Family(tag, self.variant)
+        return Family(_FAMILY_TAGS[self.family], self.variant)
 
 
 # The configurations of the published tables (R~ is the tilde variant).
@@ -132,9 +143,6 @@ def run_study(config: StudyConfig, problem=None) -> list[StudyRow]:
         t0 = time.perf_counter()
         mesh = _mesh_for_level(config, level)
         space = build_global_space(mesh, family, config.m)
-        # the previous system is freed when this one replaces it; freeing it
-        # right after its solve left the heap such that this assembly's peak
-        # RSS varied by ~7 MB from one process to the next
         system = assemble(space, f)
         try:
             x0 = None if coarse is None else prolong(*coarse, space)
@@ -275,13 +283,12 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run a convergence study")
-    p_run.add_argument("--family", choices=("r", "er", "rplus"), default="er")
+    p_run.add_argument("--family", choices=tuple(_FAMILY_TAGS), default="er")
     p_run.add_argument("--variant", choices=("standard", "tilde"),
                        default="standard")
     p_run.add_argument("--order", type=int, default=3, metavar="M")
     p_run.add_argument("--levels", type=int, default=5, metavar="L")
-    p_run.add_argument("--mesh", choices=("uniform", "perturbed"),
-                       default="uniform")
+    p_run.add_argument("--mesh", choices=_MESH_KINDS, default="uniform")
     p_run.add_argument("--seed", type=int, default=0, metavar="S")
     p_run.add_argument("--amplitude", type=float, default=0.2, metavar="A")
     p_run.add_argument("--csv", default=None, metavar="PATH")
@@ -298,8 +305,7 @@ def main(argv=None) -> int:
     p_ver.set_defaults(func=_verify)
 
     p_mesh = sub.add_parser("mesh", help="generate and save a mesh")
-    p_mesh.add_argument("--kind", choices=("uniform", "perturbed"),
-                        default="uniform")
+    p_mesh.add_argument("--kind", choices=_MESH_KINDS, default="uniform")
     p_mesh.add_argument("--n", type=int, default=4)
     p_mesh.add_argument("--seed", type=int, default=0)
     p_mesh.add_argument("--amplitude", type=float, default=0.2)

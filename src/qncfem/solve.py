@@ -1,7 +1,9 @@
 """Assembly, the conjugate-gradient solve, and error norms.
 
-The stiffness matrix is assembled vectorized over elements with tensor-Gauss
-quadrature on the reference square.  The ER families give a plain SPD system;
+The stiffness matrix is assembled with tensor-Gauss quadrature on the
+reference square, vectorized over blocks of BLOCK_ELEMENTS elements (as are
+the error norms), so temporaries per quadrature point keep a fixed size as
+the mesh grows.  The ER families give a plain SPD system;
 the R / RPlus families carry one relation row per element.  `solve` handles
 both with one preconditioned CG: residuals and directions are projected onto
 ker(C) with p <- p - C~^T (C~ C~^T)^{-1} C~ p, where C~ drops the last
@@ -13,7 +15,7 @@ The preconditioner is additive two-level Schwarz (Pavarino, Numer. Math. 66,
 z = sum_e R_e^T (R_e K R_e^T)^{-1} R_e r + P (P^T K P)^{-1} P^T r.
 The fine level inverts K on the retained free dofs of each element, so
 neighbouring blocks overlap on their shared edge dofs; the blocks are
-inverted once, in one batch, and applied with a gather, a batched product
+inverted once, in batches, and applied with a gather, a batched product
 and a scatter.  P embeds the conforming isoparametric Q1 space on the same
 mesh (interior-vertex hat functions) into the nonconforming space.  Q1 lies
 in every shape space with m >= 2 and, for R / RPlus, inside the relation
@@ -55,6 +57,7 @@ __all__ = [
 
 REL_TOL = 1e-13  # relative (projected) residual at which CG stops
 MAX_ITER_FACTOR = 400.0  # iteration budget max(100, int(F * sqrt(n)))
+BLOCK_ELEMENTS = 256  # elements per block of the element kernels
 
 
 class SolverError(Exception):
@@ -89,27 +92,32 @@ class SparseSystem:
         return len(self.rhs)
 
 
-def _geometry_factors(space: GlobalSpace, q: int):
-    """Jacobian entries and determinant at the quadrature grid for all
-    elements; shapes (ne, nq)."""
-    X, Y, W = gauss_grid(q)
-    points, jac = bilinear_map(space.mesh.corner_array(), X, Y)
-    det = jac[-1]
-    if not np.min(det) > 0.0:
-        bad = int(np.argmin(np.min(det, axis=1)))
-        raise ValueError(f"nonpositive Jacobian in element {bad}")
-    return (X, Y, W), jac, points
+def _element_chunks(space: GlobalSpace, q: int):
+    """The elements in blocks of BLOCK_ELEMENTS, so that per-element
+    temporaries stay bounded: for each block its slice, the quadrature
+    points (px, py) of the q x q Gauss grid and the Jacobian entries
+    (j11, j12, j21, j22, det), each shaped (block, q*q)."""
+    X, Y, _ = gauss_grid(q)
+    corners = space.mesh.corner_array()
+    for start in range(0, len(corners), BLOCK_ELEMENTS):
+        sl = slice(start, start + BLOCK_ELEMENTS)
+        points, jac = bilinear_map(corners[sl], X, Y)
+        det = jac[-1]
+        if not np.min(det) > 0.0:
+            bad = start + int(np.argmin(np.min(det, axis=1)))
+            raise ValueError(f"nonpositive Jacobian in element {bad}")
+        yield sl, points, jac
 
 
 def _stiffness_blocks(space: GlobalSpace, q: int, jac):
-    """Local stiffness blocks of all elements from the Jacobian factors
-    `_geometry_factors(space, q)` computes."""
+    """Local stiffness blocks of one block of elements from the Jacobian
+    entries `_element_chunks(space, q)` yields."""
     _, _, W = gauss_grid(q)
     j11, j12, j21, j22, det = jac
     _, dpx, dpy = space.ref.tabulate_gauss(q)  # (nq, nret)
     a = W[None, :] / det
     # physical gradients scaled by det, (J^{-T} grad_hat) * det, one
-    # component at a time to bound the (ne, nq, nret) temporaries
+    # component at a time to halve the (block, nq, nret) temporaries
     g = j22[:, :, None] * dpx[None]
     g -= j21[:, :, None] * dpy[None]
     K = np.einsum("ep,epi,epj->eij", a, g, g, optimize=True)
@@ -124,28 +132,29 @@ def assemble(space: GlobalSpace, f) -> SparseSystem:
     tensor Gauss rule; attach the constraint rows for the R / RPlus
     families."""
     q = space.m + 3
-    (_, _, W), jac, (px, py) = _geometry_factors(space, q)
-    Kloc = _stiffness_blocks(space, q, jac)
-    det = jac[-1]
+    _, _, W = gauss_grid(q)
     phi, _, _ = space.ref.tabulate_gauss(q)
-    fv = np.asarray(f(px, py), dtype=float)
-    if fv.shape != px.shape:
-        fv = np.broadcast_to(fv, px.shape)
-    Floc = np.einsum("ep,pi->ei", fv * det * W[None, :], phi)
-
     lf = space.local_free()
-    rows = np.repeat(lf[:, :, None], lf.shape[1], axis=2)
-    cols = np.repeat(lf[:, None, :], lf.shape[1], axis=1)
-    keep = (rows >= 0) & (cols >= 0)
-    K = sp.coo_matrix(
-        (Kloc[keep], (rows[keep], cols[keep])),
-        shape=(space.n_free, space.n_free),
-    ).tocsr()
-    K.sum_duplicates()
+    Kloc = np.empty(lf.shape + lf.shape[1:])
+    Floc = np.empty(lf.shape)
+    for sl, (px, py), jac in _element_chunks(space, q):
+        Kloc[sl] = _stiffness_blocks(space, q, jac)
+        fv = np.asarray(f(px, py), dtype=float)
+        if fv.shape != px.shape:
+            fv = np.broadcast_to(fv, px.shape)
+        Floc[sl] = np.einsum("ep,pi->ei", fv * jac[-1] * W[None, :], phi)
 
-    b = np.zeros(space.n_free)
+    keep = (lf[:, :, None] >= 0) & (lf[:, None, :] >= 0)
+    li = lf.astype(np.int32)  # the CSR index type scipy picks anyway
+    rows = np.broadcast_to(li[:, :, None], keep.shape)[keep]
+    cols = np.broadcast_to(li[:, None, :], keep.shape)[keep]
+    data = Kloc[keep]
+    del Kloc, keep
+    K = sp.coo_matrix((data, (rows, cols)),  # tocsr sums the duplicates
+                      shape=(space.n_free, space.n_free)).tocsr()
+
     keepf = lf >= 0
-    np.add.at(b, lf[keepf], Floc[keepf])
+    b = np.bincount(lf[keepf], weights=Floc[keepf], minlength=space.n_free)
 
     return SparseSystem(matrix=K, rhs=b, constraints=space.constraints,
                         elements=lf, coarse=coarse_prolongation(space))
@@ -155,21 +164,26 @@ def _element_blocks(A, elements):
     """Transposed inverses of the diagonal blocks of A over each row of
     `elements`, (ne, k, k), and the gather index (ne, k).  Masked entries
     (-1) are padded with the identity for the batched inverse, and their
-    rows and columns are zero in the result."""
+    rows and columns are zero in the result.  The blocks are gathered and
+    inverted BLOCK_ELEMENTS rows at a time."""
     masked = elements < 0
     idx = np.where(masked, 0, elements)
-    keep = ~(masked[:, :, None] | masked[:, None, :])
-    rows = np.broadcast_to(idx[:, :, None], keep.shape)[keep]
-    cols = np.broadcast_to(idx[:, None, :], keep.shape)[keep]
-    blocks = np.zeros(keep.shape)
-    blocks[keep] = np.asarray(A[rows, cols]).ravel()
-    e, j = np.nonzero(masked)
-    blocks[e, j, j] = 1.0
-    try:
-        inv = np.linalg.inv(blocks.transpose(0, 2, 1))
-    except np.linalg.LinAlgError as err:
-        raise SolverError("singular diagonal block in the preconditioner") from err
-    inv[~keep] = 0.0
+    inv = np.empty(idx.shape + idx.shape[1:])
+    for start in range(0, len(idx), BLOCK_ELEMENTS):
+        sl = slice(start, start + BLOCK_ELEMENTS)
+        mask, ix = masked[sl], idx[sl]
+        keep = ~(mask[:, :, None] | mask[:, None, :])
+        rows = np.broadcast_to(ix[:, :, None], keep.shape)[keep]
+        cols = np.broadcast_to(ix[:, None, :], keep.shape)[keep]
+        blocks = np.zeros(keep.shape)
+        blocks[keep] = np.asarray(A[rows, cols]).ravel()
+        e, j = np.nonzero(mask)
+        blocks[e, j, j] = 1.0
+        try:
+            inv[sl] = np.linalg.inv(blocks.transpose(0, 2, 1))
+        except np.linalg.LinAlgError as err:
+            raise SolverError("singular diagonal block in the preconditioner") from err
+        inv[sl][~keep] = 0.0
     return inv, idx
 
 
@@ -286,18 +300,20 @@ def error_norms(space: GlobalSpace, coeffs, u_exact, grad_exact):
     """(L2 error, broken H1 seminorm error) of the FE function vs u_exact,
     by the (m+4)-point tensor Gauss rule."""
     q = space.m + 4
-    (_, _, W), (j11, j12, j21, j22, det), (px, py) = _geometry_factors(space, q)
+    _, _, W = gauss_grid(q)
     phi, dpx, dpy = space.ref.tabulate_gauss(q)
-    cloc = space.local_values(np.asarray(coeffs, dtype=float))  # (ne, nret)
-    vals = cloc @ phi.T  # (ne, nq)
-    gxh = cloc @ dpx.T
-    gyh = cloc @ dpy.T
-    gx = (j22 * gxh - j21 * gyh) / det
-    gy = (-j12 * gxh + j11 * gyh) / det
-    ue = np.asarray(u_exact(px, py), dtype=float)
-    gex, gey = grad_exact(px, py)
-    wdet = W[None, :] * det
-    l2 = float(np.sqrt(np.sum(wdet * (vals - ue) ** 2)))
-    h1 = float(np.sqrt(np.sum(wdet * ((gx - gex) ** 2 + (gy - gey) ** 2))))
-    return l2, h1
-
+    coeffs = np.asarray(coeffs, dtype=float)
+    l2sq = h1sq = 0.0
+    for sl, (px, py), (j11, j12, j21, j22, det) in _element_chunks(space, q):
+        cloc = space.local_values(coeffs, sl)  # (block, nret)
+        vals = cloc @ phi.T  # (block, nq)
+        gxh = cloc @ dpx.T
+        gyh = cloc @ dpy.T
+        gx = (j22 * gxh - j21 * gyh) / det
+        gy = (-j12 * gxh + j11 * gyh) / det
+        ue = np.asarray(u_exact(px, py), dtype=float)
+        gex, gey = grad_exact(px, py)
+        wdet = W[None, :] * det
+        l2sq += float(np.sum(wdet * (vals - ue) ** 2))
+        h1sq += float(np.sum(wdet * ((gx - gex) ** 2 + (gy - gey) ** 2)))
+    return float(np.sqrt(l2sq)), float(np.sqrt(h1sq))

@@ -91,6 +91,23 @@ class TestRunStudy:
         ]
 
 
+class TestStudyConfig:
+    @pytest.mark.parametrize("kind", ["Uniform", "perturb", ""])
+    def test_unknown_mesh_kind_rejected(self, kind):
+        with pytest.raises(ValueError, match="'uniform', 'perturbed'"):
+            StudyConfig(mesh_kind=kind)
+
+    @pytest.mark.parametrize("family", ["ER", "R", "rplus4", ""])
+    def test_unknown_family_rejected(self, family):
+        with pytest.raises(ValueError, match="'r', 'er', 'rplus'"):
+            StudyConfig(family=family)
+
+    @pytest.mark.parametrize("family,tag", [("r", "R"), ("er", "ER"), ("rplus", "RPlus")])
+    @pytest.mark.parametrize("kind", ["uniform", "perturbed"])
+    def test_accepted_values(self, family, tag, kind):
+        assert StudyConfig(family=family, mesh_kind=kind).family_obj().tag == tag
+
+
 class TestEmit:
     def _rows(self):
         return [

@@ -1,6 +1,7 @@
 """Tests for assembly, the CG solve, and error norms."""
 
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from qncfem.refelem import Family, gauss_grid
 from qncfem.solve import (
     SolverError,
     SparseSystem,
+    _element_blocks,
     _preconditioner,
     assemble,
     error_norms,
@@ -358,6 +360,73 @@ class TestErrorNorms:
         zero = lambda x, y: np.zeros_like(x)
         got = error_norms(space, fe.coeffs, zero, lambda x, y: (zero(x, y),) * 2)[1]
         assert got == pytest.approx(5.75057850, rel=1e-2)
+
+
+class TestElementBlockLoop:
+    """The element kernels run in blocks of `BLOCK_ELEMENTS` elements; the
+    block size must not change what they compute."""
+
+    @staticmethod
+    def _kernels(space, coeffs):
+        u, gu, f = default_u()
+        system = assemble(space, f)
+        K = system.matrix
+        inv, _ = _element_blocks(K, system.elements)
+        raw = [a.tobytes() for a in (K.data, K.indices, K.indptr, system.rhs, inv)]
+        return raw, error_norms(space, coeffs, u, gu)
+
+    @pytest.mark.parametrize(
+        "family,m",
+        [(Family("ER"), 3), (Family("R", "tilde"), 5), (Family("RPlus"), 4),
+         (Family("R", "tilde"), 7), (Family("ER"), 9)],
+        ids=["ER3", "R~5", "RPlus4", "R~7", "ER9"],
+    )
+    @pytest.mark.parametrize(
+        "mesh", [uniform_rect_mesh(5), perturbed_mesh(8, seed=3)],
+        ids=["uniform5", "perturbed8"],
+    )
+    def test_block_size_invariance(self, monkeypatch, family, m, mesh):
+        space = build_global_space(mesh, family, m)
+        coeffs = np.random.default_rng(4).standard_normal(space.n_free)
+        monkeypatch.setattr(sys.modules["qncfem.solve"], "BLOCK_ELEMENTS", 7)
+        raw7, norms7 = self._kernels(space, coeffs)
+        monkeypatch.setattr(sys.modules["qncfem.solve"], "BLOCK_ELEMENTS", mesh.n_elements)
+        raw, norms = self._kernels(space, coeffs)
+        assert raw7 == raw  # K data, indices, indptr, b and block inverses
+        assert norms7 == pytest.approx(norms, rel=1e-14, abs=0.0)
+
+    def test_jacobian_guard_names_element_beyond_first_block(self, monkeypatch):
+        monkeypatch.setattr(sys.modules["qncfem.solve"], "BLOCK_ELEMENTS", 7)
+        space = build_global_space(uniform_rect_mesh(4), Family("ER"), 3)
+        last = space.mesh.n_elements - 1
+        assert last > 7
+        # the top-right corner belongs to the last element alone; pulled
+        # past the element's opposite corner, the element folds over
+        corner = np.argmax(space.mesh.vertices.sum(axis=1))
+        space.mesh.vertices[corner] = [0.5, 0.5]
+        u, gu, f = default_u()
+        with pytest.raises(ValueError, match=f"nonpositive Jacobian in element {last}$"):
+            assemble(space, f)
+        with pytest.raises(ValueError, match=f"nonpositive Jacobian in element {last}$"):
+            error_norms(space, np.zeros(space.n_free), u, gu)
+
+    def test_peak_memory_bounded(self):
+        """Traced peak allocation above the start, ER3 on a perturbed 64x64
+        mesh: whole-mesh temporaries gave +47 MB (assemble) and +29 MB
+        (error_norms), blocks of 256 elements +23 MB and +3 MB."""
+        u, gu, f = default_u()
+        space = build_global_space(perturbed_mesh(64, seed=0), Family("ER"), 3)
+        coeffs = np.random.default_rng(5).standard_normal(space.n_free)
+        for call, bound_mb in [(lambda: assemble(space, f), 35.0),
+                               (lambda: error_norms(space, coeffs, u, gu), 12.0)]:
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                call()
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak < bound_mb * 1e6
 
 
 class TestConvergenceSmoke:
