@@ -11,6 +11,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import pathlib
 import sys
 import time
@@ -82,6 +83,11 @@ class StudyConfig:
         if self.mesh_kind not in _MESH_KINDS:
             raise ValueError(f"unknown mesh kind {self.mesh_kind!r}; "
                              f"expected one of {', '.join(map(repr, _MESH_KINDS))}")
+        if self.min_level < 1:
+            raise ValueError(f"min_level must be at least 1, got {self.min_level}")
+        if self.levels < self.min_level:
+            raise ValueError(f"levels must be at least min_level ({self.min_level}), "
+                             f"got {self.levels}")
 
     def family_obj(self) -> Family:
         return Family(_FAMILY_TAGS[self.family], self.variant)
@@ -186,8 +192,8 @@ def format_table(rows: list[StudyRow]) -> str:
     return "\n".join(lines)
 
 
-def emit(rows: list[StudyRow], fmt: str = "text", path=None) -> str:
-    """Render rows as text or CSV; write to path if given."""
+def emit(rows: list[StudyRow], fmt: str = "text") -> str:
+    """Render rows as text or CSV."""
     if not rows:
         raise ValueError("no rows to emit")
     if fmt == "text":
@@ -203,9 +209,6 @@ def emit(rows: list[StudyRow], fmt: str = "text", path=None) -> str:
         out = "\n".join(lines) + "\n"
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(out)
     return out
 
 
@@ -218,19 +221,20 @@ def _verify(args) -> int:
     return 0 if ok else 1
 
 
-def _print_study(config: StudyConfig, csv_path=None) -> int:
-    """Run one study and print its table, the partial one on failure;
-    return the exit status."""
+def _print_study(config: StudyConfig, csv_file=None) -> int:
+    """Run one study and print its table, the partial one on failure, also
+    as CSV to the open csv_file if given; return the exit status."""
     try:
-        rows = run_study(config)
+        rows, failure = run_study(config), None
     except StudyError as err:
-        if err.rows:
-            print(emit(err.rows, "text"), end="")
-        print(f"error: {err}", file=sys.stderr)
+        rows, failure = err.rows, err
+    if rows:
+        print(emit(rows, "text"), end="")
+        if csv_file is not None:
+            csv_file.write(emit(rows, "csv"))
+    if failure is not None:
+        print(f"error: {failure}", file=sys.stderr)
         return 1
-    print(emit(rows, "text"), end="")
-    if csv_path:
-        emit(rows, "csv", csv_path)
     return 0
 
 
@@ -248,18 +252,25 @@ def _run(args) -> int:
         build_reference_element(config.family_obj(), config.m)
     except RuntimeError as err:
         raise ValueError(err) from err
-    return _print_study(config, args.csv)
+    # the CSV target is opened first, so a bad path fails before the study
+    with open(args.csv, "w") if args.csv else contextlib.nullcontext() as fh:
+        return _print_study(config, fh)
 
 
 def _tables(args) -> int:
-    csv_dir = pathlib.Path(args.csv_dir) if args.csv_dir else None
-    if csv_dir:
-        csv_dir.mkdir(parents=True, exist_ok=True)
-    rc = 0
-    for key in [args.only] if args.only else TABLES:
-        print(f"== {key} ==")
-        rc |= _print_study(TABLES[key], csv_dir / f"{key}.csv" if csv_dir else None)
-        print()
+    keys = [args.only] if args.only else list(TABLES)
+    with contextlib.ExitStack() as stack:
+        files = dict.fromkeys(keys)
+        if args.csv_dir:  # every CSV target is opened before the first study
+            csv_dir = pathlib.Path(args.csv_dir)
+            csv_dir.mkdir(parents=True, exist_ok=True)
+            files = {key: stack.enter_context(open(csv_dir / f"{key}.csv", "w"))
+                     for key in keys}
+        rc = 0
+        for key in keys:
+            print(f"== {key} ==")
+            rc |= _print_study(TABLES[key], files[key])
+            print()
     return rc
 
 
@@ -315,7 +326,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as err:
+    except (ValueError, OSError) as err:  # bad values, unwritable output paths
         parser.exit(2, f"qncfem: error: {err}\n")
 
 

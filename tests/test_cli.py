@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from qncfem import cli
 from qncfem.cli import (
     StudyConfig,
+    StudyError,
     StudyRow,
     default_problem,
     emit,
@@ -107,6 +109,19 @@ class TestStudyConfig:
     def test_accepted_values(self, family, tag, kind):
         assert StudyConfig(family=family, mesh_kind=kind).family_obj().tag == tag
 
+    @pytest.mark.parametrize("min_level", [0, -1])
+    def test_min_level_below_one_rejected(self, min_level):
+        with pytest.raises(ValueError, match="^min_level must be at least 1"):
+            StudyConfig(min_level=min_level, levels=3)
+
+    @pytest.mark.parametrize("levels,min_level", [(0, 1), (2, 3)])
+    def test_levels_below_min_level_rejected(self, levels, min_level):
+        with pytest.raises(ValueError, match=r"^levels must be at least min_level"):
+            StudyConfig(levels=levels, min_level=min_level)
+
+    def test_single_level_accepted(self):
+        assert StudyConfig(levels=2, min_level=2).levels == 2
+
 
 class TestEmit:
     def _rows(self):
@@ -115,10 +130,8 @@ class TestEmit:
             StudyRow(3, 9.5e-5, 3.98, 3.1e-3, 3.01, 120, 25, 0.2),
         ]
 
-    def test_csv_header_and_roundtrip(self, tmp_path):
-        path = tmp_path / "study.csv"
-        out = emit(self._rows(), "csv", path)
-        assert path.read_text() == out
+    def test_csv_header_and_roundtrip(self):
+        out = emit(self._rows(), "csv")
         lines = out.strip().splitlines()
         assert lines[0] == "level,l2_err,l2_order,h1_err,h1_order,ndof,iters,seconds"
         fields = lines[2].split(",")
@@ -209,6 +222,50 @@ class TestMain:
             main(argv)
         assert exc.value.code == 2
         assert "qncfem: error: amplitude" in capsys.readouterr().err
+
+    def test_run_zero_levels_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--levels", "0"])
+        assert exc.value.code == 2
+        assert "qncfem: error: levels must be at least min_level" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--levels", "2", "--csv", "{bad}/x.csv"],
+        ["tables", "--only", "r7t", "--csv-dir", "{bad}/csv"],
+        ["mesh", "--n", "2", "--out", "{bad}/m.txt"],
+    ], ids=["run", "tables", "mesh"])
+    def test_unwritable_output_rejected_before_work(self, capsys, tmp_path, argv):
+        bad = tmp_path / "file"  # a file where the output wants a directory
+        bad.write_text("")
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(bad=bad) for a in argv])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""  # no study ran, no mesh was reported
+        assert err.startswith("qncfem: error: ") and str(bad) in err
+
+    def test_run_failure_writes_partial_csv(self, capsys, tmp_path, monkeypatch):
+        row = StudyRow(2, 0.1, 0.0, 1.0, 0.0, 12, 5, 0.01)
+
+        def fail(config):
+            raise StudyError("level 3: CG did not converge", [row])
+
+        monkeypatch.setattr(cli, "run_study", fail)
+        csv = tmp_path / "out.csv"
+        assert main(["run", "--csv", str(csv)]) == 1
+        assert csv.read_text() == emit([row], "csv")
+        out, err = capsys.readouterr()
+        assert out == emit([row], "text")
+        assert err == "error: level 3: CG did not converge\n"
+
+    def test_tables_opens_every_csv_before_the_first_study(self, capsys, tmp_path):
+        (tmp_path / "r7t.csv").mkdir()  # the last configuration's target
+        with pytest.raises(SystemExit) as exc:
+            main(["tables", "--csv-dir", str(tmp_path)])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "r7t.csv" in err
 
     def test_rank_deficient_order_rejected(self, capsys):
         # ER m=17 is unisolvent in exact arithmetic, not in floating point

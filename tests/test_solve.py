@@ -21,6 +21,7 @@ from qncfem.solve import (
     solve,
 )
 from qncfem.space import FeFunction, build_global_space, coarse_prolongation, prolong
+from test_space import rotated_listing
 
 
 def default_u():
@@ -427,6 +428,105 @@ class TestElementBlockLoop:
             finally:
                 tracemalloc.stop()
             assert peak < bound_mb * 1e6
+
+
+class TestDistinctElements:
+    """The stiffness blocks and the block inverses are computed once per
+    distinct element; the results must be the bytes of the kernels run on
+    every element."""
+
+    solve_module = sys.modules["qncfem.solve"]
+    families = pytest.mark.parametrize(
+        "family,m", [(Family("ER"), 3), (Family("R", "tilde"), 5), (Family("RPlus"), 4)],
+        ids=["ER3", "R~5", "RPlus4"],
+    )
+
+    def _kernels(self, space):
+        q = space.m + 3
+        system = assemble(space, default_u()[2])
+        K = system.matrix
+        stiffness = [self.solve_module._stiffness_blocks(space, q, jac)
+                     for _, _, jac in self.solve_module._element_chunks(space, q)]
+        inv, idx = _element_blocks(K, system.elements)
+        return [a.tobytes() for a in (K.data, K.indices, K.indptr, system.rhs,
+                                      *stiffness, inv, idx)]
+
+    def _jacobian_rows(self, space):
+        (_, _, jac), = self.solve_module._element_chunks(space, space.m + 3)
+        return np.concatenate(jac, axis=1)
+
+    @families
+    @pytest.mark.parametrize(
+        "mesh,groups",
+        [(uniform_rect_mesh(8), 1), (rotated_listing(uniform_rect_mesh(8)), 2),
+         (perturbed_mesh(8, seed=3), None)],
+        ids=["uniform8", "rotated8", "perturbed8"],
+    )
+    def test_matches_every_element(self, monkeypatch, family, m, mesh, groups):
+        space = build_global_space(mesh, family, m)
+        found = self.solve_module._distinct_rows(self._jacobian_rows(space))
+        assert (found and len(found[0])) == groups  # distinct Jacobians
+        grouped = self._kernels(space)
+        monkeypatch.setattr(self.solve_module, "_distinct_rows", lambda rows: None)
+        assert grouped == self._kernels(space)
+
+    @families
+    def test_forced_projection_collision_is_exact(self, monkeypatch, family, m):
+        uniform = build_global_space(uniform_rect_mesh(8), family, m)
+        rotated = build_global_space(rotated_listing(uniform_rect_mesh(8)), family, m)
+        expect = [self._kernels(space) for space in (uniform, rotated)]
+        monkeypatch.setattr(self.solve_module, "_projection",
+                            lambda width: np.zeros(width, dtype=np.uint64))
+        # every key collides: equal rows still group, different rows do not
+        assert len(self.solve_module._distinct_rows(self._jacobian_rows(uniform))[0]) == 1
+        assert self.solve_module._distinct_rows(self._jacobian_rows(rotated)) is None
+        assert [self._kernels(space) for space in (uniform, rotated)] == expect
+
+    def test_signed_zeros_and_nans_keep_their_bytes(self, monkeypatch):
+        nan = np.float64(np.nan)
+        rows = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0],
+                         [nan, 2.0], [nan, 2.0], [-nan, 2.0], [-0.0, 1.0]])
+        first, inverse = self.solve_module._distinct_rows(rows)
+        assert len(first) == 4
+        assert rows[first][inverse].tobytes() == rows.tobytes()
+        monkeypatch.setattr(self.solve_module, "_projection",
+                            lambda width: np.zeros(width, dtype=np.uint64))
+        assert self.solve_module._distinct_rows(rows) is None
+        assert self.solve_module._distinct_rows(rows[[3, 4]]) is not None
+
+    def test_no_repeat_gives_none(self):
+        rows = np.random.default_rng(11).standard_normal((50, 16))
+        assert self.solve_module._distinct_rows(rows) is None
+        # equal in the sampled columns (every second one), distinct rows
+        rows[:, ::2] = rows[0, ::2]
+        assert self.solve_module._distinct_rows(rows) is None
+        rows[:, 1::2] = rows[0, 1::2]
+        first, inverse = self.solve_module._distinct_rows(rows)
+        assert first.tolist() == [0] and inverse.tolist() == [0] * 50
+
+    def test_uniform_mesh_runs_kernels_once_per_distinct_element(self, monkeypatch):
+        space = build_global_space(uniform_rect_mesh(32), Family("R", "tilde"), 5)
+        einsum, inv = np.einsum, np.linalg.inv
+        stiffness_sizes, inverse_sizes = [], []
+
+        def counting_einsum(subscripts, *operands, **kwargs):
+            if subscripts == "ep,epi,epj->eij":
+                stiffness_sizes.append(len(operands[0]))
+            return einsum(subscripts, *operands, **kwargs)
+
+        def counting_inv(a):
+            inverse_sizes.append(len(a))
+            return inv(a)
+
+        monkeypatch.setattr(np, "einsum", counting_einsum)
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        system = assemble(space, default_u()[2])
+        _element_blocks(system.matrix, system.elements)
+        blocks = space.mesh.n_elements // self.solve_module.BLOCK_ELEMENTS
+        assert blocks == 4
+        assert stiffness_sizes == [1] * (2 * blocks)  # two einsums per block
+        # with the boundary masks, at most 9 distinct blocks per 256 elements
+        assert len(inverse_sizes) == blocks and max(inverse_sizes) <= 9
 
 
 class TestConvergenceSmoke:
