@@ -249,6 +249,8 @@ def perturbed_mesh(n: int, seed: int = 0, amplitude: float = 0.2) -> QuadMesh:
         raise ValueError(f"amplitude must lie in [0, 0.3], got {amplitude}")
     if n < 2 or n & (n - 1):
         raise ValueError("n must be a power of two, at least 2")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     h = 0.5  # the coarse mesh width
     rng = np.random.default_rng(seed)
     coarse = uniform_rect_mesh(2)

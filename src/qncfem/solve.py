@@ -9,12 +9,8 @@ Jacobian, and the preconditioner inverts each distinct element block once
 those of running every element.  Every element of a uniform mesh shares one
 Jacobian: at R~ m=5 on 32x32 the stiffness kernel takes 4-7 ms instead of
 31-34 ms and `_element_blocks` 12-19 ms instead of 26-33 ms (one thread).
-The ER families give a plain SPD system;
-the R / RPlus families carry one relation row per element.  `solve` handles
-both with one preconditioned CG: residuals and directions are projected onto
-ker(C) with p <- p - C~^T (C~ C~^T)^{-1} C~ p, where C~ drops the last
-(redundant) relation row, and the projection is the identity when the
-system has no constraint rows.
+The ER families give a plain SPD system; the R / RPlus families carry one
+relation row per element, and `solve` runs one preconditioned CG for both.
 
 The preconditioner is additive two-level Schwarz (Pavarino, Numer. Math. 66,
 1994; Brenner, Math. Comp. 65, 1996),
@@ -30,14 +26,6 @@ counts stay bounded under refinement and grow only mildly with m.  Systems
 without a coarse space (m = 1, no interior vertex) use the element blocks
 alone; a system without an element table (hand-built) uses 1x1 blocks,
 which is Jacobi.
-
-CG stops at a relative (projected) residual of REL_TOL, within a fixed
-budget of max(100, MAX_ITER_FACTOR * sqrt(n)) iterations, or earlier when
-p.Ap or r.z is not positive; `solve` then raises SolverError unless the
-residual has reached REL_TOL.  `solve` may start from a guess x0, which a
-convergence study takes from the previous level (nested iteration); the
-guess is projected onto ker(C), and it is dropped when its residual is
-larger than that of zero.
 """
 
 from __future__ import annotations
@@ -84,7 +72,7 @@ class SolveReport:
 class SparseSystem:
     """Symmetric sparse system K x = b, optionally restricted to ker(C).
 
-    `elements` (free dof per retained local dof, -1 where masked, one row
+    `elements` (free dof per retained local dof, n where masked, one row
     per element) and `coarse` (the coarse-space prolongation, columns in
     ker(C)) define the preconditioner; `assemble` sets both."""
 
@@ -172,7 +160,7 @@ def assemble(space: GlobalSpace, f) -> SparseSystem:
     q = space.m + 3
     _, _, W = gauss_grid(q)
     phi, _, _ = space.ref.tabulate_gauss(q)
-    lf = space.local_free()
+    lf, n = space.local_free(), space.n_free
     Kloc = np.empty(lf.shape + lf.shape[1:])
     Floc = np.empty(lf.shape)
     for sl, (px, py), jac in _element_chunks(space, q):
@@ -182,17 +170,15 @@ def assemble(space: GlobalSpace, f) -> SparseSystem:
             fv = np.broadcast_to(fv, px.shape)
         Floc[sl] = np.einsum("ep,pi->ei", fv * jac[-1] * W[None, :], phi)
 
-    keep = (lf[:, :, None] >= 0) & (lf[:, None, :] >= 0)
+    keep = (lf[:, :, None] < n) & (lf[:, None, :] < n)
     li = lf.astype(np.int32)  # the CSR index type scipy picks anyway
     rows = np.broadcast_to(li[:, :, None], keep.shape)[keep]
     cols = np.broadcast_to(li[:, None, :], keep.shape)[keep]
     data = Kloc[keep]
     del Kloc, keep
     K = sp.coo_matrix((data, (rows, cols)),  # tocsr sums the duplicates
-                      shape=(space.n_free, space.n_free)).tocsr()
-
-    keepf = lf >= 0
-    b = np.bincount(lf[keepf], weights=Floc[keepf], minlength=space.n_free)
+                      shape=(n, n)).tocsr()
+    b = np.bincount(lf.ravel(), weights=Floc.ravel(), minlength=n + 1)[:n]
 
     return SparseSystem(matrix=K, rhs=b, constraints=space.constraints,
                         elements=lf, coarse=coarse_prolongation(space))
@@ -200,47 +186,44 @@ def assemble(space: GlobalSpace, f) -> SparseSystem:
 
 def _element_blocks(A, elements):
     """Transposed inverses of the diagonal blocks of A over each row of
-    `elements`, (ne, k, k), and the gather index (ne, k).  Masked entries
-    (-1) are padded with the identity for the batched inverse, and their
-    rows and columns are zero in the result.  The blocks are gathered
-    BLOCK_ELEMENTS rows at a time, and each distinct block is inverted
-    once."""
-    masked = elements < 0
-    idx = np.where(masked, 0, elements)
-    inv = np.empty(idx.shape + idx.shape[1:])
-    for start in range(0, len(idx), BLOCK_ELEMENTS):
+    `elements`, (ne, k, k).  Masked entries (index n) are padded with the
+    identity.  The blocks are gathered BLOCK_ELEMENTS rows at a time, and
+    each distinct block is inverted once."""
+    n = A.shape[0]
+    inv = np.empty(elements.shape + elements.shape[1:])
+    for start in range(0, len(elements), BLOCK_ELEMENTS):
         sl = slice(start, start + BLOCK_ELEMENTS)
-        mask, ix = masked[sl], idx[sl]
-        keep = ~(mask[:, :, None] | mask[:, None, :])
+        ix = elements[sl]
+        keep = (ix[:, :, None] < n) & (ix[:, None, :] < n)
         rows = np.broadcast_to(ix[:, :, None], keep.shape)[keep]
         cols = np.broadcast_to(ix[:, None, :], keep.shape)[keep]
         blocks = np.zeros(keep.shape)
         blocks[keep] = np.asarray(A[rows, cols]).ravel()
-        e, j = np.nonzero(mask)
+        e, j = np.nonzero(ix == n)
         blocks[e, j, j] = 1.0
         first, inverse = _distinct_rows(blocks.reshape(len(blocks), -1)) or _EVERY_ROW
         try:
             inv[sl] = np.linalg.inv(blocks[first].transpose(0, 2, 1))[inverse]
         except np.linalg.LinAlgError as err:
             raise SolverError("singular diagonal block in the preconditioner") from err
-        inv[sl][~keep] = 0.0
-    return inv, idx
+    return inv
 
 
 def _preconditioner(A, elements, coarse):
     """Element-block additive Schwarz, plus the exact coarse-space
     correction P (P^T A P)^{-1} P^T when a prolongation is given.  Without
-    an element table every dof is its own block (Jacobi)."""
-    if elements is None:
-        elements = np.arange(A.shape[0])[:, None]
-    inv, idx = _element_blocks(A, elements)
+    an element table every dof is its own block (Jacobi).  A masked entry
+    reads an appended zero and writes to a slot that is dropped."""
     n = A.shape[0]
+    if elements is None:
+        elements = np.arange(n)[:, None]
+    inv = _element_blocks(A, elements)
 
     def fine(r):
         # row-vector products r_e^T B_e^{-T}, faster than B_e^{-1} r_e as
         # a stack of matrix-vector products
-        z = np.matmul(r[idx][:, None, :], inv)
-        return np.bincount(idx.ravel(), weights=z.ravel(), minlength=n)
+        z = np.matmul(np.append(r, 0.0)[elements][:, None, :], inv)
+        return np.bincount(elements.ravel(), weights=z.ravel(), minlength=n + 1)[:n]
 
     if coarse is None:
         return fine
@@ -251,16 +234,37 @@ def _preconditioner(A, elements, coarse):
     return lambda r: fine(r) + coarse @ lu.solve(restrict @ r)
 
 
-def _pcg(A, b, project, maxiter, elements, coarse, x0):
-    """Preconditioned CG from x0 (zero when None); `project` maps onto the
-    admissible subspace.  Stops early on a direction with nonpositive (or
-    NaN) curvature p.Ap, or when r.z is not positive (roundoff floor, or a
-    preconditioner that is not positive definite)."""
+def solve(system: SparseSystem, x0=None):
+    """Preconditioned CG on ker(C), or on the whole space when the system
+    has no constraint rows.  Residuals and directions are projected onto
+    ker(C) with p <- p - C~^T (C~ C~^T)^{-1} C~ p, where C~ drops the last
+    (redundant) relation row.
+
+    CG starts from x0 projected onto ker(C), or from zero; a good x0 (the
+    prolonged solution of a coarser level, nested iteration) saves
+    iterations, and an x0 whose residual is larger than that of zero is
+    dropped.  CG stops at a relative projected residual of REL_TOL, within
+    a budget of max(100, MAX_ITER_FACTOR * sqrt(n)) iterations, or earlier
+    on a direction with nonpositive (or NaN) curvature p.Ap or when r.z is
+    not positive (roundoff floor, or a preconditioner that is not positive
+    definite).  Returns (x, SolveReport); raises SolverError when the
+    residual has not reached REL_TOL, or when C x is not zero."""
+    A, b, C = system.matrix, system.rhs, system.constraints
+    if C is None or C.nnz == 0:
+        C = None
+        project = lambda v: v
+    else:
+        Ct = C[:-1]  # the last element's row is implied by the others
+        lu = spla.splu((Ct @ Ct.T).tocsc())
+        CtT = Ct.T.tocsr()
+        project = lambda v: v - CtT @ lu.solve(Ct @ v)
+
+    maxiter = max(100, int(MAX_ITER_FACTOR * np.sqrt(system.n)))
     x = np.zeros_like(b)
     r = project(b.copy())
     bnorm = float(np.linalg.norm(r))
     if bnorm == 0.0:
-        return x, 0, 0.0
+        return x, SolveReport(relative_residual=0.0)
     if x0 is not None:
         x0 = project(np.array(x0, dtype=float))  # a copy: x is updated in place
         # b - A x0 has a range(C^T) part of the size of b, and the C~ C~^T
@@ -271,7 +275,7 @@ def _pcg(A, b, project, maxiter, elements, coarse, x0):
         # meets (Greenbaum, SIMAX 18, 1997): an x0 worse than zero is dropped
         if np.linalg.norm(r0) < bnorm:
             x, r = x0, r0
-    precondition = _preconditioner(A, elements, coarse)
+    precondition = _preconditioner(A, system.elements, system.coarse)
     z = project(precondition(r))
     p = z.copy()
     rz = float(np.dot(r, z))
@@ -293,36 +297,12 @@ def _pcg(A, b, project, maxiter, elements, coarse, x0):
             break
         p = z + (rz_new / rz) * p
         rz = rz_new
-    return x, it, rel
 
-
-def solve(system: SparseSystem, x0=None):
-    """Preconditioned CG on ker(C), or on the whole space when the system
-    has no constraint rows.  CG starts from x0 projected onto ker(C), or
-    from zero; a good x0 (the prolonged solution of a coarser level) saves
-    iterations, the stopping test stays relative to the projected b.
-    Returns (x, SolveReport); raises SolverError when the residual does not
-    reach REL_TOL within the budget, on a breakdown or non-finite residual,
-    or when C x is not zero."""
-    A, b, C = system.matrix, system.rhs, system.constraints
-    if C is None or C.nnz == 0:
-        C = None
-        project = lambda v: v
-    else:
-        Ct = C[:-1]  # the last element's row is implied by the others
-        lu = spla.splu((Ct @ Ct.T).tocsc())
-        CtT = Ct.T.tocsr()
-        project = lambda v: v - CtT @ lu.solve(Ct @ v)
-
-    maxiter = max(100, int(MAX_ITER_FACTOR * np.sqrt(system.n)))
-    x, it, rel = _pcg(A, b, project, maxiter, system.elements, system.coarse, x0)
-    cres = float(np.max(np.abs(C @ x))) if C is not None and x.size else 0.0
+    cres = float(np.max(np.abs(C @ x))) if C is not None else 0.0
     # residual of the (constrained) problem: projected true residual
-    bn = np.linalg.norm(project(b))
-    true_rel = 0.0 if bn == 0.0 else float(np.linalg.norm(project(b - A @ x)) / bn)
     report = SolveReport(
         iterations=it,
-        relative_residual=true_rel,
+        relative_residual=float(np.linalg.norm(project(b - A @ x)) / bnorm),
         constraint_residual=cres,
     )
     if not rel <= REL_TOL:
@@ -330,8 +310,7 @@ def solve(system: SparseSystem, x0=None):
             f"CG did not converge: residual {rel:.3e} after {it} iterations",
             report,
         )
-    xs = float(np.max(np.abs(x))) if x.size else 0.0
-    if cres > 1e-9 * max(xs, 1.0):
+    if cres > 1e-9 * max(float(np.max(np.abs(x))), 1.0):
         raise SolverError(f"constraint residual too large: {cres:.3e}", report)
     return x, report
 
@@ -342,10 +321,10 @@ def error_norms(space: GlobalSpace, coeffs, u_exact, grad_exact):
     q = space.m + 4
     _, _, W = gauss_grid(q)
     phi, dpx, dpy = space.ref.tabulate_gauss(q)
-    coeffs = np.asarray(coeffs, dtype=float)
+    local = space.local_values(coeffs)  # (ne, nret)
     l2sq = h1sq = 0.0
     for sl, (px, py), (j11, j12, j21, j22, det) in _element_chunks(space, q):
-        cloc = space.local_values(coeffs, sl)  # (block, nret)
+        cloc = local[sl]
         vals = cloc @ phi.T  # (block, nq)
         gxh = cloc @ dpx.T
         gyh = cloc @ dpy.T

@@ -30,14 +30,17 @@ __all__ = [
 
 @dataclass
 class GlobalSpace:
-    """Global dof table for one family/order on one mesh."""
+    """Global dof table for one family/order on one mesh.
+
+    `dofs[e, j]` is the free index of local dof j of element e; a masked
+    (boundary) dof reads index `n_free`, one sink slot past the free dofs.
+    Reads append a zero to the coefficients, writes use n_free + 1 slots and
+    drop the last, filters keep indices below n_free."""
 
     mesh: QuadMesh
     ref: ReferenceElement
-    n_global: int  # all global dofs, incl. masked boundary dofs
     n_free: int
-    free_index: np.ndarray  # (n_global,) free index or -1 for masked
-    ltg: np.ndarray  # (ne, ndofs_local) global dof per local dof
+    dofs: np.ndarray  # (ne, ndofs_local) free index, n_free where masked
     constraints: sp.csr_matrix | None  # (ne, n_free) relation rows, or None
 
     @property
@@ -49,29 +52,23 @@ class GlobalSpace:
         return self.ref.m
 
     def local_free(self) -> np.ndarray:
-        """Free index (-1 where masked) of every retained local dof,
+        """Free index (n_free where masked) of every retained local dof,
         (ne, n_retained)."""
-        return self.free_index[self.ltg[:, self.ref.retained]]
+        return self.dofs[:, self.ref.retained]
 
     def local_values(self, coeffs: np.ndarray, e=slice(None)) -> np.ndarray:
         """Retained dof values of element e (all elements by default) from a
         free coefficient vector, masked dofs contributing zero.  Shape
         (n_retained,) for one element, (ne, n_retained) for all."""
-        r = self.ref.retained
-        lf = self.free_index[self.ltg[e, r]]
-        if self.n_free == 0:
-            return np.zeros(lf.shape)
-        return np.where(lf >= 0, coeffs[np.clip(lf, 0, None)], 0.0)
+        return np.append(coeffs, 0.0)[self.dofs[e, self.ref.retained]]
 
     def scatter(self, local_vals: np.ndarray) -> np.ndarray:
         """Assemble a free coefficient vector from per-element values over
         the full local dof list (ne, ndofs_local).  Shared dofs are written
         by every incident element; values must agree."""
-        out = np.zeros(self.n_free)
-        fi = self.free_index[self.ltg]
-        keep = fi >= 0
-        out[fi[keep]] = local_vals[keep]
-        return out
+        out = np.zeros(self.n_free + 1)
+        out[self.dofs] = local_vals
+        return out[: self.n_free]
 
 
 @dataclass
@@ -128,15 +125,16 @@ def build_global_space(
     masked = np.zeros(n_global, dtype=bool)
     if homogeneous:
         masked[:n_edge_global] = np.repeat(mesh.edge_is_boundary, per_edge)
-    free_index = np.full(n_global, -1, dtype=np.int64)
-    free_index[~masked] = np.arange(int(np.sum(~masked)))
     n_free = int(np.sum(~masked))
+    free_index = np.full(n_global, n_free, dtype=np.int64)
+    free_index[~masked] = np.arange(n_free)
+    dofs = free_index[ltg]
 
     constraints = None
     if ref.constraint is not None:
         w = ref.constraint
-        cols = free_index[ltg[:, : len(w)]]  # (ne, len(w))
-        keep = (cols >= 0) & (w != 0.0)
+        cols = dofs[:, : len(w)]  # (ne, len(w))
+        keep = (cols < n_free) & (w != 0.0)
         rows = np.broadcast_to(np.arange(ne)[:, None], cols.shape)
         vals = np.broadcast_to(w / np.max(np.abs(w)), cols.shape)
         constraints = sp.csr_matrix(
@@ -144,13 +142,7 @@ def build_global_space(
         )
 
     return GlobalSpace(
-        mesh=mesh,
-        ref=ref,
-        n_global=n_global,
-        n_free=n_free,
-        free_index=free_index,
-        ltg=ltg,
-        constraints=constraints,
+        mesh=mesh, ref=ref, n_free=n_free, dofs=dofs, constraints=constraints
     )
 
 
@@ -170,7 +162,7 @@ def coarse_prolongation(space: GlobalSpace) -> sp.csr_matrix | None:
     n_coarse = int(np.sum(interior))
     if ref.m < 2 or n_coarse == 0:
         return None
-    coarse_index = np.full(len(mesh.vertices), -1, dtype=np.int64)
+    coarse_index = np.full(len(mesh.vertices), n_coarse, dtype=np.int64)
     coarse_index[interior] = np.arange(n_coarse)
     # bilinear of corner c: (1 + sx x)(1 + sy y) / 4, corners A1..A4 CCW
     sx, sy = np.array([[-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])
@@ -180,13 +172,13 @@ def coarse_prolongation(space: GlobalSpace) -> sp.csr_matrix | None:
     # every free dof once, from the first element that lists it; the hats
     # that do not vanish at a shared edge dof belong to that edge's vertices,
     # which both incident elements have
-    _, first = np.unique(space.ltg, return_index=True)
-    e, j = np.unravel_index(first, space.ltg.shape)
-    rows = space.free_index[space.ltg[e, j]]
-    e, j, rows = e[rows >= 0], j[rows >= 0], rows[rows >= 0]
+    dofs, first = np.unique(space.dofs, return_index=True)
+    free = dofs < space.n_free
+    rows = dofs[free]
+    e, j = np.unravel_index(first[free], space.dofs.shape)
     cols = coarse_index[mesh.quads[e]]  # (k, 4)
     vals = local[j]
-    keep = (cols >= 0) & (vals != 0.0)
+    keep = (cols < n_coarse) & (vals != 0.0)
     rows = np.broadcast_to(rows[:, None], cols.shape)
     return sp.csr_matrix(
         (vals[keep], (rows[keep], cols[keep])), shape=(space.n_free, n_coarse)
@@ -210,12 +202,11 @@ def prolong(coarse: GlobalSpace, coeffs: np.ndarray, fine: GlobalSpace) -> np.nd
         raise ValueError("fine and coarse spaces use different elements")
     kids = refined_children(coarse.mesh, fine.mesh)
     parent = coarse.local_values(coeffs)  # (ne_coarse, nret)
-    local = np.empty(fine.ltg.shape)
+    local = np.empty(fine.dofs.shape)
     local[kids] = np.einsum("ckr,er->eck", fine.ref.child_transfer, parent)
-    ltg = fine.ltg.ravel()
-    total = np.bincount(ltg, weights=local.ravel(), minlength=fine.n_global)
-    count = np.bincount(ltg, minlength=fine.n_global)
-    return (total / count)[fine.free_index >= 0]
+    dofs, n = fine.dofs.ravel(), fine.n_free
+    total = np.bincount(dofs, weights=local.ravel(), minlength=n + 1)[:n]
+    return total / np.bincount(dofs, minlength=n + 1)[:n]
 
 
 def expected_dimension(space: GlobalSpace) -> int:

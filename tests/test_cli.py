@@ -223,6 +223,19 @@ class TestMain:
         assert exc.value.code == 2
         assert "qncfem: error: amplitude" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--mesh", "perturbed", "--seed", "-1", "--levels", "2"],
+        ["mesh", "--kind", "perturbed", "--seed", "-1", "--out", "{tmp}/m.txt"],
+    ], ids=["run", "mesh"])
+    def test_negative_seed_rejected(self, capsys, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([a.format(tmp=tmp_path) for a in argv])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "qncfem: error: seed must be a non-negative integer, got -1\n"
+        assert not (tmp_path / "m.txt").exists()
+
     def test_run_zero_levels_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["run", "--levels", "0"])

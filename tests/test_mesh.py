@@ -315,6 +315,11 @@ class TestPerturbedMesh:
             with pytest.raises(ValueError, match=r"must lie in \[0, 0.3\]"):
                 perturbed_mesh(4, amplitude=amplitude)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match=f"non-negative integer, got {seed!r}$"):
+            perturbed_mesh(4, seed=seed)
+
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
             perturbed_mesh(3)

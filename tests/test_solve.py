@@ -114,10 +114,10 @@ class TestAssemble:
         for e in range(space.mesh.n_elements):
             K = element_stiffness(space.mesh, e, Family("ER"), 3)
             for i, gi in enumerate(lf[e]):
-                if gi < 0:
+                if gi == space.n_free:  # masked
                     continue
                 for j, gj in enumerate(lf[e]):
-                    if gj < 0:
+                    if gj == space.n_free:
                         continue
                     dense[gi, gj] += K[i, j]
         assert np.max(np.abs(system.matrix.toarray() - dense)) < 1e-11
@@ -173,7 +173,7 @@ class TestSolvers:
     def test_singular_element_block_raises(self):
         # the first element's block [[1, 1], [1, 1]] is singular
         A = sp.csr_matrix(np.array([[1.0, 1, 0], [1, 1, 0], [0, 0, 1]]))
-        system = SparseSystem(A, np.ones(3), elements=np.array([[0, 1], [2, -1]]))
+        system = SparseSystem(A, np.ones(3), elements=np.array([[0, 1], [2, 3]]))
         with pytest.raises(SolverError):
             solve(system)
 
@@ -372,7 +372,7 @@ class TestElementBlockLoop:
         u, gu, f = default_u()
         system = assemble(space, f)
         K = system.matrix
-        inv, _ = _element_blocks(K, system.elements)
+        inv = _element_blocks(K, system.elements)
         raw = [a.tobytes() for a in (K.data, K.indices, K.indptr, system.rhs, inv)]
         return raw, error_norms(space, coeffs, u, gu)
 
@@ -447,9 +447,9 @@ class TestDistinctElements:
         K = system.matrix
         stiffness = [self.solve_module._stiffness_blocks(space, q, jac)
                      for _, _, jac in self.solve_module._element_chunks(space, q)]
-        inv, idx = _element_blocks(K, system.elements)
+        inv = _element_blocks(K, system.elements)
         return [a.tobytes() for a in (K.data, K.indices, K.indptr, system.rhs,
-                                      *stiffness, inv, idx)]
+                                      *stiffness, inv)]
 
     def _jacobian_rows(self, space):
         (_, _, jac), = self.solve_module._element_chunks(space, space.m + 3)
@@ -648,7 +648,7 @@ def _dense_schwarz(A, elements, r):
     A = A.toarray()
     z = np.zeros_like(r)
     for row in elements:
-        dofs = row[row >= 0]
+        dofs = row[row < len(r)]  # index len(r) is masked
         z[dofs] += np.linalg.solve(A[np.ix_(dofs, dofs)], r[dofs])
     return z
 
@@ -665,7 +665,7 @@ class TestPreconditioner:
     def test_element_blocks_match_dense_loop(self, family, m, mesh):
         space = build_global_space(mesh, family, m)
         system = assemble(space, lambda x, y: np.ones_like(x))
-        assert np.any(system.elements < 0)  # masked boundary dofs
+        assert np.any(system.elements == system.n)  # masked boundary dofs
         fine = _preconditioner(system.matrix, system.elements, None)
         rng = np.random.default_rng(7)
         for _ in range(3):
@@ -690,6 +690,25 @@ class TestPreconditioner:
         r = rng.standard_normal(30)
         assert np.allclose(_preconditioner(A, None, None)(r), r / A.diagonal(),
                            rtol=1e-14, atol=0.0)
+
+
+class TestEdgeOrientation:
+    @pytest.mark.parametrize(
+        "family,m", [(Family("ER"), 3), (Family("R"), 3), (Family("RPlus"), 4)],
+        ids=["ER3", "R3", "RPlus4"],
+    )
+    def test_rotated_listing_gives_same_errors(self, family, m):
+        """Every other quad listed from its last corner reverses the local
+        parameter of some edges against their global orientation.  The
+        shape spaces are invariant under a quarter turn (R~ is not), so the
+        discrete solution, and its errors, must not change."""
+        u, gu, f = default_u()
+        norms = []
+        for mesh in (uniform_rect_mesh(8), rotated_listing(uniform_rect_mesh(8))):
+            space = build_global_space(mesh, family, m)
+            x, _ = solve(assemble(space, f))
+            norms.append(error_norms(space, x, u, gu))
+        assert norms[1] == pytest.approx(norms[0], rel=1e-9, abs=0.0)
 
 
 class TestHighOrder:

@@ -187,7 +187,7 @@ def _interpolate_per_element(space, u):
     from the dof definitions (ER: point values; R / RPlus through the Q_m
     interpolant at the Gauss-Lobatto nodes, by its monomial Vandermonde)."""
     mesh, ref, m = space.mesh, space.ref, space.m
-    vals = np.empty(space.ltg.shape)
+    vals = np.empty(space.dofs.shape)
     for e in range(mesh.n_elements):
         corners = mesh.vertices[mesh.quads[e]]
         geom = lambda xh, yh: bilinear_map(corners, xh, yh)[0]
