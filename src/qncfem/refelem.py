@@ -165,15 +165,12 @@ def interior_dof_points(family: Family, m: int) -> np.ndarray:
 
 
 def _dof_set(family: Family, m: int):
-    """(points, sampling, dof_edge, dof_slot) of the dof set: the values at
-    the m Gauss points of each edge in canonical order, then the corner dof
-    and the interior lattice points."""
+    """(points, sampling) of the dof set.  Its order is the one every layer
+    derives from m: local dof j < 4m is the value at Gauss point j % m
+    (increasing local parameter) of edge j // m + 1, dof 4m is the RPlus
+    corner (1, 1), and the interior lattice points follow."""
     points = np.vstack([boundary_dof_points(family, m), interior_dof_points(family, m)])
-    sampling = np.eye(len(points))
-    n_other = len(sampling) - 4 * m
-    dof_edge = np.concatenate([np.repeat([1, 2, 3, 4], m), np.zeros(n_other, int)])
-    dof_slot = np.concatenate([np.tile(np.arange(m), 4), np.full(n_other, -1)])
-    return points, sampling, dof_edge, dof_slot
+    return points, np.eye(len(points))
 
 
 def _gamma_weights(m: int) -> np.ndarray:
@@ -314,10 +311,8 @@ class ReferenceElement:
     # is an identity row (point dofs); the matrix stays so that weighted
     # rows (interior Legendre moments) can join without another code path
     sampling: np.ndarray
-    dof_edge: np.ndarray  # (ndofs,) edge 1..4 of each dof, 0 for corner/interior
-    dof_slot: np.ndarray  # (ndofs,) Gauss point on the edge, or -1
     retained: np.ndarray  # indices into the dofs used for the nodal basis
-    nodal: np.ndarray  # (dim, nret): nodal basis in `basis` coordinates
+    nodal_coeffs: np.ndarray  # (nret, D, D) monomial tables of the nodal basis
     constraint: np.ndarray | None  # weights over boundary dofs, or None
     vandermonde: np.ndarray  # full generalized Vandermonde (ndofs, dim)
     _tab_cache: dict = field(default_factory=dict, repr=False)
@@ -329,15 +324,6 @@ class ReferenceElement:
     @property
     def n_retained(self) -> int:
         return len(self.retained)
-
-    @property
-    def n_edge_dofs(self) -> int:
-        return int(np.count_nonzero(self.dof_edge))
-
-    @cached_property
-    def nodal_coeffs(self) -> np.ndarray:
-        """Monomial coefficient tables of the nodal basis, (nret, D, D)."""
-        return np.einsum("bn,bij->nij", self.nodal, self.basis)
 
     def tabulate(self, x, y):
         """Values and reference gradients of the nodal basis at points (x, y).
@@ -374,51 +360,43 @@ class ReferenceElement:
 
 
 @lru_cache(maxsize=None)
-def _build_cached(tag: str, variant: str, m: int) -> ReferenceElement:
-    family = Family(tag, variant)
+def build_reference_element(family: Family, m: int) -> ReferenceElement:
+    """Build the nodal reference element for a family and order, once per
+    (family, m)."""
+    family.check_order(m)
     basis = build_shape_space(family, m)
-    points, sampling, dof_edge, dof_slot = _dof_set(family, m)
+    points, sampling = _dof_set(family, m)
     dim = len(basis)
     vand = sampling @ poly_values(basis, *points.T)
 
     rank = np.linalg.matrix_rank(vand)
     if rank != dim:
         raise RuntimeError(
-            f"unisolvency failure for {tag}/{variant} m={m}: "
+            f"unisolvency failure for {family.tag}/{family.variant} m={m}: "
             f"rank {rank} != dim {dim}"
         )
 
+    ndofs = len(sampling)
+    retained = np.arange(ndofs)
     constraint = None
-    dropped = None
     if family.tag in ("R", "RPlus"):
         constraint = constraint_weights(family, m)
-        # drop the first Gauss point of edge e2 (boundary index m)
-        dropped = m
-    ndofs = len(sampling)
-    if ndofs != dim + (1 if dropped is not None else 0):
+        # the relation makes one dof redundant: the first Gauss point of e2
+        retained = np.delete(retained, m)
+    if len(retained) != dim:
         raise RuntimeError(
             f"dof count {ndofs} inconsistent with dim {dim} for "
-            f"{tag}/{variant} m={m}"
+            f"{family.tag}/{family.variant} m={m}"
         )
-    retained = np.array([i for i in range(ndofs) if i != dropped])
-    square = vand[retained]
-    nodal = np.linalg.solve(square, np.eye(dim))
+    nodal = np.linalg.solve(vand[retained], np.eye(dim))
     return ReferenceElement(
         family=family,
         m=m,
         basis=basis,
         points=points,
         sampling=sampling,
-        dof_edge=dof_edge,
-        dof_slot=dof_slot,
         retained=retained,
-        nodal=nodal,
+        nodal_coeffs=np.einsum("bn,bij->nij", nodal, basis),
         constraint=constraint,
         vandermonde=vand,
     )
-
-
-def build_reference_element(family: Family, m: int) -> ReferenceElement:
-    """Build (and cache) the nodal reference element for a family and order."""
-    family.check_order(m)
-    return _build_cached(family.tag, family.variant, m)

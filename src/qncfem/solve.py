@@ -6,9 +6,8 @@ the error norms), so temporaries per quadrature point keep a fixed size as
 the mesh grows.  Within a block the stiffness kernel runs once per distinct
 Jacobian, and the preconditioner inverts each distinct element block once
 (`_distinct_rows` compares them by their bytes), so the results are bitwise
-those of running every element.  Every element of a uniform mesh shares one
-Jacobian: at R~ m=5 on 32x32 the stiffness kernel takes 4-7 ms instead of
-31-34 ms and `_element_blocks` 12-19 ms instead of 26-33 ms (one thread).
+those of running every element; every element of a uniform mesh shares one
+Jacobian, so there each block runs the stiffness kernel once.
 The ER families give a plain SPD system; the R / RPlus families carry one
 relation row per element, and `solve` runs one preconditioned CG for both.
 

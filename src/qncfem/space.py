@@ -59,7 +59,11 @@ class GlobalSpace:
     def local_values(self, coeffs: np.ndarray, e=slice(None)) -> np.ndarray:
         """Retained dof values of element e (all elements by default) from a
         free coefficient vector, masked dofs contributing zero.  Shape
-        (n_retained,) for one element, (ne, n_retained) for all."""
+        (n_retained,) for one element, (ne, n_retained) for all.  Raises
+        ValueError unless coeffs has shape (n_free,)."""
+        if np.shape(coeffs) != (self.n_free,):
+            raise ValueError(f"expected free coefficients of shape ({self.n_free},), "
+                             f"got {np.shape(coeffs)}")
         return np.append(coeffs, 0.0)[self.dofs[e, self.ref.retained]]
 
     def scatter(self, local_vals: np.ndarray) -> np.ndarray:
@@ -106,25 +110,23 @@ def build_global_space(
     """Enumerate global dofs and constraint rows for a family on a mesh;
     `homogeneous` masks the boundary-edge dofs."""
     ref = build_reference_element(family, m)
-    n_edge = ref.n_edge_dofs  # the edge dofs come first
-    per_edge = n_edge // 4
     ne = mesh.n_elements
-    n_edge_global = mesh.n_edges * per_edge
-    n_nonedge_local = len(ref.dof_edge) - n_edge
+    n_edge_global = mesh.n_edges * m
+    n_nonedge_local = len(ref.sampling) - 4 * m
     n_global = n_edge_global + ne * n_nonedge_local
 
-    ltg = np.empty((ne, len(ref.dof_edge)), dtype=np.int64)
-    local_edge = ref.dof_edge[:n_edge] - 1
-    slot = ref.dof_slot[:n_edge]
-    # Gauss points are listed along the local parameter
-    slot = np.where(mesh.elem_edge_orient[:, local_edge], slot, per_edge - 1 - slot)
-    ltg[:, :n_edge] = mesh.elem_edges[:, local_edge] * per_edge + slot
-    ltg[:, n_edge:] = (n_edge_global + np.arange(ne)[:, None] * n_nonedge_local
+    # local dof j < 4m is Gauss point j % m of the element's edge j // m
+    # (0-based), listed along the local parameter (refelem._dof_set); the
+    # corner and interior dofs follow and belong to the element alone
+    ltg = np.empty((ne, len(ref.sampling)), dtype=np.int64)
+    slot = np.where(mesh.elem_edge_orient[:, :, None], np.arange(m), m - 1 - np.arange(m))
+    ltg[:, : 4 * m] = (mesh.elem_edges[:, :, None] * m + slot).reshape(ne, 4 * m)
+    ltg[:, 4 * m :] = (n_edge_global + np.arange(ne)[:, None] * n_nonedge_local
                        + np.arange(n_nonedge_local))
 
     masked = np.zeros(n_global, dtype=bool)
     if homogeneous:
-        masked[:n_edge_global] = np.repeat(mesh.edge_is_boundary, per_edge)
+        masked[:n_edge_global] = np.repeat(mesh.edge_is_boundary, m)
     n_free = int(np.sum(~masked))
     free_index = np.full(n_global, n_free, dtype=np.int64)
     free_index[~masked] = np.arange(n_free)

@@ -82,16 +82,11 @@ def jump_functionals(space):
 
     rows, cols, vals = [], [], []
     row = 0
-    local_of_edge = {  # (local_edge, slot) -> local dof
-        (int(le), int(s)): j
-        for j, (le, s) in enumerate(zip(ref.dof_edge, ref.dof_slot)) if le
-    }
-
     for inc in edge_elements(mesh):
         for slot in range(m):
             for s, (e, le, same) in enumerate(inc):
-                lslot = slot if same else m - 1 - slot
-                j = local_of_edge[(le, lslot)]
+                # local dof j < 4m is Gauss point j % m of edge j // m + 1
+                j = (le - 1) * m + (slot if same else m - 1 - slot)
                 coeff = 1.0 if s == 0 else -1.0
                 for r in range(nret):
                     v = phi[j, r]

@@ -139,8 +139,8 @@ class TestDofPoints:
             assert {abs(round(x, 13)), abs(round(y, 13))} == {1.0, round(g, 13)}
         assert pts[-1].tolist() == [1.0, 1.0]
         ref = build_reference_element(Family("RPlus"), 2)
-        # the corner dof belongs to no edge
-        assert ref.dof_edge[8] == 0 and ref.points[8].tolist() == [1.0, 1.0]
+        # the corner dof follows the 4m edge dofs, so it belongs to no edge
+        assert len(ref.points) == 9 and ref.points[4 * 2].tolist() == [1.0, 1.0]
 
     def test_r3_uses_three_point_nodes(self):
         pts = boundary_dof_points(Family("R"), 3)
@@ -149,15 +149,27 @@ class TestDofPoints:
         assert params == [0.0, round(np.sqrt(3 / 5), 13), 1.0]
 
     def test_canonical_edge_order(self):
-        ref = build_reference_element(Family("ER"), 3)
-        assert ref.dof_edge[:12].tolist() == [1] * 3 + [2] * 3 + [3] * 3 + [4] * 3
-        for e in range(4):
-            assert ref.dof_slot[3 * e : 3 * e + 3].tolist() == [0, 1, 2]
-        # the dofs sit at their edge's Gauss points, in increasing parameter
-        t = gauss_rule(3).nodes
-        for j in range(12):
-            x, y = EDGE_PARAM_POINT[ref.dof_edge[j]](t[ref.dof_slot[j]])
-            assert ref.points[j].tolist() == [x, y]
+        """The local dof order that build_global_space derives from m, for
+        every family and order: dof j < 4m is Gauss point j % m (increasing
+        parameter) of edge j // m + 1, the RPlus corner is dof 4m, and
+        R / RPlus retain every dof except dof m."""
+        for family, m in ((f, m) for f, orders in ALL_FAMILIES for m in orders):
+            ref = build_reference_element(family, m)
+            t = gauss_rule(m).nodes
+            assert np.all(np.diff(t) > 0)
+            for j in range(4 * m):
+                x, y = EDGE_PARAM_POINT[j // m + 1](t[j % m])
+                assert ref.points[j].tolist() == [x, y]
+            n_corner = 1 if family.tag == "RPlus" else 0
+            if n_corner:
+                assert ref.points[4 * m].tolist() == [1.0, 1.0]
+            interior = interior_dof_points(family, m)
+            assert ref.points[4 * m + n_corner :].tolist() == interior.tolist()
+            ndofs = len(ref.points)
+            if family.tag == "ER":
+                assert ref.retained.tolist() == list(range(ndofs))
+            else:
+                assert ref.retained.tolist() == [j for j in range(ndofs) if j != m]
 
     def test_interior_r3_empty(self):
         assert interior_dof_points(Family("R"), 3).shape == (0, 2)
@@ -167,7 +179,9 @@ class TestDofPoints:
         assert len(pts) == 1
         assert pts[0] == pytest.approx((-1 / 6, -1 / 6))
         ref = build_reference_element(Family("RPlus"), 4)
-        assert ref.dof_edge[-1] == 0 and ref.dof_slot[-1] == -1
+        # the interior dof follows the 4m edge dofs and the corner
+        assert len(ref.points) == 4 * 4 + 2
+        assert ref.points[-1].tolist() == pts[0].tolist()
 
     def test_interior_r5_triangle_vertices(self):
         pts = {tuple(p) for p in interior_dof_points(Family("R"), 5)}
@@ -301,7 +315,7 @@ class TestReferenceElement:
 
         monkeypatch.setattr(refelem, "interior_dof_points", repeated)
         with pytest.raises(RuntimeError, match="unisolvency failure"):
-            refelem._build_cached.__wrapped__("ER", "standard", 7)
+            refelem.build_reference_element.__wrapped__(Family("ER"), 7)
 
     @pytest.mark.parametrize("family,orders", ALL_FAMILIES)
     def test_tabulate_is_scalar_polyval(self, family, orders):
@@ -347,8 +361,9 @@ class TestReferenceElement:
             ref = build_reference_element(Family("R"), m)
             dropped = np.setdiff1d(np.arange(len(ref.points)), ref.retained)
             assert dropped.tolist() == [m]
-            assert ref.dof_edge[m] == 2
-            assert ref.dof_slot[m] == 0
+            # dof m is Gauss point 0 of edge 2 (y = -1, parameter x)
+            x, y = EDGE_PARAM_POINT[2](gauss_rule(m).nodes[:1])
+            assert ref.points[m].tolist() == [x[0], y[0]]
 
     def test_dropped_value_recovered_by_relation(self):
         """A nodal basis function's value at the dropped point follows from

@@ -330,6 +330,13 @@ class TestErrorNorms:
         assert l2 == pytest.approx(1.169410692, abs=1e-8)
         assert h1 == pytest.approx(5.75057850, abs=1e-7)
 
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_rejects_wrong_length(self, extra):
+        u, gu, _ = default_u()
+        space = build_global_space(uniform_rect_mesh(4), Family("ER"), 3)
+        with pytest.raises(ValueError, match=rf"\({space.n_free},\)"):
+            error_norms(space, np.zeros(space.n_free + extra), u, gu)
+
     def test_quadrature_saturation(self):
         """The fixed (m+4)-point rule of `error_norms` agrees with an
         (m+7)-point reference computed here."""

@@ -411,6 +411,12 @@ class TestProlong:
         with pytest.raises(ValueError):
             prolong(space, np.zeros(space.n_free), fine)
 
+    def test_rejects_fine_space_coefficients(self):
+        coarse = build_global_space(uniform_rect_mesh(4), Family("ER"), 3)
+        fine = build_global_space(uniform_rect_mesh(8), Family("ER"), 3)
+        with pytest.raises(ValueError, match="shape"):
+            prolong(coarse, np.zeros(fine.n_free), fine)
+
 
 class TestJumpFunctionals:
     def test_annihilates_space_members(self):
