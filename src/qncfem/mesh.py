@@ -93,6 +93,10 @@ class QuadMesh:
             self.vertices
         ):
             raise MeshError("quad vertex index out of range")
+        used = np.zeros(len(self.vertices), dtype=bool)
+        used[self.quads] = True
+        if not np.all(used):
+            raise MeshError(f"vertex {int(np.argmin(used))} is used by no quad")
         if not np.all(np.isfinite(self.vertices)):
             raise MeshError("non-finite vertex coordinate")
         # det J is affine on the square, so positive corner cross products

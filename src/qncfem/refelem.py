@@ -359,10 +359,14 @@ class ReferenceElement:
         return self.sampling @ phi.reshape(4, -1, self.n_retained)
 
 
-@lru_cache(maxsize=None)
 def build_reference_element(family: Family, m: int) -> ReferenceElement:
     """Build the nodal reference element for a family and order, once per
-    (family, m)."""
+    (family, m), however the arguments are passed."""
+    return _build_reference_element(family, m)
+
+
+@lru_cache(maxsize=None)
+def _build_reference_element(family: Family, m: int) -> ReferenceElement:
     family.check_order(m)
     basis = build_shape_space(family, m)
     points, sampling = _dof_set(family, m)

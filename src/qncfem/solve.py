@@ -7,7 +7,9 @@ the mesh grows.  Within a block the stiffness kernel runs once per distinct
 Jacobian, and the preconditioner inverts each distinct element block once
 (`_distinct_rows` compares them by their bytes), so the results are bitwise
 those of running every element; every element of a uniform mesh shares one
-Jacobian, so there each block runs the stiffness kernel once.
+Jacobian, so there each block runs the stiffness kernel once.  `assemble`
+also builds the preconditioner's operators from the element matrices K_e,
+with no read of the assembled K.
 The ER families give a plain SPD system; the R / RPlus families carry one
 relation row per element, and `solve` runs one preconditioned CG for both.
 
@@ -15,16 +17,22 @@ The preconditioner is additive two-level Schwarz (Pavarino, Numer. Math. 66,
 1994; Brenner, Math. Comp. 65, 1996),
 z = sum_e R_e^T (R_e K R_e^T)^{-1} R_e r + P (P^T K P)^{-1} P^T r.
 The fine level inverts K on the retained free dofs of each element, so
-neighbouring blocks overlap on their shared edge dofs; the distinct blocks
+neighbouring blocks overlap on their shared edge dofs.  A dof lies inside
+one element or on one edge that two elements share, so each block is K_e
+plus, across each interior edge, the neighbour's edge-edge block: the same
+two-term sums as in K, so the blocks are K's bytes (on meshes where two
+elements share at most one edge).  The distinct blocks
 are inverted once, in batches, and applied with a gather, a batched product
 and a scatter.  P embeds the conforming isoparametric Q1 space on the same
 mesh (interior-vertex hat functions) into the nonconforming space.  Q1 lies
 in every shape space with m >= 2 and, for R / RPlus, inside the relation
-kernel, so the coarse term needs no projection of its own.  Iteration
-counts stay bounded under refinement and grow only mildly with m.  Systems
-without a coarse space (m = 1, no interior vertex) use the element blocks
-alone; a system without an element table (hand-built) uses 1x1 blocks,
-which is Jacobi.
+kernel, so the coarse term needs no projection of its own.  Every element
+restricts P to one reference (n_retained x 4) matrix L, so P^T K P is the Q1
+assembly of L^T K_e L, 16 entries per element.  Iteration counts stay
+bounded under refinement and grow only mildly with m.  Systems without a
+coarse space (m = 1, no interior vertex) use the element blocks alone; a
+system without element blocks (hand-built) uses 1x1 blocks of its
+diagonal, which is Jacobi.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ import scipy.sparse.linalg as spla
 
 from .mesh import bilinear_map
 from .refelem import gauss_grid
-from .space import GlobalSpace, coarse_prolongation
+from .space import GlobalSpace, coarse_corners, coarse_prolongation
 
 __all__ = [
     "SparseSystem",
@@ -71,15 +79,24 @@ class SolveReport:
 class SparseSystem:
     """Symmetric sparse system K x = b, optionally restricted to ker(C).
 
+    The other fields define the preconditioner, and `assemble` sets them:
     `elements` (free dof per retained local dof, n where masked, one row
-    per element) and `coarse` (the coarse-space prolongation, columns in
-    ker(C)) define the preconditioner; `assemble` sets both."""
+    per element) with `blocks`, the diagonal blocks of K over those rows
+    (identity rows and columns on masked dofs); `coarse`, the coarse-space
+    prolongation P with columns in ker(C), with `coarse_matrix` = P^T K P."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     constraints: sp.csr_matrix | None = None
     elements: np.ndarray | None = None
+    blocks: np.ndarray | None = None  # (ne, k, k)
     coarse: sp.csr_matrix | None = None
+    coarse_matrix: sp.csc_matrix | None = None
+
+    def __post_init__(self):
+        for a, b in (("elements", "blocks"), ("coarse", "coarse_matrix")):
+            if (getattr(self, a) is None) != (getattr(self, b) is None):
+                raise ValueError(f"SparseSystem needs {a} and {b} together")
 
     @property
     def n(self) -> int:
@@ -152,71 +169,128 @@ def _stiffness_blocks(space: GlobalSpace, q: int, jac):
     return K[inverse]
 
 
+def _shared_edge_entries(space: GlobalSpace):
+    """Flat positions (target, source) in the (ne, k, k) stack of element
+    matrices over the retained local dofs: across every interior edge, the
+    entry `source` of one element is what K adds to the entry `target` of
+    the other's diagonal block, on the same pair of edge dofs.  Pairs that
+    either element does not retain (R / RPlus drop local dof m) are left
+    out.  Local dof jm + t of edge j sits at slot t of the edge, or m-1-t
+    when the element runs along the edge against its orientation."""
+    mesh, ref, m = space.mesh, space.ref, space.m
+    k = ref.n_retained
+    position = np.full(len(ref.sampling), -1)  # among the retained, or -1
+    position[ref.retained] = np.arange(k)
+    # retained positions of the dofs of local edge j in slot order, for an
+    # element that runs against (o = 0) or along (o = 1) the edge: kind 2j + o
+    slots = np.arange(m)
+    kinds = position[np.arange(4)[:, None, None] * m + np.array([slots[::-1], slots])]
+    kinds = kinds.reshape(8, m)
+    offsets = (kinds[:, :, None] * k + kinds[:, None, :]).reshape(8, m * m)
+    retained = ((kinds[:, :, None] >= 0) & (kinds[:, None, :] >= 0)).reshape(8, m * m)
+    kind = (2 * np.arange(4) + mesh.elem_edge_orient).ravel()  # per incidence 4e + j
+    # the two incidences of each interior edge, both ways
+    edges = mesh.elem_edges.ravel()
+    order = np.argsort(edges)
+    shared = edges[order[1:]] == edges[order[:-1]]
+    a, b = order[:-1][shared], order[1:][shared]
+    dest, src = np.concatenate([a, b]), np.concatenate([b, a])
+    ok = retained[kind[dest]] & retained[kind[src]]
+    target = ((dest // 4) * k * k)[:, None] + offsets[kind[dest]]
+    source = ((src // 4) * k * k)[:, None] + offsets[kind[src]]
+    return target[ok], source[ok]
+
+
+def _element_sum(local, index, n) -> sp.coo_matrix:
+    """The n x n matrix sum_e R_e^T local[e] R_e, with duplicates, where R_e
+    maps local position j to row index[e, j] and drops it when that is n or
+    more."""
+    keep = (index[:, :, None] < n) & (index[:, None, :] < n)
+    rows = np.broadcast_to(index[:, :, None], keep.shape)[keep]
+    cols = np.broadcast_to(index[:, None, :], keep.shape)[keep]
+    return sp.coo_matrix((local[keep], (rows, cols)), shape=(n, n))
+
+
 def assemble(space: GlobalSpace, f) -> SparseSystem:
     """Assemble stiffness and load over the free dofs with the (m+3)-point
     tensor Gauss rule; attach the constraint rows for the R / RPlus
-    families."""
+    families, and the preconditioner's operators built from the element
+    matrices: the diagonal blocks and the coarse matrix P^T K P."""
     q = space.m + 3
     _, _, W = gauss_grid(q)
     phi, _, _ = space.ref.tabulate_gauss(q)
     lf, n = space.local_free(), space.n_free
     Kloc = np.empty(lf.shape + lf.shape[1:])
     Floc = np.empty(lf.shape)
+    q1 = coarse_corners(space)
+    if q1 is not None:
+        # L^T K_e L over every retained dof: a masked dof lies on a boundary
+        # edge, where only the bilinears of its two boundary-vertex corners
+        # do not vanish, and boundary-vertex columns are dropped
+        corners, L = q1[0], q1[1][space.ref.retained]
+        Gloc = np.empty((len(lf), 4, 4))
     for sl, (px, py), jac in _element_chunks(space, q):
         Kloc[sl] = _stiffness_blocks(space, q, jac)
+        if q1 is not None:
+            Gloc[sl] = L.T @ Kloc[sl] @ L
         fv = np.asarray(f(px, py), dtype=float)
         if fv.shape != px.shape:
             fv = np.broadcast_to(fv, px.shape)
         Floc[sl] = np.einsum("ep,pi->ei", fv * jac[-1] * W[None, :], phi)
 
-    keep = (lf[:, :, None] < n) & (lf[:, None, :] < n)
-    li = lf.astype(np.int32)  # the CSR index type scipy picks anyway
-    rows = np.broadcast_to(li[:, :, None], keep.shape)[keep]
-    cols = np.broadcast_to(li[:, None, :], keep.shape)[keep]
-    data = Kloc[keep]
-    del Kloc, keep
-    K = sp.coo_matrix((data, (rows, cols)),  # tocsr sums the duplicates
-                      shape=(n, n)).tocsr()
+    # int32 is the CSR index type scipy picks anyway; tocsr sums duplicates
+    # but keeps arrays sized for them, 15% more than nnz at ER3 64x64, and
+    # copies of the used part give that memory back
+    K = _element_sum(Kloc, lf.astype(np.int32), n).tocsr()
+    K = sp.csr_matrix((K.data.copy(), K.indices.copy(), K.indptr), shape=K.shape)
     b = np.bincount(lf.ravel(), weights=Floc.ravel(), minlength=n + 1)[:n]
 
+    # K_e becomes the diagonal block in place: the neighbours' edge-edge
+    # entries are all gathered before any is added
+    target, source = _shared_edge_entries(space)
+    flat = Kloc.reshape(-1)
+    flat[target] += flat[source]
+    del target, source
+    e, j = np.nonzero(lf == n)
+    Kloc[e, j, :] = 0.0
+    Kloc[e, :, j] = 0.0
+    Kloc[e, j, j] = 1.0
+
+    coarse = coarse_matrix = None
+    if q1 is not None:
+        coarse = coarse_prolongation(space)
+        coarse_matrix = _element_sum(Gloc, corners, coarse.shape[1]).tocsc()
     return SparseSystem(matrix=K, rhs=b, constraints=space.constraints,
-                        elements=lf, coarse=coarse_prolongation(space))
+                        elements=lf, blocks=Kloc, coarse=coarse,
+                        coarse_matrix=coarse_matrix)
 
 
-def _element_blocks(A, elements):
-    """Transposed inverses of the diagonal blocks of A over each row of
-    `elements`, (ne, k, k).  Masked entries (index n) are padded with the
-    identity.  The blocks are gathered BLOCK_ELEMENTS rows at a time, and
-    each distinct block is inverted once."""
-    n = A.shape[0]
-    inv = np.empty(elements.shape + elements.shape[1:])
-    for start in range(0, len(elements), BLOCK_ELEMENTS):
+def _block_inverses(blocks):
+    """Transposed inverses of a stack of square blocks, BLOCK_ELEMENTS at a
+    time, each distinct block inverted once."""
+    inv = np.empty_like(blocks)
+    for start in range(0, len(blocks), BLOCK_ELEMENTS):
         sl = slice(start, start + BLOCK_ELEMENTS)
-        ix = elements[sl]
-        keep = (ix[:, :, None] < n) & (ix[:, None, :] < n)
-        rows = np.broadcast_to(ix[:, :, None], keep.shape)[keep]
-        cols = np.broadcast_to(ix[:, None, :], keep.shape)[keep]
-        blocks = np.zeros(keep.shape)
-        blocks[keep] = np.asarray(A[rows, cols]).ravel()
-        e, j = np.nonzero(ix == n)
-        blocks[e, j, j] = 1.0
-        first, inverse = _distinct_rows(blocks.reshape(len(blocks), -1)) or _EVERY_ROW
+        chunk = blocks[sl]
+        first, inverse = _distinct_rows(chunk.reshape(len(chunk), -1)) or _EVERY_ROW
         try:
-            inv[sl] = np.linalg.inv(blocks[first].transpose(0, 2, 1))[inverse]
+            inv[sl] = np.linalg.inv(chunk[first].transpose(0, 2, 1))[inverse]
         except np.linalg.LinAlgError as err:
             raise SolverError("singular diagonal block in the preconditioner") from err
     return inv
 
 
-def _preconditioner(A, elements, coarse):
+def _preconditioner(system: SparseSystem):
     """Element-block additive Schwarz, plus the exact coarse-space
-    correction P (P^T A P)^{-1} P^T when a prolongation is given.  Without
-    an element table every dof is its own block (Jacobi).  A masked entry
-    reads an appended zero and writes to a slot that is dropped."""
-    n = A.shape[0]
-    if elements is None:
+    correction P (P^T A P)^{-1} P^T when the system has a prolongation.
+    Without element blocks every dof is its own 1x1 block of A's diagonal
+    (Jacobi).  A masked entry reads an appended zero and writes to a slot
+    that is dropped."""
+    n, elements, blocks = system.n, system.elements, system.blocks
+    if blocks is None:
         elements = np.arange(n)[:, None]
-    inv = _element_blocks(A, elements)
+        blocks = system.matrix.diagonal()[:, None, None]
+    inv = _block_inverses(blocks)
 
     def fine(r):
         # row-vector products r_e^T B_e^{-T}, faster than B_e^{-1} r_e as
@@ -224,11 +298,12 @@ def _preconditioner(A, elements, coarse):
         z = np.matmul(np.append(r, 0.0)[elements][:, None, :], inv)
         return np.bincount(elements.ravel(), weights=z.ravel(), minlength=n + 1)[:n]
 
+    coarse = system.coarse
     if coarse is None:
         return fine
     # a minimum-degree ordering of the symmetric coarse matrix halves the
     # factor time of the default column ordering
-    lu = spla.splu((coarse.T @ A @ coarse).tocsc(), permc_spec="MMD_AT_PLUS_A")
+    lu = spla.splu(system.coarse_matrix, permc_spec="MMD_AT_PLUS_A")
     restrict = coarse.T.tocsr()
     return lambda r: fine(r) + coarse @ lu.solve(restrict @ r)
 
@@ -274,7 +349,7 @@ def solve(system: SparseSystem, x0=None):
         # meets (Greenbaum, SIMAX 18, 1997): an x0 worse than zero is dropped
         if np.linalg.norm(r0) < bnorm:
             x, r = x0, r0
-    precondition = _preconditioner(A, system.elements, system.coarse)
+    precondition = _preconditioner(system)
     z = project(precondition(r))
     p = z.copy()
     rz = float(np.dot(r, z))

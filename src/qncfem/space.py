@@ -21,6 +21,7 @@ __all__ = [
     "GlobalSpace",
     "FeFunction",
     "build_global_space",
+    "coarse_corners",
     "coarse_prolongation",
     "expected_dimension",
     "interpolate",
@@ -64,7 +65,11 @@ class GlobalSpace:
         if np.shape(coeffs) != (self.n_free,):
             raise ValueError(f"expected free coefficients of shape ({self.n_free},), "
                              f"got {np.shape(coeffs)}")
-        return np.append(coeffs, 0.0)[self.dofs[e, self.ref.retained]]
+        index = self.dofs[e, self.ref.retained]
+        values = np.zeros(index.shape)
+        free = index < self.n_free
+        values[free] = np.asarray(coeffs)[index[free]]
+        return values
 
     def scatter(self, local_vals: np.ndarray) -> np.ndarray:
         """Assemble a free coefficient vector from per-element values over
@@ -148,17 +153,16 @@ def build_global_space(
     )
 
 
-def coarse_prolongation(space: GlobalSpace) -> sp.csr_matrix | None:
-    """Embedding of the conforming isoparametric Q1 space into the free dofs.
-
-    Column v holds the dof values of the piecewise-bilinear hat function of
-    the v-th interior vertex (in vertex order).  Every shape space with
-    m >= 2 contains Q1, so each dof is its functional applied to the four
-    reference bilinears (`ref.sampling` times their values at
-    `ref.points`); a dof shared by two elements gets the same value from
-    both and is stored once.  Returns None when Q1 is not in the shape
-    space (m = 1) or the mesh has no interior vertex.
-    """
+def coarse_corners(space: GlobalSpace):
+    """The conforming isoparametric Q1 space element by element: (index,
+    local), where index[e, c] is the coarse column of corner c of element e
+    (its number among the interior vertices, in vertex order, or
+    `n_interior_vertices` at a boundary vertex) and local, (ndofs_local, 4),
+    holds every local dof of the bilinear of each reference corner.  Every
+    shape space with m >= 2 contains Q1, so each dof is its functional
+    applied to the four bilinears (`ref.sampling` times their values at
+    `ref.points`).  None when Q1 is not in the shape space (m = 1) or the
+    mesh has no interior vertex."""
     mesh, ref = space.mesh, space.ref
     interior = ~mesh.vertex_is_boundary
     n_coarse = int(np.sum(interior))
@@ -169,8 +173,22 @@ def coarse_prolongation(space: GlobalSpace) -> sp.csr_matrix | None:
     # bilinear of corner c: (1 + sx x)(1 + sy y) / 4, corners A1..A4 CCW
     sx, sy = np.array([[-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])
     bilinears = np.moveaxis(np.array([[np.ones(4), sy], [sx, sx * sy]]), -1, 0) / 4.0
-    local = ref.sampling @ poly_values(bilinears, *ref.points.T)
+    return coarse_index[mesh.quads], ref.sampling @ poly_values(bilinears, *ref.points.T)
 
+
+def coarse_prolongation(space: GlobalSpace) -> sp.csr_matrix | None:
+    """Embedding of the conforming isoparametric Q1 space into the free dofs.
+
+    Column v holds the dof values of the piecewise-bilinear hat function of
+    the v-th interior vertex (in vertex order), from `coarse_corners`; a
+    dof shared by two elements gets the same value from both and is stored
+    once.  None where `coarse_corners` is None.
+    """
+    found = coarse_corners(space)
+    if found is None:
+        return None
+    index, local = found
+    n_coarse = space.mesh.n_interior_vertices
     # every free dof once, from the first element that lists it; the hats
     # that do not vanish at a shared edge dof belong to that edge's vertices,
     # which both incident elements have
@@ -178,7 +196,7 @@ def coarse_prolongation(space: GlobalSpace) -> sp.csr_matrix | None:
     free = dofs < space.n_free
     rows = dofs[free]
     e, j = np.unravel_index(first[free], space.dofs.shape)
-    cols = coarse_index[mesh.quads[e]]  # (k, 4)
+    cols = index[e]  # (k, 4)
     vals = local[j]
     keep = (cols < n_coarse) & (vals != 0.0)
     rows = np.broadcast_to(rows[:, None], cols.shape)

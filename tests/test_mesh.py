@@ -181,6 +181,14 @@ class TestUniformMesh:
         with pytest.raises(MeshError, match="3 incident elements"):
             QuadMesh(vertices, quads)
 
+    def test_unused_vertex_rejected(self):
+        # the vertex would be an interior coarse-space vertex with an empty
+        # column, and the coarse LU would fail as exactly singular
+        mesh = uniform_rect_mesh(4)
+        vertices = np.concatenate([mesh.vertices, [[0.3, 0.7]]])
+        with pytest.raises(MeshError, match="vertex 25 is used by no quad"):
+            QuadMesh(vertices, mesh.quads)
+
     @pytest.mark.parametrize(
         "mesh", [uniform_rect_mesh(5), perturbed_mesh(8, seed=4)], ids=["uniform", "perturbed"]
     )
@@ -448,6 +456,16 @@ class TestMeshIO:
         path = tmp_path / "empty.txt"
         path.write_text("quadmesh v1\n1\n0.0 0.0\n0\n")
         with pytest.raises(MeshError):
+            load_mesh(path)
+
+    def test_unused_vertex_file_rejected(self, tmp_path):
+        path = tmp_path / "mesh.txt"
+        save_mesh(uniform_rect_mesh(4), path)
+        lines = path.read_text().splitlines()
+        lines[1] = "26"
+        lines.insert(2 + 25, "0.3 0.7")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshError, match="used by no quad"):
             load_mesh(path)
 
     def test_error_carries_line_number(self, tmp_path):

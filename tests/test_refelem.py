@@ -305,6 +305,11 @@ class TestReferenceElement:
         ref = build_reference_element(family, m)
         assert np.linalg.matrix_rank(ref.vandermonde) == ref.dim
 
+    def test_one_element_per_family_and_order(self):
+        ref = build_reference_element(Family("ER"), 3)
+        assert build_reference_element(Family("ER"), m=3) is ref
+        assert build_reference_element(family=Family("ER"), m=3) is ref
+
     def test_deficient_dof_set_rejected(self, monkeypatch):
         lattice = refelem.interior_dof_points
 
@@ -315,7 +320,7 @@ class TestReferenceElement:
 
         monkeypatch.setattr(refelem, "interior_dof_points", repeated)
         with pytest.raises(RuntimeError, match="unisolvency failure"):
-            refelem.build_reference_element.__wrapped__(Family("ER"), 7)
+            refelem._build_reference_element.__wrapped__(Family("ER"), 7)
 
     @pytest.mark.parametrize("family,orders", ALL_FAMILIES)
     def test_tabulate_is_scalar_polyval(self, family, orders):

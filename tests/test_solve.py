@@ -1,5 +1,6 @@
 """Tests for assembly, the CG solve, and error norms."""
 
+import dataclasses
 import sys
 import tracemalloc
 
@@ -14,7 +15,7 @@ from qncfem.refelem import Family, gauss_grid
 from qncfem.solve import (
     SolverError,
     SparseSystem,
-    _element_blocks,
+    _block_inverses,
     _preconditioner,
     assemble,
     error_norms,
@@ -170,10 +171,18 @@ class TestSolvers:
         with pytest.raises(SolverError):
             solve(system)
 
+    @pytest.mark.parametrize("field", ["elements", "blocks", "coarse", "coarse_matrix"])
+    def test_preconditioner_fields_come_in_pairs(self, field):
+        system = assemble(build_global_space(uniform_rect_mesh(4), Family("ER"), 3),
+                          default_u()[2])
+        with pytest.raises(ValueError, match="together"):
+            dataclasses.replace(system, **{field: None})
+
     def test_singular_element_block_raises(self):
         # the first element's block [[1, 1], [1, 1]] is singular
         A = sp.csr_matrix(np.array([[1.0, 1, 0], [1, 1, 0], [0, 0, 1]]))
-        system = SparseSystem(A, np.ones(3), elements=np.array([[0, 1], [2, 3]]))
+        system = SparseSystem(A, np.ones(3), elements=np.array([[0, 1], [2, 3]]),
+                              blocks=np.array([[[1.0, 1], [1, 1]], [[1, 0], [0, 1]]]))
         with pytest.raises(SolverError):
             solve(system)
 
@@ -378,9 +387,10 @@ class TestElementBlockLoop:
     def _kernels(space, coeffs):
         u, gu, f = default_u()
         system = assemble(space, f)
-        K = system.matrix
-        inv = _element_blocks(K, system.elements)
-        raw = [a.tobytes() for a in (K.data, K.indices, K.indptr, system.rhs, inv)]
+        K, G = system.matrix, system.coarse_matrix
+        inv = _block_inverses(system.blocks)
+        raw = [a.tobytes() for a in (K.data, K.indices, K.indptr, system.rhs, inv,
+                                     G.data, G.indices, G.indptr)]
         return raw, error_norms(space, coeffs, u, gu)
 
     @pytest.mark.parametrize(
@@ -400,7 +410,7 @@ class TestElementBlockLoop:
         raw7, norms7 = self._kernels(space, coeffs)
         monkeypatch.setattr(sys.modules["qncfem.solve"], "BLOCK_ELEMENTS", mesh.n_elements)
         raw, norms = self._kernels(space, coeffs)
-        assert raw7 == raw  # K data, indices, indptr, b and block inverses
+        assert raw7 == raw  # K, b, the block inverses and the coarse matrix
         assert norms7 == pytest.approx(norms, rel=1e-14, abs=0.0)
 
     def test_jacobian_guard_names_element_beyond_first_block(self, monkeypatch):
@@ -421,11 +431,16 @@ class TestElementBlockLoop:
     def test_peak_memory_bounded(self):
         """Traced peak allocation above the start, ER3 on a perturbed 64x64
         mesh: whole-mesh temporaries gave +47 MB (assemble) and +29 MB
-        (error_norms), blocks of 256 elements +23 MB and +3 MB."""
+        (error_norms), blocks of 256 elements +23 MB and +3 MB.  `solve`
+        took +13.0 MB while it gathered the element blocks from K and
+        formed P^T K P by a sparse product, +7.3 MB with both from
+        `assemble` (4.7 MB of it the block inverses)."""
         u, gu, f = default_u()
         space = build_global_space(perturbed_mesh(64, seed=0), Family("ER"), 3)
         coeffs = np.random.default_rng(5).standard_normal(space.n_free)
+        system = assemble(space, f)
         for call, bound_mb in [(lambda: assemble(space, f), 35.0),
+                               (lambda: solve(system), 8.0),
                                (lambda: error_norms(space, coeffs, u, gu), 12.0)]:
             tracemalloc.start()
             try:
@@ -454,7 +469,7 @@ class TestDistinctElements:
         K = system.matrix
         stiffness = [self.solve_module._stiffness_blocks(space, q, jac)
                      for _, _, jac in self.solve_module._element_chunks(space, q)]
-        inv = _element_blocks(K, system.elements)
+        inv = _block_inverses(system.blocks)
         return [a.tobytes() for a in (K.data, K.indices, K.indptr, system.rhs,
                                       *stiffness, inv)]
 
@@ -528,12 +543,66 @@ class TestDistinctElements:
         monkeypatch.setattr(np, "einsum", counting_einsum)
         monkeypatch.setattr(np.linalg, "inv", counting_inv)
         system = assemble(space, default_u()[2])
-        _element_blocks(system.matrix, system.elements)
+        _block_inverses(system.blocks)
         blocks = space.mesh.n_elements // self.solve_module.BLOCK_ELEMENTS
         assert blocks == 4
         assert stiffness_sizes == [1] * (2 * blocks)  # two einsums per block
         # with the boundary masks, at most 9 distinct blocks per 256 elements
         assert len(inverse_sizes) == blocks and max(inverse_sizes) <= 9
+
+
+def sampled_blocks(A, elements):
+    """Reference for `assemble`'s element blocks: the diagonal blocks of the
+    assembled A over each row of `elements`, sampled from A, with identity
+    rows and columns where an entry is masked (index n)."""
+    n = A.shape[0]
+    keep = (elements[:, :, None] < n) & (elements[:, None, :] < n)
+    rows = np.broadcast_to(elements[:, :, None], keep.shape)[keep]
+    cols = np.broadcast_to(elements[:, None, :], keep.shape)[keep]
+    blocks = np.zeros(keep.shape)
+    blocks[keep] = np.asarray(A[rows, cols]).ravel()
+    e, j = np.nonzero(elements == n)
+    blocks[e, j, j] = 1.0
+    return blocks
+
+
+class TestOperatorsFromElementMatrices:
+    """`assemble` builds the Schwarz blocks and the coarse matrix from the
+    element matrices; they must be those of the assembled K."""
+
+    cases = pytest.mark.parametrize(
+        "family,m",
+        [(Family("ER"), 3), (Family("R"), 3), (Family("R", "tilde"), 5),
+         (Family("RPlus"), 4), (Family("RPlus"), 6)],
+        ids=["ER3", "R3", "R~5", "RPlus4", "RPlus6"],
+    )
+    meshes = pytest.mark.parametrize(
+        "mesh",
+        [uniform_rect_mesh(8), perturbed_mesh(8, seed=3),
+         rotated_listing(uniform_rect_mesh(8))],
+        ids=["uniform8", "perturbed8", "rotated8"],
+    )
+
+    @cases
+    @meshes
+    def test_block_inverses_match_sampled_blocks(self, family, m, mesh):
+        system = assemble(build_global_space(mesh, family, m), default_u()[2])
+        expect = sampled_blocks(system.matrix, system.elements)
+        assert np.array_equal(system.blocks, expect)
+        assert (_block_inverses(system.blocks).tobytes()
+                == np.linalg.inv(expect.transpose(0, 2, 1)).tobytes())
+
+    @cases
+    @meshes
+    def test_coarse_matrix_is_galerkin_product(self, family, m, mesh):
+        system = assemble(build_global_space(mesh, family, m), default_u()[2])
+        P, G = system.coarse, system.coarse_matrix
+        expect = (P.T @ system.matrix @ P).tocsc()
+        expect.sort_indices()
+        assert G.has_sorted_indices
+        assert np.array_equal(G.indptr, expect.indptr)
+        assert np.array_equal(G.indices, expect.indices)
+        assert np.max(np.abs(G.data - expect.data)) <= 1e-12 * np.max(np.abs(expect.data))
 
 
 class TestConvergenceSmoke:
@@ -607,7 +676,8 @@ class TestCoarseSpace:
         single = build_global_space(uniform_rect_mesh(1), Family("ER"), 3)
         for space in (lowest, single):
             assert coarse_prolongation(space) is None
-            assert assemble(space, lambda x, y: np.ones_like(x)).coarse is None
+            system = assemble(space, lambda x, y: np.ones_like(x))
+            assert system.coarse is None and system.coarse_matrix is None
 
     @pytest.mark.parametrize(
         "family,m",
@@ -673,7 +743,7 @@ class TestPreconditioner:
         space = build_global_space(mesh, family, m)
         system = assemble(space, lambda x, y: np.ones_like(x))
         assert np.any(system.elements == system.n)  # masked boundary dofs
-        fine = _preconditioner(system.matrix, system.elements, None)
+        fine = _preconditioner(dataclasses.replace(system, coarse=None, coarse_matrix=None))
         rng = np.random.default_rng(7)
         for _ in range(3):
             r = rng.standard_normal(system.n)
@@ -687,7 +757,7 @@ class TestPreconditioner:
         r = np.random.default_rng(8).standard_normal(system.n)
         coarse = P @ np.linalg.solve((P.T @ A @ P).toarray(), P.T @ r)
         expect = _dense_schwarz(A, system.elements, r) + coarse
-        got = _preconditioner(A, system.elements, P)(r)
+        got = _preconditioner(system)(r)
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     def test_without_element_table_is_jacobi(self):
@@ -695,7 +765,7 @@ class TestPreconditioner:
         B = sp.random(30, 30, density=0.2, random_state=10)
         A = (B @ B.T + sp.diags(rng.uniform(1.0, 5.0, 30))).tocsr()
         r = rng.standard_normal(30)
-        assert np.allclose(_preconditioner(A, None, None)(r), r / A.diagonal(),
+        assert np.allclose(_preconditioner(SparseSystem(A, r))(r), r / A.diagonal(),
                            rtol=1e-14, atol=0.0)
 
 

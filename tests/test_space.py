@@ -1,5 +1,7 @@
 """Tests for global space construction, dimensions, and interpolation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -334,6 +336,24 @@ class TestEvaluate:
         for k in range(200):
             fe.evaluate(k % 4, rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
         assert len(space.ref._tab_cache) == size
+
+    def test_allocation_independent_of_n_free(self):
+        # one call reads element e's coefficients alone; a copy of the whole
+        # vector took 8 * n_free bytes, 190 kB at 64x64
+        xh = yh = np.linspace(-0.9, 0.9, 5)
+        peaks = []
+        for n in (4, 64):
+            space = build_global_space(uniform_rect_mesh(n), Family("ER"), 3)
+            fe = FeFunction(space, np.ones(space.n_free))
+            fe.evaluate(0, xh, yh)  # fills the tabulation cache
+            tracemalloc.start()
+            try:
+                fe.evaluate(0, xh, yh)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert space.n_free > 20000
+        assert peaks[1] <= peaks[0] + 1024
 
 
 def _refined_vertex_values(coarse_mesh, fine_mesh, vertex_values):
