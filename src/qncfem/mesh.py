@@ -125,6 +125,16 @@ class QuadMesh:
         if np.any(count > 2):
             idx = int(np.argmax(count > 2))
             raise MeshError(f"edge {idx} has {count[idx]} incident elements")
+        # the two quads of each interior edge (the first listed first); only
+        # overlapping quads share two edges
+        order = np.argsort(edge, kind="stable")
+        shared = edge[order[1:]] == edge[order[:-1]]
+        ne = len(self.quads)
+        pairs = np.sort(order[:-1][shared] // 4 * ne + order[1:][shared] // 4)
+        twice = np.flatnonzero(pairs[1:] == pairs[:-1])
+        if len(twice):
+            a, b = divmod(int(pairs[twice[0]]), ne)
+            raise MeshError(f"quads {a} and {b} share more than one edge")
         self.edge_is_boundary = count == 1
         self.vertex_is_boundary = np.zeros(len(self.vertices), dtype=bool)
         self.vertex_is_boundary[self.edge_vertices[self.edge_is_boundary]] = True

@@ -17,14 +17,15 @@ The preconditioner is additive two-level Schwarz (Pavarino, Numer. Math. 66,
 1994; Brenner, Math. Comp. 65, 1996),
 z = sum_e R_e^T (R_e K R_e^T)^{-1} R_e r + P (P^T K P)^{-1} P^T r.
 The fine level inverts K on the retained free dofs of each element, so
-neighbouring blocks overlap on their shared edge dofs.  A dof lies inside
-one element or on one edge that two elements share, so each block is K_e
-plus, across each interior edge, the neighbour's edge-edge block: the same
-two-term sums as in K, so the blocks are K's bytes (on meshes where two
-elements share at most one edge).  The distinct blocks
+neighbouring blocks overlap on their shared edge dofs.  Both come from the
+dof table alone: a free dof has at most two holders, so each block is K_e
+plus, for each element it shares dofs with, that element's entries on
+every pair of the shared dofs: the same two-term sums as in K, so the
+blocks are K's bytes.  The distinct blocks
 are inverted once, in batches, and applied with a gather, a batched product
 and a scatter.  P embeds the conforming isoparametric Q1 space on the same
-mesh (interior-vertex hat functions) into the nonconforming space.  Q1 lies
+mesh (interior-vertex hat functions) into the nonconforming space; each
+free dof's row of P comes from any element that holds it.  Q1 lies
 in every shape space with m >= 2 and, for R / RPlus, inside the relation
 kernel, so the coarse term needs no projection of its own.  Every element
 restricts P to one reference (n_retained x 4) matrix L, so P^T K P is the Q1
@@ -46,7 +47,7 @@ import scipy.sparse.linalg as spla
 
 from .mesh import bilinear_map
 from .refelem import gauss_grid
-from .space import GlobalSpace, coarse_corners, coarse_prolongation
+from .space import GlobalSpace, coarse_corners
 
 __all__ = [
     "SparseSystem",
@@ -83,7 +84,9 @@ class SparseSystem:
     `elements` (free dof per retained local dof, n where masked, one row
     per element) with `blocks`, the diagonal blocks of K over those rows
     (identity rows and columns on masked dofs); `coarse`, the coarse-space
-    prolongation P with columns in ker(C), with `coarse_matrix` = P^T K P."""
+    prolongation P with columns in ker(C), with `coarse_matrix` = P^T K P.
+    `assemble` derives the blocks and P from the element matrices and the
+    dof table, with no read of the assembled K."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
@@ -159,46 +162,34 @@ def _stiffness_blocks(space: GlobalSpace, q: int, jac):
     _, dpx, dpy = space.ref.tabulate_gauss(q)  # (nq, nret)
     a = W[None, :] / det
     # physical gradients scaled by det, (J^{-T} grad_hat) * det, one
-    # component at a time to halve the (block, nq, nret) temporaries
+    # component at a time to halve the (block, nq, nret) temporaries; each
+    # adds sum_p a_p g_pi g_pj as the batched product (a g)^T g
     g = j22[:, :, None] * dpx[None]
     g -= j21[:, :, None] * dpy[None]
-    K = np.einsum("ep,epi,epj->eij", a, g, g, optimize=True)
+    K = np.matmul((a[:, :, None] * g).transpose(0, 2, 1), g)
     g = j11[:, :, None] * dpy[None]
     g -= j12[:, :, None] * dpx[None]
-    K += np.einsum("ep,epi,epj->eij", a, g, g, optimize=True)
+    K += np.matmul((a[:, :, None] * g).transpose(0, 2, 1), g)
     return K[inverse]
 
 
-def _shared_edge_entries(space: GlobalSpace):
+def _shared_entries(lf, n):
     """Flat positions (target, source) in the (ne, k, k) stack of element
-    matrices over the retained local dofs: across every interior edge, the
-    entry `source` of one element is what K adds to the entry `target` of
-    the other's diagonal block, on the same pair of edge dofs.  Pairs that
-    either element does not retain (R / RPlus drop local dof m) are left
-    out.  Local dof jm + t of edge j sits at slot t of the edge, or m-1-t
-    when the element runs along the edge against its orientation."""
-    mesh, ref, m = space.mesh, space.ref, space.m
-    k = ref.n_retained
-    position = np.full(len(ref.sampling), -1)  # among the retained, or -1
-    position[ref.retained] = np.arange(k)
-    # retained positions of the dofs of local edge j in slot order, for an
-    # element that runs against (o = 0) or along (o = 1) the edge: kind 2j + o
-    slots = np.arange(m)
-    kinds = position[np.arange(4)[:, None, None] * m + np.array([slots[::-1], slots])]
-    kinds = kinds.reshape(8, m)
-    offsets = (kinds[:, :, None] * k + kinds[:, None, :]).reshape(8, m * m)
-    retained = ((kinds[:, :, None] >= 0) & (kinds[:, None, :] >= 0)).reshape(8, m * m)
-    kind = (2 * np.arange(4) + mesh.elem_edge_orient).ravel()  # per incidence 4e + j
-    # the two incidences of each interior edge, both ways
-    edges = mesh.elem_edges.ravel()
-    order = np.argsort(edges)
-    shared = edges[order[1:]] == edges[order[:-1]]
-    a, b = order[:-1][shared], order[1:][shared]
-    dest, src = np.concatenate([a, b]), np.concatenate([b, a])
-    ok = retained[kind[dest]] & retained[kind[src]]
-    target = ((dest // 4) * k * k)[:, None] + offsets[kind[dest]]
-    source = ((src // 4) * k * k)[:, None] + offsets[kind[src]]
-    return target[ok], source[ok]
+    matrices over the free-dof table lf (n where masked): for every two
+    elements that hold a common free dof, the entry `source` of one is what
+    K adds to the entry `target` of the other's diagonal block, on every
+    pair of dofs that both hold.  A free dof has at most two holders."""
+    ne, k = lf.shape
+    flat, pos = lf.ravel(), np.arange(lf.size)
+    # the other holder's position is the sum of both positions less its own
+    total = np.bincount(flat, weights=pos, minlength=n + 1)[flat].astype(np.int64)
+    twice = (np.bincount(flat, minlength=n + 1)[flat] == 2) & (flat < n)
+    partner = np.where(twice, total - pos, -1).reshape(ne, k)  # e k + i, or -1
+    other = partner // k  # the other holder, or -1
+    # entry (e, i, j) gains a term when dofs i and j have the same other holder
+    both = (other[:, :, None] == other[:, None, :]) & (other[:, :, None] >= 0)
+    source = partner[:, :, None] * k + (partner % k)[:, None, :]
+    return np.flatnonzero(both), source[both]
 
 
 def _element_sum(local, index, n) -> sp.coo_matrix:
@@ -209,6 +200,22 @@ def _element_sum(local, index, n) -> sp.coo_matrix:
     rows = np.broadcast_to(index[:, :, None], keep.shape)[keep]
     cols = np.broadcast_to(index[:, None, :], keep.shape)[keep]
     return sp.coo_matrix((local[keep], (rows, cols)), shape=(n, n))
+
+
+def _q1_embedding(space: GlobalSpace, corners, local) -> sp.csr_matrix:
+    """P from the `coarse_corners` table: column v holds the dof values of
+    the hat function of interior vertex v.  Each free dof's row comes from
+    any element that holds it, as in `GlobalSpace.scatter`; the hats that do
+    not vanish at a shared edge dof, those of the edge's two vertices, take
+    the same values in both elements."""
+    n, n_coarse = space.n_free, space.mesh.n_interior_vertices
+    holder = np.empty(n + 1, dtype=np.int64)
+    holder[space.dofs] = np.arange(space.dofs.size).reshape(space.dofs.shape)
+    e, j = np.divmod(holder[:n], space.dofs.shape[1])
+    cols, vals = corners[e], local[j]  # (n, 4)
+    keep = (cols < n_coarse) & (vals != 0.0)
+    return sp.csr_matrix((vals[keep], (np.nonzero(keep)[0], cols[keep])),
+                         shape=(n, n_coarse))
 
 
 def assemble(space: GlobalSpace, f) -> SparseSystem:
@@ -227,7 +234,8 @@ def assemble(space: GlobalSpace, f) -> SparseSystem:
         # L^T K_e L over every retained dof: a masked dof lies on a boundary
         # edge, where only the bilinears of its two boundary-vertex corners
         # do not vanish, and boundary-vertex columns are dropped
-        corners, L = q1[0], q1[1][space.ref.retained]
+        corners, local = q1
+        L = local[space.ref.retained]
         Gloc = np.empty((len(lf), 4, 4))
     for sl, (px, py), jac in _element_chunks(space, q):
         Kloc[sl] = _stiffness_blocks(space, q, jac)
@@ -245,9 +253,9 @@ def assemble(space: GlobalSpace, f) -> SparseSystem:
     K = sp.csr_matrix((K.data.copy(), K.indices.copy(), K.indptr), shape=K.shape)
     b = np.bincount(lf.ravel(), weights=Floc.ravel(), minlength=n + 1)[:n]
 
-    # K_e becomes the diagonal block in place: the neighbours' edge-edge
-    # entries are all gathered before any is added
-    target, source = _shared_edge_entries(space)
+    # K_e becomes the diagonal block in place: the neighbours' entries on
+    # the shared dofs are all gathered before any is added
+    target, source = _shared_entries(lf, n)
     flat = Kloc.reshape(-1)
     flat[target] += flat[source]
     del target, source
@@ -258,7 +266,7 @@ def assemble(space: GlobalSpace, f) -> SparseSystem:
 
     coarse = coarse_matrix = None
     if q1 is not None:
-        coarse = coarse_prolongation(space)
+        coarse = _q1_embedding(space, corners, local)
         coarse_matrix = _element_sum(Gloc, corners, coarse.shape[1]).tocsc()
     return SparseSystem(matrix=K, rhs=b, constraints=space.constraints,
                         elements=lf, blocks=Kloc, coarse=coarse,
@@ -322,8 +330,11 @@ def solve(system: SparseSystem, x0=None):
     on a direction with nonpositive (or NaN) curvature p.Ap or when r.z is
     not positive (roundoff floor, or a preconditioner that is not positive
     definite).  Returns (x, SolveReport); raises SolverError when the
-    residual has not reached REL_TOL, or when C x is not zero."""
+    residual has not reached REL_TOL, or when C x is not zero, and
+    ValueError unless x0 has shape (n,)."""
     A, b, C = system.matrix, system.rhs, system.constraints
+    if x0 is not None and np.shape(x0) != (system.n,):
+        raise ValueError(f"expected x0 of shape ({system.n},), got {np.shape(x0)}")
     if C is None or C.nnz == 0:
         C = None
         project = lambda v: v

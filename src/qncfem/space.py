@@ -22,7 +22,6 @@ __all__ = [
     "FeFunction",
     "build_global_space",
     "coarse_corners",
-    "coarse_prolongation",
     "expected_dimension",
     "interpolate",
     "prolong",
@@ -174,35 +173,6 @@ def coarse_corners(space: GlobalSpace):
     sx, sy = np.array([[-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])
     bilinears = np.moveaxis(np.array([[np.ones(4), sy], [sx, sx * sy]]), -1, 0) / 4.0
     return coarse_index[mesh.quads], ref.sampling @ poly_values(bilinears, *ref.points.T)
-
-
-def coarse_prolongation(space: GlobalSpace) -> sp.csr_matrix | None:
-    """Embedding of the conforming isoparametric Q1 space into the free dofs.
-
-    Column v holds the dof values of the piecewise-bilinear hat function of
-    the v-th interior vertex (in vertex order), from `coarse_corners`; a
-    dof shared by two elements gets the same value from both and is stored
-    once.  None where `coarse_corners` is None.
-    """
-    found = coarse_corners(space)
-    if found is None:
-        return None
-    index, local = found
-    n_coarse = space.mesh.n_interior_vertices
-    # every free dof once, from the first element that lists it; the hats
-    # that do not vanish at a shared edge dof belong to that edge's vertices,
-    # which both incident elements have
-    dofs, first = np.unique(space.dofs, return_index=True)
-    free = dofs < space.n_free
-    rows = dofs[free]
-    e, j = np.unravel_index(first[free], space.dofs.shape)
-    cols = index[e]  # (k, 4)
-    vals = local[j]
-    keep = (cols < n_coarse) & (vals != 0.0)
-    rows = np.broadcast_to(rows[:, None], cols.shape)
-    return sp.csr_matrix(
-        (vals[keep], (rows[keep], cols[keep])), shape=(space.n_free, n_coarse)
-    )
 
 
 def prolong(coarse: GlobalSpace, coeffs: np.ndarray, fine: GlobalSpace) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Every name a qncfem module exports in `__all__` exists, and is used by
 the package or the benchmark or exported from the package itself; every
-field of an exported dataclass is read by the package or the benchmark."""
+field of an exported dataclass is read by the package or the benchmark;
+every module-level private name of the package is read by the package."""
 
 import ast
 import dataclasses
@@ -19,17 +20,18 @@ SRC = pathlib.Path(qncfem.__file__).parent
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _nodes():
-    """Every AST node of the package and the benchmark."""
-    for path in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py")]:
+def _nodes(dirs=(SRC, PERFBENCH)):
+    """Every AST node of the package and the benchmark, or of `dirs`."""
+    for path in [p for d in dirs for p in d.glob("*.py")]:
         yield from ast.walk(ast.parse(path.read_text()))
 
 
-def used_names() -> set:
+def used_names(dirs=(SRC, PERFBENCH)) -> set:
     """Names read, imported or looked up as attributes in the package and
-    the benchmark; definitions and `__all__` strings do not count."""
+    the benchmark, or in `dirs`; definitions and `__all__` strings do not
+    count."""
     used = set()
-    for node in _nodes():
+    for node in _nodes(dirs):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             used.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -65,3 +67,28 @@ def test_dataclass_fields_are_read(name):
               if dataclasses.is_dataclass(cls)
               for f in dataclasses.fields(cls) if f.name not in read]
     assert not unread, f"{name} dataclass fields that nothing reads: {unread}"
+
+
+def private_definitions():
+    """(module, name) of every module-level function, class and constant of
+    the package whose name starts with one underscore."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            yield from ((path.stem, n) for n in names
+                        if n.startswith("_") and not n.startswith("__"))
+
+
+def test_private_definitions_are_read():
+    """A helper that a refactor left behind, read by no one in the package
+    (tests do not count), is dead code."""
+    read = used_names(dirs=(SRC,))
+    unread = [f"{module}.{name}" for module, name in private_definitions()
+              if name not in read]
+    assert not unread, f"private names the package never reads: {unread}"

@@ -181,6 +181,16 @@ class TestUniformMesh:
         with pytest.raises(MeshError, match="3 incident elements"):
             QuadMesh(vertices, quads)
 
+    @pytest.mark.parametrize("quads", [[[0, 1, 2, 3], [0, 1, 2, 3]],
+                                       [[0, 1, 2, 3], [0, 1, 2, 4]]],
+                             ids=["listed-twice", "two-adjacent-edges"])
+    def test_quads_sharing_two_edges_rejected(self, quads):
+        # the doubled quad had 4 interior edges, and CG failed after 0
+        # iterations on its space
+        vertices = np.concatenate([UNIT_CORNERS, [[0.5, 1.5]]])[: np.max(quads) + 1]
+        with pytest.raises(MeshError, match="quads 0 and 1 share more than one edge"):
+            QuadMesh(vertices, quads)
+
     def test_unused_vertex_rejected(self):
         # the vertex would be an interior coarse-space vertex with an empty
         # column, and the coarse LU would fail as exactly singular
@@ -435,6 +445,15 @@ class TestMeshIO:
         path = tmp_path / "bad.txt"
         path.write_text(text)
         with pytest.raises(MeshError, match=match):
+            load_mesh(path)
+
+    def test_quad_listed_twice_rejected(self, tmp_path):
+        path = tmp_path / "mesh.txt"
+        save_mesh(uniform_rect_mesh(1), path)
+        lines = path.read_text().splitlines()
+        lines[-2:] = ["2", lines[-1], lines[-1]]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshError, match="quads 0 and 1 share more than one edge"):
             load_mesh(path)
 
     def test_trailing_blank_lines_accepted(self, tmp_path):

@@ -21,7 +21,7 @@ from qncfem.solve import (
     error_norms,
     solve,
 )
-from qncfem.space import FeFunction, build_global_space, coarse_prolongation, prolong
+from qncfem.space import FeFunction, build_global_space, coarse_corners, prolong
 from test_space import rotated_listing
 
 
@@ -271,6 +271,18 @@ class TestWarmStart:
         assert warm_report.iterations < report.iterations
         assert warm_report.constraint_residual < 1e-12
         assert np.linalg.norm(warm - cold) <= 1e-10 * np.linalg.norm(cold)
+
+    @pytest.mark.parametrize("shape", [(-1, 1), (1, -1)], ids=["column", "row"])
+    def test_rejects_x0_of_another_shape(self, shape):
+        # an (n, 1) x0 made b - A x0 an n x n matrix and was dropped silently
+        space = build_global_space(uniform_rect_mesh(4), Family("ER"), 3)
+        system = assemble(space, default_u()[2])
+        x0 = solve(system)[0].reshape(shape)
+        with pytest.raises(ValueError, match=rf"expected x0 of shape \({system.n},\), "
+                                             rf"got \({x0.shape[0]}, {x0.shape[1]}\)"):
+            solve(system, x0)
+        with pytest.raises(ValueError, match="expected x0 of shape"):
+            solve(system, np.zeros(system.n + 1))
 
     def test_drops_x0_worse_than_zero(self):
         # a random x0 has a residual far above |Pb|; started from it, CG
@@ -528,25 +540,24 @@ class TestDistinctElements:
 
     def test_uniform_mesh_runs_kernels_once_per_distinct_element(self, monkeypatch):
         space = build_global_space(uniform_rect_mesh(32), Family("R", "tilde"), 5)
-        einsum, inv = np.einsum, np.linalg.inv
+        matmul, inv = np.matmul, np.linalg.inv
         stiffness_sizes, inverse_sizes = [], []
 
-        def counting_einsum(subscripts, *operands, **kwargs):
-            if subscripts == "ep,epi,epj->eij":
-                stiffness_sizes.append(len(operands[0]))
-            return einsum(subscripts, *operands, **kwargs)
+        def counting_matmul(a, b, **kwargs):
+            stiffness_sizes.append(len(a))
+            return matmul(a, b, **kwargs)
 
         def counting_inv(a):
             inverse_sizes.append(len(a))
             return inv(a)
 
-        monkeypatch.setattr(np, "einsum", counting_einsum)
+        monkeypatch.setattr(np, "matmul", counting_matmul)
         monkeypatch.setattr(np.linalg, "inv", counting_inv)
         system = assemble(space, default_u()[2])
         _block_inverses(system.blocks)
         blocks = space.mesh.n_elements // self.solve_module.BLOCK_ELEMENTS
         assert blocks == 4
-        assert stiffness_sizes == [1] * (2 * blocks)  # two einsums per block
+        assert stiffness_sizes == [1] * (2 * blocks)  # two products per block
         # with the boundary masks, at most 9 distinct blocks per 256 elements
         assert len(inverse_sizes) == blocks and max(inverse_sizes) <= 9
 
@@ -566,9 +577,29 @@ def sampled_blocks(A, elements):
     return blocks
 
 
+def first_holder_prolongation(space):
+    """Reference for `assemble`'s coarse prolongation: every free dof's row
+    of P from the first element that lists it, found by sorting every local
+    dof."""
+    index, local = coarse_corners(space)
+    n_coarse = space.mesh.n_interior_vertices
+    dofs, first = np.unique(space.dofs, return_index=True)
+    free = dofs < space.n_free
+    rows = dofs[free]
+    e, j = np.unravel_index(first[free], space.dofs.shape)
+    cols = index[e]  # (k, 4)
+    vals = local[j]
+    keep = (cols < n_coarse) & (vals != 0.0)
+    rows = np.broadcast_to(rows[:, None], cols.shape)
+    return sp.csr_matrix(
+        (vals[keep], (rows[keep], cols[keep])), shape=(space.n_free, n_coarse)
+    )
+
+
 class TestOperatorsFromElementMatrices:
     """`assemble` builds the Schwarz blocks and the coarse matrix from the
-    element matrices; they must be those of the assembled K."""
+    element matrices, and P from the dof table; they must be those of the
+    assembled K, and P the first-holder build's bytes."""
 
     cases = pytest.mark.parametrize(
         "family,m",
@@ -591,6 +622,16 @@ class TestOperatorsFromElementMatrices:
         assert np.array_equal(system.blocks, expect)
         assert (_block_inverses(system.blocks).tobytes()
                 == np.linalg.inv(expect.transpose(0, 2, 1)).tobytes())
+
+    @cases
+    @meshes
+    def test_prolongation_matches_first_holder(self, family, m, mesh):
+        space = build_global_space(mesh, family, m)
+        P = assemble(space, default_u()[2]).coarse
+        expect = first_holder_prolongation(space)
+        for got, want in ((P.data, expect.data), (P.indices, expect.indices),
+                          (P.indptr, expect.indptr)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @cases
     @meshes
@@ -642,7 +683,7 @@ class TestCoarseSpace:
     )
     def test_prolongation_in_relation_kernel(self, family, m):
         space = build_global_space(perturbed_mesh(8, seed=0), family, m)
-        P = coarse_prolongation(space)
+        P = assemble(space, default_u()[2]).coarse
         assert P.shape == (space.n_free, space.mesh.n_interior_vertices)
         assert abs(space.constraints @ P).max() < 1e-13
 
@@ -658,7 +699,7 @@ class TestCoarseSpace:
     def test_prolongation_reproduces_bilinears(self, family, m):
         mesh = perturbed_mesh(8, seed=2)
         space = build_global_space(mesh, family, m)
-        P = coarse_prolongation(space)
+        P = assemble(space, default_u()[2]).coarse
         rng = np.random.default_rng(4)
         v = rng.standard_normal(P.shape[1])
         vertex_values = np.zeros(len(mesh.vertices))
@@ -675,7 +716,7 @@ class TestCoarseSpace:
         lowest = build_global_space(uniform_rect_mesh(4), Family("ER"), 1)
         single = build_global_space(uniform_rect_mesh(1), Family("ER"), 3)
         for space in (lowest, single):
-            assert coarse_prolongation(space) is None
+            assert coarse_corners(space) is None
             system = assemble(space, lambda x, y: np.ones_like(x))
             assert system.coarse is None and system.coarse_matrix is None
 

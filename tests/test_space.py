@@ -20,11 +20,10 @@ from qncfem.refelem import (
     EDGE_PARAM_POINT,
     Family,
 )
-from qncfem.solve import error_norms
+from qncfem.solve import assemble, error_norms
 from qncfem.space import (
     FeFunction,
     build_global_space,
-    coarse_prolongation,
     expected_dimension,
     interpolate,
     prolong,
@@ -416,8 +415,9 @@ class TestProlong:
         vertex_values = np.zeros(len(coarse_mesh.vertices))
         vertex_values[~coarse_mesh.vertex_is_boundary] = y
         fine_values = _refined_vertex_values(coarse_mesh, fine_mesh, vertex_values)
-        got = prolong(coarse, coarse_prolongation(coarse) @ y, fine)
-        expect = coarse_prolongation(fine) @ fine_values[~fine_mesh.vertex_is_boundary]
+        zero = lambda x, y: np.zeros_like(x)
+        got = prolong(coarse, assemble(coarse, zero).coarse @ y, fine)
+        expect = assemble(fine, zero).coarse @ fine_values[~fine_mesh.vertex_is_boundary]
         assert np.max(np.abs(got - expect)) < 1e-12
 
     def test_rejects_unrefined_space(self):
