@@ -201,8 +201,14 @@ def prolong(coarse: GlobalSpace, coeffs: np.ndarray, fine: GlobalSpace) -> np.nd
 
 def expected_dimension(space: GlobalSpace) -> int:
     """Closed-form dimension of the homogeneous space on a simply connected
-    mesh."""
+    mesh.  Raises ValueError unless V - E + F = 1: on a mesh with holes or
+    with several components the closed form is not the dimension (each
+    one-cell hole adds one for R and RPlus)."""
     mesh = space.mesh
+    euler = len(mesh.vertices) - mesh.n_edges + mesh.n_elements
+    if euler != 1:
+        raise ValueError(f"expected_dimension needs a simply connected mesh, "
+                         f"got V - E + F = {euler}")
     ne, nvi, nsi = mesh.n_elements, mesh.n_interior_vertices, mesh.n_interior_edges
     m = space.m
     tag = space.family.tag

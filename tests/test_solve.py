@@ -25,6 +25,12 @@ from qncfem.space import FeFunction, build_global_space, coarse_corners, prolong
 from test_space import rotated_listing
 
 
+three_families = pytest.mark.parametrize(
+    "family,m", [(Family("ER"), 3), (Family("R", "tilde"), 5), (Family("RPlus"), 4)],
+    ids=["ER3", "R~5", "RPlus4"],
+)
+
+
 def default_u():
     u = lambda x, y: 16.0 * (x - x**6) * (y - y**2)
     gu = lambda x, y: (
@@ -177,6 +183,13 @@ class TestSolvers:
                           default_u()[2])
         with pytest.raises(ValueError, match="together"):
             dataclasses.replace(system, **{field: None})
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (2, 3, 3), (2, 2)],
+                             ids=["columns", "rows", "flat"])
+    def test_blocks_must_match_element_table(self, shape):
+        with pytest.raises(ValueError, match=r"blocks must have shape \(2, 2, 2\)"):
+            SparseSystem(sp.identity(3, format="csr"), np.ones(3),
+                         elements=np.array([[0, 1], [2, 3]]), blocks=np.ones(shape))
 
     def test_singular_element_block_raises(self):
         # the first element's block [[1, 1], [1, 1]] is singular
@@ -400,7 +413,7 @@ class TestElementBlockLoop:
         u, gu, f = default_u()
         system = assemble(space, f)
         K, G = system.matrix, system.coarse_matrix
-        inv = _block_inverses(system.blocks)
+        inv = expanded_inverses(system.blocks)
         raw = [a.tobytes() for a in (K.data, K.indices, K.indptr, system.rhs, inv,
                                      G.data, G.indices, G.indptr)]
         return raw, error_norms(space, coeffs, u, gu)
@@ -446,13 +459,18 @@ class TestElementBlockLoop:
         (error_norms), blocks of 256 elements +23 MB and +3 MB.  `solve`
         took +13.0 MB while it gathered the element blocks from K and
         formed P^T K P by a sparse product, +7.3 MB with both from
-        `assemble` (4.7 MB of it the block inverses)."""
+        `assemble` (4.7 MB of it the block inverses, one per element, as no
+        block repeats).  R~5 on a uniform 32x32 mesh has 9 distinct blocks:
+        `solve` took +5.9 MB with one 22x22 inverse per element, +2.0 MB
+        with one per distinct block."""
         u, gu, f = default_u()
         space = build_global_space(perturbed_mesh(64, seed=0), Family("ER"), 3)
         coeffs = np.random.default_rng(5).standard_normal(space.n_free)
         system = assemble(space, f)
+        uniform = assemble(build_global_space(uniform_rect_mesh(32), Family("R", "tilde"), 5), f)
         for call, bound_mb in [(lambda: assemble(space, f), 35.0),
                                (lambda: solve(system), 8.0),
+                               (lambda: solve(uniform), 4.0),
                                (lambda: error_norms(space, coeffs, u, gu), 12.0)]:
             tracemalloc.start()
             try:
@@ -470,10 +488,6 @@ class TestDistinctElements:
     every element."""
 
     solve_module = sys.modules["qncfem.solve"]
-    families = pytest.mark.parametrize(
-        "family,m", [(Family("ER"), 3), (Family("R", "tilde"), 5), (Family("RPlus"), 4)],
-        ids=["ER3", "R~5", "RPlus4"],
-    )
 
     def _kernels(self, space):
         q = space.m + 3
@@ -481,7 +495,7 @@ class TestDistinctElements:
         K = system.matrix
         stiffness = [self.solve_module._stiffness_blocks(space, q, jac)
                      for _, _, jac in self.solve_module._element_chunks(space, q)]
-        inv = _block_inverses(system.blocks)
+        inv = expanded_inverses(system.blocks)
         return [a.tobytes() for a in (K.data, K.indices, K.indptr, system.rhs,
                                       *stiffness, inv)]
 
@@ -489,7 +503,7 @@ class TestDistinctElements:
         (_, _, jac), = self.solve_module._element_chunks(space, space.m + 3)
         return np.concatenate(jac, axis=1)
 
-    @families
+    @three_families
     @pytest.mark.parametrize(
         "mesh,groups",
         [(uniform_rect_mesh(8), 1), (rotated_listing(uniform_rect_mesh(8)), 2),
@@ -504,7 +518,7 @@ class TestDistinctElements:
         monkeypatch.setattr(self.solve_module, "_distinct_rows", lambda rows: None)
         assert grouped == self._kernels(space)
 
-    @families
+    @three_families
     def test_forced_projection_collision_is_exact(self, monkeypatch, family, m):
         uniform = build_global_space(uniform_rect_mesh(8), family, m)
         rotated = build_global_space(rotated_listing(uniform_rect_mesh(8)), family, m)
@@ -558,8 +572,8 @@ class TestDistinctElements:
         blocks = space.mesh.n_elements // self.solve_module.BLOCK_ELEMENTS
         assert blocks == 4
         assert stiffness_sizes == [1] * (2 * blocks)  # two products per block
-        # with the boundary masks, at most 9 distinct blocks per 256 elements
-        assert len(inverse_sizes) == blocks and max(inverse_sizes) <= 9
+        # with the boundary masks, 9 distinct Schwarz blocks over the whole mesh
+        assert inverse_sizes == [9]
 
 
 def sampled_blocks(A, elements):
@@ -620,7 +634,7 @@ class TestOperatorsFromElementMatrices:
         system = assemble(build_global_space(mesh, family, m), default_u()[2])
         expect = sampled_blocks(system.matrix, system.elements)
         assert np.array_equal(system.blocks, expect)
-        assert (_block_inverses(system.blocks).tobytes()
+        assert (expanded_inverses(system.blocks).tobytes()
                 == np.linalg.inv(expect.transpose(0, 2, 1)).tobytes())
 
     @cases
@@ -763,12 +777,26 @@ class TestCoarseSpace:
 
 def _dense_schwarz(A, elements, r):
     """sum_e R_e^T (R_e A R_e^T)^{-1} R_e r, one element at a time."""
-    A = A.toarray()
     z = np.zeros_like(r)
     for row in elements:
         dofs = row[row < len(r)]  # index len(r) is masked
-        z[dofs] += np.linalg.solve(A[np.ix_(dofs, dofs)], r[dofs])
+        z[dofs] += np.linalg.solve(A[dofs][:, dofs].toarray(), r[dofs])
     return z
+
+
+def expanded_inverses(blocks):
+    """`_block_inverses` with one transposed inverse per block."""
+    inv, group = _block_inverses(blocks)
+    return inv if group is None else inv[group]
+
+
+def moved_vertex_mesh(n):
+    """`uniform_rect_mesh(n)` with one interior vertex moved: the elements
+    around it get blocks of their own, the others share theirs."""
+    mesh = uniform_rect_mesh(n)
+    vertices = mesh.vertices.copy()
+    vertices[(n + 1) * (n // 2) + n // 3] += [0.1 / n, 0.15 / n]
+    return QuadMesh(vertices, mesh.quads)
 
 
 class TestPreconditioner:
@@ -790,6 +818,42 @@ class TestPreconditioner:
             r = rng.standard_normal(system.n)
             expect = _dense_schwarz(system.matrix, system.elements, r)
             assert np.max(np.abs(fine(r) - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    @staticmethod
+    def _fine(family, m, mesh):
+        system = assemble(build_global_space(mesh, family, m), lambda x, y: np.ones_like(x))
+        fine = _preconditioner(dataclasses.replace(system, coarse=None, coarse_matrix=None))
+        return system, fine
+
+    @three_families
+    @pytest.mark.parametrize(
+        "mesh,singles",
+        [(uniform_rect_mesh(16), 4), (rotated_listing(uniform_rect_mesh(16)), 4),
+         (moved_vertex_mesh(16), 16)],
+        ids=["uniform16", "rotated16", "moved-vertex16"],
+    )
+    def test_shared_blocks_match_dense_loop(self, family, m, mesh, singles):
+        system, fine = self._fine(family, m, mesh)
+        sizes = np.bincount(_block_inverses(system.blocks)[1])
+        # blocks shared by enough elements for one product per block, and
+        # blocks of one element: the corners, and on the moved-vertex mesh
+        # the elements around the vertex and their neighbours
+        assert np.max(sizes) >= sys.modules["qncfem.solve"].GEMM_GROUP
+        assert np.sum(sizes == 1) == singles
+        r = np.random.default_rng(12).standard_normal(system.n)
+        expect = _dense_schwarz(system.matrix, system.elements, r)
+        assert np.max(np.abs(fine(r) - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    @three_families
+    def test_distinct_blocks_keep_stacked_product(self, family, m):
+        system, fine = self._fine(family, m, perturbed_mesh(8, seed=3))
+        assert _block_inverses(system.blocks)[1] is None  # no block repeats
+        r = np.random.default_rng(13).standard_normal(system.n)
+        x = np.append(r, 0.0)[system.elements][:, None, :]
+        z = np.matmul(x, np.linalg.inv(system.blocks.transpose(0, 2, 1)))
+        expect = np.bincount(system.elements.ravel(), weights=z.ravel(),
+                             minlength=system.n + 1)[:system.n]
+        assert fine(r).tobytes() == expect.tobytes()
 
     def test_two_level_adds_coarse_correction(self):
         space = build_global_space(uniform_rect_mesh(4), Family("ER"), 3)

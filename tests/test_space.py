@@ -87,6 +87,17 @@ class TestDimensions:
         space = build_global_space(mesh, family, m)
         assert kernel_dimension(space) == expected_dimension(space)
 
+    @pytest.mark.parametrize("keep,euler", [(np.arange(9) != 4, 0), ([0, 8], 2)],
+                             ids=["one-cell-hole", "two-components"])
+    def test_not_simply_connected_rejected(self, keep, euler):
+        mesh = uniform_rect_mesh(3)
+        quads = mesh.quads[keep]
+        used, quads = np.unique(quads, return_inverse=True)
+        mesh = QuadMesh(mesh.vertices[used], quads.reshape(-1, 4))
+        space = build_global_space(mesh, Family("R"), 3)
+        with pytest.raises(ValueError, match=f"V - E \\+ F = {euler}$"):
+            expected_dimension(space)
+
     @pytest.mark.parametrize("family,m", [(Family("R"), 3), (Family("RPlus"), 2)])
     def test_constraint_rank_is_elements_minus_one(self, family, m):
         for n in (2, 3, 4):
