@@ -141,15 +141,15 @@ def run_study(config: StudyConfig, problem=None) -> list[StudyRow]:
         t0 = time.perf_counter()
         mesh = _mesh_for_level(config, level)
         space = build_global_space(mesh, family, config.m)
-        system = assemble(space, f)
         try:
             x0 = None if coarse is None else prolong(*coarse, space)
         except MeshError:
             x0 = None
         try:
-            coeffs, report = solve(system, x0)
+            coeffs, report = solve(assemble(space, f), x0)
         except SolverError as err:
             raise StudyError(f"level {level}: {err}", rows) from err
+        del x0  # freed with the system before the next level is set up
         coarse = (space, coeffs)
         l2, h1 = error_norms(space, coeffs, u, grad_u)
         l2o = np.log2(prev.l2_err / l2) if prev is not None and l2 > 0 else 0.0

@@ -9,8 +9,9 @@ Schwarz block once (`_distinct_rows` compares them by their bytes), so the
 results are bitwise those of running every element; every element of a
 uniform mesh shares one Jacobian, so there each block runs the stiffness
 kernel once, and a uniform mesh of 3x3 or more has 9 distinct Schwarz
-blocks.  `assemble` also builds the preconditioner's operators from the
-element matrices K_e, with no read of the assembled K.
+blocks.  `assemble` also builds the preconditioner from the element
+matrices K_e, with no read of the assembled K, and the system carries it as
+one operator.
 The ER families give a plain SPD system; the R / RPlus families carry one
 relation row per element, and `solve` runs one preconditioned CG for both.
 
@@ -35,13 +36,14 @@ restricts P to one reference (n_retained x 4) matrix L, so P^T K P is the Q1
 assembly of L^T K_e L, 16 entries per element.  Iteration counts stay
 bounded under refinement and grow only mildly with m.  Systems without a
 coarse space (m = 1, no interior vertex) use the element blocks alone; a
-system without element blocks (hand-built) uses 1x1 blocks of its
+hand-built system without a preconditioner uses 1x1 blocks of its
 diagonal, which is Jacobi.
 """
 
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,34 +84,16 @@ class SolveReport:
 
 @dataclass
 class SparseSystem:
-    """Symmetric sparse system K x = b, optionally restricted to ker(C).
-
-    The other fields define the preconditioner, and `assemble` sets them:
-    `elements` (free dof per retained local dof, n where masked, one row
-    per element) with `blocks`, the diagonal blocks of K over those rows
-    (identity rows and columns on masked dofs); `coarse`, the coarse-space
-    prolongation P with columns in ker(C), with `coarse_matrix` = P^T K P.
-    `assemble` derives the blocks and P from the element matrices and the
-    dof table, with no read of the assembled K."""
+    """Symmetric sparse system K x = b, optionally restricted to ker(C), and
+    the preconditioner r -> M^{-1} r that `solve` uses.  `assemble` sets it
+    to the two-level Schwarz operator it builds from the element matrices;
+    a hand-built system without one is preconditioned by its diagonal
+    (Jacobi)."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     constraints: sp.csr_matrix | None = None
-    elements: np.ndarray | None = None
-    blocks: np.ndarray | None = None  # (ne, k, k)
-    coarse: sp.csr_matrix | None = None
-    coarse_matrix: sp.csc_matrix | None = None
-
-    def __post_init__(self):
-        for a, b in (("elements", "blocks"), ("coarse", "coarse_matrix")):
-            if (getattr(self, a) is None) != (getattr(self, b) is None):
-                raise ValueError(f"SparseSystem needs {a} and {b} together")
-        if self.elements is not None:
-            want = self.elements.shape + self.elements.shape[1:]
-            if self.blocks.shape != want:
-                raise ValueError(f"SparseSystem blocks must have shape {want} "
-                                 f"for elements of shape {self.elements.shape}, "
-                                 f"got {self.blocks.shape}")
+    precondition: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
     def n(self) -> int:
@@ -234,8 +218,9 @@ def _q1_embedding(space: GlobalSpace, corners, local) -> sp.csr_matrix:
 def assemble(space: GlobalSpace, f) -> SparseSystem:
     """Assemble stiffness and load over the free dofs with the (m+3)-point
     tensor Gauss rule; attach the constraint rows for the R / RPlus
-    families, and the preconditioner's operators built from the element
-    matrices: the diagonal blocks and the coarse matrix P^T K P."""
+    families, and the preconditioner built from the element matrices: the
+    inverses of the diagonal blocks and the factored coarse matrix P^T K P.
+    Raises SolverError when a diagonal block is singular."""
     q = space.m + 3
     _, _, W = gauss_grid(q)
     phi, _, _ = space.ref.tabulate_gauss(q)
@@ -282,8 +267,7 @@ def assemble(space: GlobalSpace, f) -> SparseSystem:
         coarse = _q1_embedding(space, corners, local)
         coarse_matrix = _element_sum(Gloc, corners, coarse.shape[1]).tocsc()
     return SparseSystem(matrix=K, rhs=b, constraints=space.constraints,
-                        elements=lf, blocks=Kloc, coarse=coarse,
-                        coarse_matrix=coarse_matrix)
+                        precondition=_preconditioner(n, lf, Kloc, coarse, coarse_matrix))
 
 
 def _block_inverses(blocks):
@@ -300,18 +284,17 @@ def _block_inverses(blocks):
     return inv, group
 
 
-def _preconditioner(system: SparseSystem):
-    """Element-block additive Schwarz, plus the exact coarse-space
-    correction P (P^T A P)^{-1} P^T when the system has a prolongation.
-    Without element blocks every dof is its own 1x1 block of A's diagonal
-    (Jacobi).  A masked entry reads an appended zero and writes to a slot
-    that is dropped.  A block that at least GEMM_GROUP elements share is
-    applied as one GEMM over their gathered residuals; every other element
-    takes its own row-vector product in one stacked product."""
-    n, elements, blocks = system.n, system.elements, system.blocks
-    if blocks is None:
-        elements = np.arange(n)[:, None]
-        blocks = system.matrix.diagonal()[:, None, None]
+def _preconditioner(n, elements, blocks, coarse=None, coarse_matrix=None):
+    """r -> M^{-1} r on n dofs: element-block additive Schwarz over the
+    table `elements` (free dof per local position, n where masked) with
+    `blocks`, the matching diagonal blocks (identity rows and columns on
+    masked positions), plus the exact coarse-space correction
+    P (P^T A P)^{-1} P^T when a prolongation `coarse` and its
+    `coarse_matrix` P^T A P are given.  A masked entry reads an appended
+    zero and writes to a slot that is dropped.  A block that at least
+    GEMM_GROUP elements share is applied as one GEMM over their gathered
+    residuals; every other element takes its own row-vector product in one
+    stacked product."""
     inv, group = _block_inverses(blocks)
     # the shared groups first, each a contiguous run of elements, then the
     # rest; when no block repeats, `elements` and inv serve uncopied
@@ -338,19 +321,19 @@ def _preconditioner(system: SparseSystem):
         del x  # freed before the scatter, whose ravel may copy `elements`
         return np.bincount(elements.ravel(), weights=z.ravel(), minlength=n + 1)[:n]
 
-    coarse = system.coarse
     if coarse is None:
         return fine
     # a minimum-degree ordering of the symmetric coarse matrix halves the
     # factor time of the default column ordering
-    lu = spla.splu(system.coarse_matrix, permc_spec="MMD_AT_PLUS_A")
+    lu = spla.splu(coarse_matrix, permc_spec="MMD_AT_PLUS_A")
     restrict = coarse.T.tocsr()
     return lambda r: fine(r) + coarse @ lu.solve(restrict @ r)
 
 
 def solve(system: SparseSystem, x0=None):
-    """Preconditioned CG on ker(C), or on the whole space when the system
-    has no constraint rows.  Residuals and directions are projected onto
+    """CG preconditioned by `system.precondition` (Jacobi when that is
+    None) on ker(C), or on the whole space when the system has no
+    constraint rows.  Residuals and directions are projected onto
     ker(C) with p <- p - C~^T (C~ C~^T)^{-1} C~ p, where C~ drops the last
     (redundant) relation row.
 
@@ -396,7 +379,10 @@ def solve(system: SparseSystem, x0=None):
         # meets (Greenbaum, SIMAX 18, 1997): an x0 worse than zero is dropped
         if np.linalg.norm(r0) < bnorm:
             x, r = x0, r0
-    precondition = _preconditioner(system)
+    precondition = system.precondition
+    if precondition is None:  # Jacobi: every dof its own 1x1 block
+        precondition = _preconditioner(system.n, np.arange(system.n)[:, None],
+                                       A.diagonal()[:, None, None])
     z = project(precondition(r))
     p = z.copy()
     rz = float(np.dot(r, z))

@@ -1,0 +1,44 @@
+"""Read the operators `assemble` builds its preconditioner from.
+
+`SparseSystem` carries only the finished preconditioner; the tests that
+check its parts byte for byte read them here, through a spy on
+`solve._preconditioner`, so that no test-only code lives in `src`."""
+
+import sys
+from typing import NamedTuple
+
+import numpy as np
+import scipy.sparse as sp
+
+from qncfem.solve import assemble
+
+SOLVE = sys.modules["qncfem.solve"]
+
+
+class Operators(NamedTuple):
+    """The arguments of `_preconditioner`."""
+
+    n: int
+    elements: np.ndarray  # free dof per retained local dof, n where masked
+    blocks: np.ndarray  # (ne, k, k) diagonal blocks of K
+    coarse: sp.csr_matrix | None = None  # P
+    coarse_matrix: sp.csc_matrix | None = None  # P^T K P
+
+
+def assemble_with_operators(space, f=None):
+    """(system, Operators): `assemble(space, f)`, by default with zero
+    load, and the operators its preconditioner is built from."""
+    seen = []
+    real = SOLVE._preconditioner
+
+    def spy(*args):
+        seen.append(Operators(*args))
+        return real(*args)
+
+    SOLVE._preconditioner = spy
+    try:
+        system = assemble(space, f if f is not None else lambda x, y: np.zeros_like(x))
+    finally:
+        SOLVE._preconditioner = real
+    (operators,) = seen
+    return system, operators

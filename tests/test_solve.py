@@ -1,6 +1,5 @@
 """Tests for assembly, the CG solve, and error norms."""
 
-import dataclasses
 import sys
 import tracemalloc
 
@@ -22,6 +21,7 @@ from qncfem.solve import (
     solve,
 )
 from qncfem.space import FeFunction, build_global_space, coarse_corners, prolong
+from schwarz_spy import assemble_with_operators
 from test_space import rotated_listing
 
 
@@ -43,13 +43,13 @@ def default_u():
 
 def element_stiffness(mesh, e, family, m):
     """Local stiffness over the retained dofs of element e, in local dof
-    order: `assemble` on the one-element mesh of e, without boundary
-    conditions."""
-    one = QuadMesh(mesh.vertices[mesh.quads[e]], [[0, 1, 2, 3]])
-    space = build_global_space(one, family, m, homogeneous=False)
-    lf = space.local_free()
-    K = assemble(space, lambda x, y: np.zeros_like(x)).matrix.toarray()
-    return K[np.ix_(lf[0], lf[0])]
+    order, from the element kernel of `assemble`.  (`assemble` itself
+    cannot serve on the one-element mesh of e without boundary conditions:
+    its Schwarz block is all of K, which is singular.)"""
+    solve_module, q = sys.modules["qncfem.solve"], m + 3
+    space = build_global_space(mesh, family, m)
+    return np.concatenate([solve_module._stiffness_blocks(space, q, jac)
+                           for _, _, jac in solve_module._element_chunks(space, q)])[e]
 
 
 class TestElementStiffness:
@@ -177,39 +177,22 @@ class TestSolvers:
         with pytest.raises(SolverError):
             solve(system)
 
-    @pytest.mark.parametrize("field", ["elements", "blocks", "coarse", "coarse_matrix"])
-    def test_preconditioner_fields_come_in_pairs(self, field):
-        system = assemble(build_global_space(uniform_rect_mesh(4), Family("ER"), 3),
-                          default_u()[2])
-        with pytest.raises(ValueError, match="together"):
-            dataclasses.replace(system, **{field: None})
-
-    @pytest.mark.parametrize("shape", [(2, 2, 3), (2, 3, 3), (2, 2)],
-                             ids=["columns", "rows", "flat"])
-    def test_blocks_must_match_element_table(self, shape):
-        with pytest.raises(ValueError, match=r"blocks must have shape \(2, 2, 2\)"):
-            SparseSystem(sp.identity(3, format="csr"), np.ones(3),
-                         elements=np.array([[0, 1], [2, 3]]), blocks=np.ones(shape))
-
     def test_singular_element_block_raises(self):
         # the first element's block [[1, 1], [1, 1]] is singular
-        A = sp.csr_matrix(np.array([[1.0, 1, 0], [1, 1, 0], [0, 0, 1]]))
-        system = SparseSystem(A, np.ones(3), elements=np.array([[0, 1], [2, 3]]),
-                              blocks=np.array([[[1.0, 1], [1, 1]], [[1, 0], [0, 1]]]))
-        with pytest.raises(SolverError):
-            solve(system)
+        blocks = np.array([[[1.0, 1], [1, 1]], [[1, 0], [0, 1]]])
+        with pytest.raises(SolverError, match="singular diagonal block"):
+            _preconditioner(3, np.array([[0, 1], [2, 3]]), blocks)
 
     @pytest.mark.parametrize(
         "precondition",
         [lambda r: np.zeros_like(r), lambda r: np.array([-r[1], r[0]])],
         ids=["zero", "orthogonal"],
     )
-    def test_vanishing_rz_raises(self, monkeypatch, precondition):
+    def test_vanishing_rz_raises(self, precondition):
         # r.z = 0 exactly with r != 0: CG cannot continue and has not
         # converged; the orthogonal map used to divide 0 by 0
-        monkeypatch.setattr(sys.modules["qncfem.solve"], "_preconditioner",
-                            lambda *args: precondition)
-        system = SparseSystem(sp.diags([1.0, 2.0]).tocsr(), np.ones(2))
+        system = SparseSystem(sp.diags([1.0, 2.0]).tocsr(), np.ones(2),
+                              precondition=precondition)
         with pytest.raises(SolverError):
             solve(system)
 
@@ -234,6 +217,20 @@ class TestSolvers:
             run_study(StudyConfig(family="er", m=3, levels=3, min_level=2),
                       problem=(u, gu, nan))
         assert err.value.rows == []
+
+    def test_singular_block_fails_study_with_earlier_rows(self, monkeypatch):
+        # `assemble` builds the preconditioner, so a singular block raises
+        # there; the study still ends in StudyError with its partial table
+        solve_module = sys.modules["qncfem.solve"]
+        real = solve_module._block_inverses
+
+        def singular_at_level_4(blocks):
+            return real(np.zeros_like(blocks) if len(blocks) == 64 else blocks)
+
+        monkeypatch.setattr(solve_module, "_block_inverses", singular_at_level_4)
+        with pytest.raises(StudyError, match="level 4: singular diagonal block") as err:
+            run_study(StudyConfig(family="er", m=3, levels=5, min_level=2))
+        assert [row.level for row in err.value.rows] == [2, 3]
 
     def test_sum_constraint_analytic(self):
         """K = I with the constraint sum(x) = 0 projects b onto mean zero.
@@ -411,9 +408,9 @@ class TestElementBlockLoop:
     @staticmethod
     def _kernels(space, coeffs):
         u, gu, f = default_u()
-        system = assemble(space, f)
-        K, G = system.matrix, system.coarse_matrix
-        inv = expanded_inverses(system.blocks)
+        system, ops = assemble_with_operators(space, f)
+        K, G = system.matrix, ops.coarse_matrix
+        inv = expanded_inverses(ops.blocks)
         raw = [a.tobytes() for a in (K.data, K.indices, K.indptr, system.rhs, inv,
                                      G.data, G.indices, G.indptr)]
         return raw, error_norms(space, coeffs, u, gu)
@@ -459,18 +456,26 @@ class TestElementBlockLoop:
         (error_norms), blocks of 256 elements +23 MB and +3 MB.  `solve`
         took +13.0 MB while it gathered the element blocks from K and
         formed P^T K P by a sparse product, +7.3 MB with both from
-        `assemble` (4.7 MB of it the block inverses, one per element, as no
-        block repeats).  R~5 on a uniform 32x32 mesh has 9 distinct blocks:
-        `solve` took +5.9 MB with one 22x22 inverse per element, +2.0 MB
-        with one per distinct block."""
+        `assemble`, +2.0 MB with the preconditioner built in `assemble`.
+        R~5 on a uniform 32x32 mesh has 9 distinct blocks: from the start
+        of `assemble` to the end of `solve`, less the K build that peaks
+        inside `assemble` (+18.8 MB), the level holds and uses +11.8 MB with
+        one 22x22 inverse per element and +7.8 MB with one per distinct
+        block."""
         u, gu, f = default_u()
         space = build_global_space(perturbed_mesh(64, seed=0), Family("ER"), 3)
         coeffs = np.random.default_rng(5).standard_normal(space.n_free)
         system = assemble(space, f)
-        uniform = assemble(build_global_space(uniform_rect_mesh(32), Family("R", "tilde"), 5), f)
+        uniform = build_global_space(uniform_rect_mesh(32), Family("R", "tilde"), 5)
+
+        def assemble_then_solve():
+            uniform_system = assemble(uniform, f)
+            tracemalloc.reset_peak()  # the K build is bounded on ER3 above
+            solve(uniform_system)
+
         for call, bound_mb in [(lambda: assemble(space, f), 35.0),
-                               (lambda: solve(system), 8.0),
-                               (lambda: solve(uniform), 4.0),
+                               (lambda: solve(system), 4.0),
+                               (assemble_then_solve, 9.5),
                                (lambda: error_norms(space, coeffs, u, gu), 12.0)]:
             tracemalloc.start()
             try:
@@ -491,11 +496,11 @@ class TestDistinctElements:
 
     def _kernels(self, space):
         q = space.m + 3
-        system = assemble(space, default_u()[2])
+        system, ops = assemble_with_operators(space, default_u()[2])
         K = system.matrix
         stiffness = [self.solve_module._stiffness_blocks(space, q, jac)
                      for _, _, jac in self.solve_module._element_chunks(space, q)]
-        inv = expanded_inverses(system.blocks)
+        inv = expanded_inverses(ops.blocks)
         return [a.tobytes() for a in (K.data, K.indices, K.indptr, system.rhs,
                                       *stiffness, inv)]
 
@@ -567,8 +572,7 @@ class TestDistinctElements:
 
         monkeypatch.setattr(np, "matmul", counting_matmul)
         monkeypatch.setattr(np.linalg, "inv", counting_inv)
-        system = assemble(space, default_u()[2])
-        _block_inverses(system.blocks)
+        assemble(space, default_u()[2])
         blocks = space.mesh.n_elements // self.solve_module.BLOCK_ELEMENTS
         assert blocks == 4
         assert stiffness_sizes == [1] * (2 * blocks)  # two products per block
@@ -631,17 +635,17 @@ class TestOperatorsFromElementMatrices:
     @cases
     @meshes
     def test_block_inverses_match_sampled_blocks(self, family, m, mesh):
-        system = assemble(build_global_space(mesh, family, m), default_u()[2])
-        expect = sampled_blocks(system.matrix, system.elements)
-        assert np.array_equal(system.blocks, expect)
-        assert (expanded_inverses(system.blocks).tobytes()
+        system, ops = assemble_with_operators(build_global_space(mesh, family, m))
+        expect = sampled_blocks(system.matrix, ops.elements)
+        assert np.array_equal(ops.blocks, expect)
+        assert (expanded_inverses(ops.blocks).tobytes()
                 == np.linalg.inv(expect.transpose(0, 2, 1)).tobytes())
 
     @cases
     @meshes
     def test_prolongation_matches_first_holder(self, family, m, mesh):
         space = build_global_space(mesh, family, m)
-        P = assemble(space, default_u()[2]).coarse
+        P = assemble_with_operators(space)[1].coarse
         expect = first_holder_prolongation(space)
         for got, want in ((P.data, expect.data), (P.indices, expect.indices),
                           (P.indptr, expect.indptr)):
@@ -650,8 +654,8 @@ class TestOperatorsFromElementMatrices:
     @cases
     @meshes
     def test_coarse_matrix_is_galerkin_product(self, family, m, mesh):
-        system = assemble(build_global_space(mesh, family, m), default_u()[2])
-        P, G = system.coarse, system.coarse_matrix
+        system, ops = assemble_with_operators(build_global_space(mesh, family, m))
+        P, G = ops.coarse, ops.coarse_matrix
         expect = (P.T @ system.matrix @ P).tocsc()
         expect.sort_indices()
         assert G.has_sorted_indices
@@ -697,7 +701,7 @@ class TestCoarseSpace:
     )
     def test_prolongation_in_relation_kernel(self, family, m):
         space = build_global_space(perturbed_mesh(8, seed=0), family, m)
-        P = assemble(space, default_u()[2]).coarse
+        P = assemble_with_operators(space)[1].coarse
         assert P.shape == (space.n_free, space.mesh.n_interior_vertices)
         assert abs(space.constraints @ P).max() < 1e-13
 
@@ -713,7 +717,7 @@ class TestCoarseSpace:
     def test_prolongation_reproduces_bilinears(self, family, m):
         mesh = perturbed_mesh(8, seed=2)
         space = build_global_space(mesh, family, m)
-        P = assemble(space, default_u()[2]).coarse
+        P = assemble_with_operators(space)[1].coarse
         rng = np.random.default_rng(4)
         v = rng.standard_normal(P.shape[1])
         vertex_values = np.zeros(len(mesh.vertices))
@@ -731,8 +735,8 @@ class TestCoarseSpace:
         single = build_global_space(uniform_rect_mesh(1), Family("ER"), 3)
         for space in (lowest, single):
             assert coarse_corners(space) is None
-            system = assemble(space, lambda x, y: np.ones_like(x))
-            assert system.coarse is None and system.coarse_matrix is None
+            ops = assemble_with_operators(space)[1]
+            assert ops.coarse is None and ops.coarse_matrix is None
 
     @pytest.mark.parametrize(
         "family,m",
@@ -761,8 +765,8 @@ class TestCoarseSpace:
     def test_two_level_matches_sparse_kkt(self, family, m, mesh):
         u, gu, f = default_u()
         space = build_global_space(mesh, family, m)
-        system = assemble(space, f)
-        assert system.coarse is not None
+        system, ops = assemble_with_operators(space, f)
+        assert ops.coarse is not None
         x, _ = solve(system)
         K = system.matrix
         if system.constraints is None:
@@ -809,21 +813,19 @@ class TestPreconditioner:
         ids=["ER3-perturbed", "RPlus4"],
     )
     def test_element_blocks_match_dense_loop(self, family, m, mesh):
-        space = build_global_space(mesh, family, m)
-        system = assemble(space, lambda x, y: np.ones_like(x))
-        assert np.any(system.elements == system.n)  # masked boundary dofs
-        fine = _preconditioner(dataclasses.replace(system, coarse=None, coarse_matrix=None))
+        system, ops, fine = self._fine(family, m, mesh)
+        assert np.any(ops.elements == system.n)  # masked boundary dofs
         rng = np.random.default_rng(7)
         for _ in range(3):
             r = rng.standard_normal(system.n)
-            expect = _dense_schwarz(system.matrix, system.elements, r)
+            expect = _dense_schwarz(system.matrix, ops.elements, r)
             assert np.max(np.abs(fine(r) - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     @staticmethod
     def _fine(family, m, mesh):
-        system = assemble(build_global_space(mesh, family, m), lambda x, y: np.ones_like(x))
-        fine = _preconditioner(dataclasses.replace(system, coarse=None, coarse_matrix=None))
-        return system, fine
+        """(system, operators, the fine Schwarz level alone)."""
+        system, ops = assemble_with_operators(build_global_space(mesh, family, m))
+        return system, ops, _preconditioner(ops.n, ops.elements, ops.blocks)
 
     @three_families
     @pytest.mark.parametrize(
@@ -833,36 +835,36 @@ class TestPreconditioner:
         ids=["uniform16", "rotated16", "moved-vertex16"],
     )
     def test_shared_blocks_match_dense_loop(self, family, m, mesh, singles):
-        system, fine = self._fine(family, m, mesh)
-        sizes = np.bincount(_block_inverses(system.blocks)[1])
+        system, ops, fine = self._fine(family, m, mesh)
+        sizes = np.bincount(_block_inverses(ops.blocks)[1])
         # blocks shared by enough elements for one product per block, and
         # blocks of one element: the corners, and on the moved-vertex mesh
         # the elements around the vertex and their neighbours
         assert np.max(sizes) >= sys.modules["qncfem.solve"].GEMM_GROUP
         assert np.sum(sizes == 1) == singles
         r = np.random.default_rng(12).standard_normal(system.n)
-        expect = _dense_schwarz(system.matrix, system.elements, r)
+        expect = _dense_schwarz(system.matrix, ops.elements, r)
         assert np.max(np.abs(fine(r) - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     @three_families
     def test_distinct_blocks_keep_stacked_product(self, family, m):
-        system, fine = self._fine(family, m, perturbed_mesh(8, seed=3))
-        assert _block_inverses(system.blocks)[1] is None  # no block repeats
+        system, ops, fine = self._fine(family, m, perturbed_mesh(8, seed=3))
+        assert _block_inverses(ops.blocks)[1] is None  # no block repeats
         r = np.random.default_rng(13).standard_normal(system.n)
-        x = np.append(r, 0.0)[system.elements][:, None, :]
-        z = np.matmul(x, np.linalg.inv(system.blocks.transpose(0, 2, 1)))
-        expect = np.bincount(system.elements.ravel(), weights=z.ravel(),
+        x = np.append(r, 0.0)[ops.elements][:, None, :]
+        z = np.matmul(x, np.linalg.inv(ops.blocks.transpose(0, 2, 1)))
+        expect = np.bincount(ops.elements.ravel(), weights=z.ravel(),
                              minlength=system.n + 1)[:system.n]
         assert fine(r).tobytes() == expect.tobytes()
 
     def test_two_level_adds_coarse_correction(self):
         space = build_global_space(uniform_rect_mesh(4), Family("ER"), 3)
-        system = assemble(space, lambda x, y: np.ones_like(x))
-        A, P = system.matrix, system.coarse
+        system, ops = assemble_with_operators(space)
+        A, P = system.matrix, ops.coarse
         r = np.random.default_rng(8).standard_normal(system.n)
         coarse = P @ np.linalg.solve((P.T @ A @ P).toarray(), P.T @ r)
-        expect = _dense_schwarz(A, system.elements, r) + coarse
-        got = _preconditioner(system)(r)
+        expect = _dense_schwarz(A, ops.elements, r) + coarse
+        got = system.precondition(r)
         assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
     def test_without_element_table_is_jacobi(self):
@@ -870,8 +872,13 @@ class TestPreconditioner:
         B = sp.random(30, 30, density=0.2, random_state=10)
         A = (B @ B.T + sp.diags(rng.uniform(1.0, 5.0, 30))).tocsr()
         r = rng.standard_normal(30)
-        assert np.allclose(_preconditioner(SparseSystem(A, r))(r), r / A.diagonal(),
-                           rtol=1e-14, atol=0.0)
+        jacobi = _preconditioner(30, np.arange(30)[:, None], A.diagonal()[:, None, None])
+        assert np.allclose(jacobi(r), r / A.diagonal(), rtol=1e-14, atol=0.0)
+        # a hand-built system without a preconditioner gets that one
+        x, report = solve(SparseSystem(A, r))
+        expect = solve(SparseSystem(A, r, precondition=jacobi))
+        assert x.tobytes() == expect[0].tobytes()
+        assert report.iterations == expect[1].iterations > 1
 
 
 class TestEdgeOrientation:

@@ -20,7 +20,7 @@ from qncfem.refelem import (
     EDGE_PARAM_POINT,
     Family,
 )
-from qncfem.solve import assemble, error_norms
+from qncfem.solve import error_norms
 from qncfem.space import (
     FeFunction,
     build_global_space,
@@ -28,6 +28,7 @@ from qncfem.space import (
     interpolate,
     prolong,
 )
+from schwarz_spy import assemble_with_operators
 
 FAMILY_ORDERS = [
     (Family("R"), 3),
@@ -426,9 +427,9 @@ class TestProlong:
         vertex_values = np.zeros(len(coarse_mesh.vertices))
         vertex_values[~coarse_mesh.vertex_is_boundary] = y
         fine_values = _refined_vertex_values(coarse_mesh, fine_mesh, vertex_values)
-        zero = lambda x, y: np.zeros_like(x)
-        got = prolong(coarse, assemble(coarse, zero).coarse @ y, fine)
-        expect = assemble(fine, zero).coarse @ fine_values[~fine_mesh.vertex_is_boundary]
+        P, fine_P = (assemble_with_operators(space)[1].coarse for space in (coarse, fine))
+        got = prolong(coarse, P @ y, fine)
+        expect = fine_P @ fine_values[~fine_mesh.vertex_is_boundary]
         assert np.max(np.abs(got - expect)) < 1e-12
 
     def test_rejects_unrefined_space(self):
