@@ -294,7 +294,15 @@ def _preconditioner(n, elements, blocks, coarse=None, coarse_matrix=None):
     zero and writes to a slot that is dropped.  A block that at least
     GEMM_GROUP elements share is applied as one GEMM over their gathered
     residuals; every other element takes its own row-vector product in one
-    stacked product."""
+    stacked product.  Raises ValueError unless elements and blocks, and
+    coarse and coarse_matrix, come in pairs with matching shapes."""
+    if (elements is None) != (blocks is None) or (coarse is None) != (coarse_matrix is None):
+        raise ValueError("the preconditioner needs elements and blocks, and coarse "
+                         "and coarse_matrix, together")
+    want = elements.shape + elements.shape[1:]
+    if blocks.shape != want:
+        raise ValueError(f"blocks must have shape {want} for elements of shape "
+                         f"{elements.shape}, got {blocks.shape}")
     inv, group = _block_inverses(blocks)
     # the shared groups first, each a contiguous run of elements, then the
     # rest; when no block repeats, `elements` and inv serve uncopied

@@ -177,6 +177,19 @@ class TestSolvers:
         with pytest.raises(SolverError):
             solve(system)
 
+    @pytest.mark.parametrize("field", ["elements", "blocks", "coarse", "coarse_matrix"])
+    def test_preconditioner_fields_come_in_pairs(self, field):
+        _, ops = assemble_with_operators(
+            build_global_space(uniform_rect_mesh(4), Family("ER"), 3))
+        with pytest.raises(ValueError, match="together"):
+            _preconditioner(*ops._replace(**{field: None}))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3), (2, 3, 3), (2, 2)],
+                             ids=["columns", "rows", "flat"])
+    def test_blocks_must_match_element_table(self, shape):
+        with pytest.raises(ValueError, match=r"blocks must have shape \(2, 2, 2\)"):
+            _preconditioner(3, np.array([[0, 1], [2, 3]]), np.ones(shape))
+
     def test_singular_element_block_raises(self):
         # the first element's block [[1, 1], [1, 1]] is singular
         blocks = np.array([[[1.0, 1], [1, 1]], [[1, 0], [0, 1]]])
