@@ -12,7 +12,9 @@ Kirby, ACM TOMS 30, 2004); `poly_values` evaluates a whole stack in one
 
 The dofs of any v are `sampling @ v(points)`, each a weighted sum of point
 values (Kirby, op. cit.); the dofs are point values, so every row is an
-identity row.
+identity row.  Only this module applies that matrix: other layers read the
+values it tabulates, the Vandermonde, `child_transfer`, `q1` and
+`interpolation`.
 
 Families:
     R     (odd m)  : P_m + span{x^m y - x y^m}     (tilde variant: + {x y^m})
@@ -27,7 +29,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .legendre1d import gauss_rule
+from .legendre1d import gauss_lobatto_nodes, gauss_rule, lagrange_basis
 
 __all__ = [
     "Family",
@@ -357,6 +359,35 @@ class ReferenceElement:
         mapped = (self.points + np.array(CHILD_OFFSETS)[:, None]) / 2.0
         phi = self.tabulate(mapped[..., 0], mapped[..., 1])[0]
         return self.sampling @ phi.reshape(4, -1, self.n_retained)
+
+    @cached_property
+    def q1(self) -> np.ndarray | None:
+        """Every local dof of the bilinear (1 + sx x)(1 + sy y) / 4 of each
+        reference corner (sx, sy), corners A1..A4 in CHILD_OFFSETS order,
+        shape (ndofs, 4); None for m = 1, whose shape space does not contain
+        Q1.  Each dof is `sampling` applied to the bilinears at `points`."""
+        if self.m < 2:
+            return None
+        sx, sy = np.array(CHILD_OFFSETS).T
+        bilinears = np.moveaxis(np.array([[np.ones(4), sy], [sx, sx * sy]]), -1, 0) / 4.0
+        return self.sampling @ poly_values(bilinears, *self.points.T)
+
+    @cached_property
+    def interpolation(self):
+        """(points, transfer): the canonical interpolant of a continuous v
+        has the dofs `transfer @ v(points)`.  ER samples v itself; R / RPlus
+        sample its Q_m interpolant at the tensor Gauss-Lobatto nodes, which
+        satisfies the boundary relation, so transfer is `sampling` applied
+        to the Lagrange basis of those nodes."""
+        if self.family.tag == "ER":
+            return self.points, self.sampling
+        nodes = gauss_lobatto_nodes(self.m + 1)
+        pts = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 2)
+        # the Lagrange basis l_i(x) l_j(y) of node pts[i (m+1) + j] at the points
+        lx, ly = ([lagrange_basis(nodes, i, t) for i in range(len(nodes))]
+                  for t in self.points.T)
+        lagrange = np.einsum("ip,jp->pij", lx, ly).reshape(len(self.points), -1)
+        return pts, self.sampling @ lagrange
 
 
 def build_reference_element(family: Family, m: int) -> ReferenceElement:

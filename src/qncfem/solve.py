@@ -31,9 +31,9 @@ Q1 space on the same mesh (interior-vertex hat functions) into the
 nonconforming space; each free dof's row of P comes from any element that
 holds it.  Q1 lies in every shape space with m >= 2 and, for R / RPlus,
 inside the relation kernel, so the coarse term needs no projection of its
-own.  Every element
-restricts P to one reference (n_retained x 4) matrix L, so P^T K P is the Q1
-assembly of L^T K_e L, 16 entries per element.  Iteration counts stay
+own.  Every element restricts P to one reference (n_retained x 4) matrix
+L, the reference element's `q1` values, so P^T K P is the Q1 assembly of
+L^T K_e L, 16 entries per element; `_coarse_space` builds both.  Iteration counts stay
 bounded under refinement and grow only mildly with m.  Systems without a
 coarse space (m = 1, no interior vertex) use the element blocks alone; a
 hand-built system without a preconditioner uses 1x1 blocks of its
@@ -52,7 +52,7 @@ import scipy.sparse.linalg as spla
 
 from .mesh import bilinear_map
 from .refelem import gauss_grid
-from .space import GlobalSpace, coarse_corners
+from .space import GlobalSpace
 
 __all__ = [
     "SparseSystem",
@@ -199,20 +199,29 @@ def _element_sum(local, index, n) -> sp.coo_matrix:
     return sp.coo_matrix((local[keep], (rows, cols)), shape=(n, n))
 
 
-def _q1_embedding(space: GlobalSpace, corners, local) -> sp.csr_matrix:
-    """P from the `coarse_corners` table: column v holds the dof values of
-    the hat function of interior vertex v.  Each free dof's row comes from
-    any element that holds it, as in `GlobalSpace.scatter`; the hats that do
-    not vanish at a shared edge dof, those of the edge's two vertices, take
-    the same values in both elements."""
-    n, n_coarse = space.n_free, space.mesh.n_interior_vertices
+def _coarse_space(space: GlobalSpace, Kloc):
+    """(P, P^T K P) of the Q1 space, or (None, None) when Q1 is not in the
+    shape space (m = 1) or the mesh has no interior vertex.  Column v of P
+    holds the dofs of the hat function of interior vertex v (in vertex
+    order), each free dof's row taken from any element that holds it.
+    P^T K P assembles L^T K_e L over the element matrices Kloc, with L =
+    `ref.q1` on the retained dofs: a masked dof lies on a boundary edge,
+    where only the bilinears of its two boundary corners do not vanish."""
+    mesh, local = space.mesh, space.ref.q1
+    n_coarse, n, dofs = mesh.n_interior_vertices, space.n_free, space.dofs
+    if local is None or n_coarse == 0:
+        return None, None
+    index = np.full(len(mesh.vertices), n_coarse, dtype=np.int64)
+    index[~mesh.vertex_is_boundary] = np.arange(n_coarse)
+    corners = index[mesh.quads]
     holder = np.empty(n + 1, dtype=np.int64)
-    holder[space.dofs] = np.arange(space.dofs.size).reshape(space.dofs.shape)
-    e, j = np.divmod(holder[:n], space.dofs.shape[1])
+    holder[dofs] = np.arange(dofs.size).reshape(dofs.shape)
+    e, j = np.divmod(holder[:n], dofs.shape[1])
     cols, vals = corners[e], local[j]  # (n, 4)
     keep = (cols < n_coarse) & (vals != 0.0)
-    return sp.csr_matrix((vals[keep], (np.nonzero(keep)[0], cols[keep])),
-                         shape=(n, n_coarse))
+    P = sp.csr_matrix((vals[keep], (np.nonzero(keep)[0], cols[keep])), shape=(n, n_coarse))
+    L = local[space.ref.retained]
+    return P, _element_sum(L.T @ Kloc @ L, corners, n_coarse).tocsc()
 
 
 def assemble(space: GlobalSpace, f) -> SparseSystem:
@@ -227,18 +236,8 @@ def assemble(space: GlobalSpace, f) -> SparseSystem:
     lf, n = space.local_free(), space.n_free
     Kloc = np.empty(lf.shape + lf.shape[1:])
     Floc = np.empty(lf.shape)
-    q1 = coarse_corners(space)
-    if q1 is not None:
-        # L^T K_e L over every retained dof: a masked dof lies on a boundary
-        # edge, where only the bilinears of its two boundary-vertex corners
-        # do not vanish, and boundary-vertex columns are dropped
-        corners, local = q1
-        L = local[space.ref.retained]
-        Gloc = np.empty((len(lf), 4, 4))
     for sl, (px, py), jac in _element_chunks(space, q):
         Kloc[sl] = _stiffness_blocks(space, q, jac)
-        if q1 is not None:
-            Gloc[sl] = L.T @ Kloc[sl] @ L
         fv = np.asarray(f(px, py), dtype=float)
         if fv.shape != px.shape:
             fv = np.broadcast_to(fv, px.shape)
@@ -250,6 +249,7 @@ def assemble(space: GlobalSpace, f) -> SparseSystem:
     K = _element_sum(Kloc, lf.astype(np.int32), n).tocsr()
     K = sp.csr_matrix((K.data.copy(), K.indices.copy(), K.indptr), shape=K.shape)
     b = np.bincount(lf.ravel(), weights=Floc.ravel(), minlength=n + 1)[:n]
+    coarse, coarse_matrix = _coarse_space(space, Kloc)
 
     # K_e becomes the diagonal block in place: the neighbours' entries on
     # the shared dofs are all gathered before any is added
@@ -261,11 +261,6 @@ def assemble(space: GlobalSpace, f) -> SparseSystem:
     Kloc[e, j, :] = 0.0
     Kloc[e, :, j] = 0.0
     Kloc[e, j, j] = 1.0
-
-    coarse = coarse_matrix = None
-    if q1 is not None:
-        coarse = _q1_embedding(space, corners, local)
-        coarse_matrix = _element_sum(Gloc, corners, coarse.shape[1]).tocsc()
     return SparseSystem(matrix=K, rhs=b, constraints=space.constraints,
                         precondition=_preconditioner(n, lf, Kloc, coarse, coarse_matrix))
 
@@ -317,6 +312,7 @@ def _preconditioner(n, elements, blocks, coarse=None, coarse_matrix=None):
             products = list(zip(stops - sizes[shared], stops, inv[shared]))
             split = stops[-1]
         inv = inv[group[split:]]
+    scatter = elements.ravel()  # a copy when the table is not C-ordered
 
     def fine(r):
         x = np.append(r, 0.0)[elements][:, None, :]
@@ -326,8 +322,7 @@ def _preconditioner(n, elements, blocks, coarse=None, coarse_matrix=None):
         # row-vector products r_e^T B_e^{-T}, faster than B_e^{-1} r_e as
         # a stack of matrix-vector products
         np.matmul(x[split:], inv, out=z[split:])
-        del x  # freed before the scatter, whose ravel may copy `elements`
-        return np.bincount(elements.ravel(), weights=z.ravel(), minlength=n + 1)[:n]
+        return np.bincount(scatter, weights=z.ravel(), minlength=n + 1)[:n]
 
     if coarse is None:
         return fine

@@ -2,8 +2,10 @@
 
 Degree-of-freedom enumeration with shared interior-edge dofs, homogeneous
 boundary masking, per-element constraint rows for the odd/even point families,
-interpolation operators and broken evaluation.  Every local dof is read
-through the reference element's sampling matrix (`ref.sampling`).
+interpolation operators and broken evaluation.  The dof set stays with the
+reference element: this module reads `ref.sampling` only for its length,
+and interpolation takes the points and the transfer `ref.interpolation`
+tabulates.
 """
 
 from __future__ import annotations
@@ -13,15 +15,13 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .legendre1d import gauss_lobatto_nodes, lagrange_basis
 from .mesh import QuadMesh, bilinear_map, refined_children
-from .refelem import Family, ReferenceElement, build_reference_element, poly_values
+from .refelem import Family, ReferenceElement, build_reference_element
 
 __all__ = [
     "GlobalSpace",
     "FeFunction",
     "build_global_space",
-    "coarse_corners",
     "expected_dimension",
     "interpolate",
     "prolong",
@@ -152,29 +152,6 @@ def build_global_space(
     )
 
 
-def coarse_corners(space: GlobalSpace):
-    """The conforming isoparametric Q1 space element by element: (index,
-    local), where index[e, c] is the coarse column of corner c of element e
-    (its number among the interior vertices, in vertex order, or
-    `n_interior_vertices` at a boundary vertex) and local, (ndofs_local, 4),
-    holds every local dof of the bilinear of each reference corner.  Every
-    shape space with m >= 2 contains Q1, so each dof is its functional
-    applied to the four bilinears (`ref.sampling` times their values at
-    `ref.points`).  None when Q1 is not in the shape space (m = 1) or the
-    mesh has no interior vertex."""
-    mesh, ref = space.mesh, space.ref
-    interior = ~mesh.vertex_is_boundary
-    n_coarse = int(np.sum(interior))
-    if ref.m < 2 or n_coarse == 0:
-        return None
-    coarse_index = np.full(len(mesh.vertices), n_coarse, dtype=np.int64)
-    coarse_index[interior] = np.arange(n_coarse)
-    # bilinear of corner c: (1 + sx x)(1 + sy y) / 4, corners A1..A4 CCW
-    sx, sy = np.array([[-1.0, 1.0, 1.0, -1.0], [-1.0, -1.0, 1.0, 1.0]])
-    bilinears = np.moveaxis(np.array([[np.ones(4), sy], [sx, sx * sy]]), -1, 0) / 4.0
-    return coarse_index[mesh.quads], ref.sampling @ poly_values(bilinears, *ref.points.T)
-
-
 def prolong(coarse: GlobalSpace, coeffs: np.ndarray, fine: GlobalSpace) -> np.ndarray:
     """Free coefficients on `fine`, whose mesh refines `coarse.mesh` (in any
     numbering, `mesh.refined_children`) with the same element, of the coarse
@@ -224,25 +201,14 @@ def expected_dimension(space: GlobalSpace) -> int:
 
 def interpolate(space: GlobalSpace, u) -> FeFunction:
     """Canonical interpolation of a continuous u into the global space, for
-    all elements at once: the dofs of each element are `ref.sampling`
-    applied to u o F_K at `ref.points`.  ER takes the values of u o F_K
-    itself; R / RPlus take the values of its elementwise Q_m interpolant at
-    the Gauss-Lobatto nodes, which satisfy the boundary relation
-    automatically."""
-    mesh, ref = space.mesh, space.ref
-    if ref.family.tag == "ER":
-        pts, transfer = ref.points, ref.sampling
-    else:
-        nodes = gauss_lobatto_nodes(ref.m + 1)
-        pts = np.stack(np.meshgrid(nodes, nodes, indexing="ij"), axis=-1).reshape(-1, 2)
-        # the Lagrange basis l_i(x) l_j(y) of node pts[i (m+1) + j] at the points
-        lx, ly = ([lagrange_basis(nodes, i, t) for i in range(len(nodes))]
-                  for t in ref.points.T)
-        lagrange = np.einsum("ip,jp->pij", lx, ly).reshape(len(ref.points), -1)
-        transfer = ref.sampling @ lagrange
+    all elements at once: the dofs of each element are
+    `transfer @ (u o F_K)(points)` with `ref.interpolation`'s (points,
+    transfer), which for R / RPlus satisfy the boundary relation.  A u that
+    returns a constant is broadcast to the points."""
+    mesh = space.mesh
+    pts, transfer = space.ref.interpolation
     (px, py), _ = bilinear_map(mesh.corner_array(), pts[:, 0], pts[:, 1])
-    vals = np.asarray(u(px, py), dtype=float) @ transfer.T  # (ne, ndofs)
-
+    vals = np.broadcast_to(np.asarray(u(px, py), dtype=float), px.shape) @ transfer.T
     coeffs = space.scatter(vals)
     if space.constraints is not None:
         resid = np.abs(space.constraints @ coeffs)

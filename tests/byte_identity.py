@@ -1,0 +1,130 @@
+"""Hash every level of the benchmark workloads and the published-table
+studies, to show that a refactor leaves every result byte for byte as it
+was.
+
+    OMP_NUM_THREADS=1 PYTHONPATH=src python tests/byte_identity.py --write before.json
+    ... change the code ...
+    OMP_NUM_THREADS=1 PYTHONPATH=src python tests/byte_identity.py --compare before.json
+
+It runs `cli.run_study` on the three workloads of perfbench/workloads.json
+(seed 0) and on the six `cli.TABLES` rows, and for every level hashes the
+solution bytes and the iteration count, the L2/H1 errors (`float.hex`),
+K, b and C, the arguments `assemble` passes to `solve._preconditioner`
+(read through a spy, as tests/schwarz_spy.py does) and one apply of
+`system.precondition` to a fixed vector.  OpenBLAS rounds long dot
+products differently with one and two threads, so the script refuses to
+run unless OMP_NUM_THREADS=1.  `--compare` exits with status 1 and lists
+the differing entries when any hash differs.  The file name does not
+match pytest's test pattern, so the suite does not collect it.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import pathlib
+import sys
+
+import numpy as np
+import scipy.sparse as sp
+
+from qncfem import cli
+
+SOLVE = sys.modules["qncfem.solve"]
+WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
+
+
+def digest(*parts) -> str:
+    """sha256 of arrays (dtype, shape and C-order bytes), sparse matrices
+    (CSR data, indices and indptr), None and plain values."""
+    h = hashlib.sha256()
+    for part in parts:
+        if sp.issparse(part):
+            csr = part.tocsr()
+            h.update(digest(csr.shape, csr.data, csr.indices, csr.indptr).encode())
+        elif isinstance(part, np.ndarray):
+            h.update(f"{part.dtype}{part.shape}".encode())
+            h.update(np.ascontiguousarray(part).tobytes())
+        else:
+            h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+def studies():
+    """(name, StudyConfig) of every study the check covers."""
+    spec = json.loads(WORKLOADS.read_text())["workloads"]
+    for name, w in sorted(spec.items()):
+        yield name, cli.StudyConfig(**w["config"], seed=w["fingerprint_seed"])
+    yield from ((f"tables/{name}", config) for name, config in cli.TABLES.items())
+
+
+def hash_study(config) -> dict:
+    """{level/item: hash} of one study, run through spies on the names
+    `run_study` calls; each level is hashed as soon as it is solved, so
+    that no level's arrays outlive it."""
+    levels, operators = [], []
+    real = cli.solve, SOLVE._preconditioner
+
+    def solve(system, x0=None):
+        x, report = real[0](system, x0)
+        probe = np.sin(np.arange(system.n) + 1.0)
+        levels.append({
+            "solution": digest(x, report.iterations),
+            "K": digest(system.matrix),
+            "b": digest(system.rhs),
+            "C": digest(system.constraints),
+            "preconditioner_args": digest(*operators.pop()),
+            "precondition": digest(system.precondition(probe)),
+        })
+        return x, report
+
+    def preconditioner(*args):
+        operators.append(args)
+        return real[1](*args)
+
+    cli.solve, SOLVE._preconditioner = solve, preconditioner
+    try:
+        rows = cli.run_study(config)
+    finally:
+        cli.solve, SOLVE._preconditioner = real
+    out = {}
+    for row, items in zip(rows, levels, strict=True):
+        items["errors"] = digest(row.l2_err.hex(), row.h1_err.hex())
+        out.update((f"level{row.level}/{k}", v) for k, v in items.items())
+    return out
+
+
+def collect() -> dict:
+    hashes = {}
+    for name, config in studies():
+        print(f"  {name}", file=sys.stderr, flush=True)
+        hashes.update((f"{name}/{k}", v) for k, v in hash_study(config).items())
+    return hashes
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--write", metavar="FILE", help="record the hashes in FILE")
+    mode.add_argument("--compare", metavar="FILE", help="check the hashes against FILE")
+    args = parser.parse_args(argv)
+    if os.environ.get("OMP_NUM_THREADS") != "1":
+        print("byte_identity: set OMP_NUM_THREADS=1; results differ at other "
+              "BLAS thread counts", file=sys.stderr)
+        return 2
+    hashes = collect()
+    if args.write:
+        pathlib.Path(args.write).write_text(json.dumps(hashes, indent=1, sort_keys=True))
+        print(f"wrote {len(hashes)} hashes to {args.write}")
+        return 0
+    recorded = json.loads(pathlib.Path(args.compare).read_text())
+    differ = sorted(k for k in recorded.keys() | hashes.keys()
+                    if recorded.get(k) != hashes.get(k))
+    for key in differ:
+        print(f"differs: {key}")
+    print(f"{len(hashes) - len(differ)} of {len(recorded | hashes)} hashes equal")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -92,3 +92,22 @@ def test_private_definitions_are_read():
     unread = [f"{module}.{name}" for module, name in private_definitions()
               if name not in read]
     assert not unread, f"private names the package never reads: {unread}"
+
+
+def test_only_refelem_applies_the_dof_set():
+    """The dof set is `ReferenceElement.sampling`; the Vandermonde, the
+    child transfer, the Q1 values and the interpolation transfer are its
+    tabulated values, computed in refelem.  Anywhere else in the package
+    or the benchmark, `.sampling` is read only as the argument of len()."""
+    stray = []
+    for path in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py")]:
+        if path == SRC / "refelem.py":
+            continue
+        tree = ast.parse(path.read_text())
+        counted = {id(node.args[0]) for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id == "len" and len(node.args) == 1}
+        stray += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr == "sampling"
+                  and id(node) not in counted]
+    assert not stray, f"reads of the dof set outside refelem: {stray}"

@@ -9,6 +9,7 @@ from paper_identities import discrete_bubble, simplified_constraint_weights
 from qncfem import refelem
 from qncfem.legendre1d import gauss_rule
 from qncfem.refelem import (
+    CHILD_OFFSETS,
     EDGE_PARAM_POINT,
     Family,
     boundary_dof_points,
@@ -418,3 +419,27 @@ class TestSampling:
             for i, (x, y) in enumerate(ref.points):
                 for j, b in enumerate(ref.basis):
                     assert ref.vandermonde[i, j] == polyval2d(x, y, b)
+
+    @pytest.mark.parametrize("family,orders", ALL_FAMILIES)
+    def test_q1_holds_the_corner_bilinears(self, family, orders):
+        # point dofs: column c is corner c's bilinear at the points; m = 1
+        # does not contain Q1
+        for m in orders:
+            ref = build_reference_element(family, m)
+            if m == 1:
+                assert ref.q1 is None
+                continue
+            x, y = ref.points.T
+            expect = np.column_stack([(1 + sx * x) * (1 + sy * y) / 4
+                                      for sx, sy in CHILD_OFFSETS])
+            assert np.max(np.abs(ref.q1 - expect)) <= 1e-15
+
+    @pytest.mark.parametrize("family,orders", ALL_FAMILIES)
+    def test_interpolation_reproduces_the_shape_space(self, family, orders):
+        # every shape space lies in Q_m, or is sampled directly (ER), so the
+        # canonical interpolant of a basis polynomial has its own dofs
+        for m in orders:
+            ref = build_reference_element(family, m)
+            pts, transfer = ref.interpolation
+            got = transfer @ refelem.poly_values(ref.basis, *pts.T)
+            assert np.max(np.abs(got - ref.vandermonde)) < 1e-12

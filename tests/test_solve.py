@@ -20,7 +20,7 @@ from qncfem.solve import (
     error_norms,
     solve,
 )
-from qncfem.space import FeFunction, build_global_space, coarse_corners, prolong
+from qncfem.space import FeFunction, build_global_space, prolong
 from schwarz_spy import assemble_with_operators
 from test_space import rotated_listing
 
@@ -611,9 +611,12 @@ def sampled_blocks(A, elements):
 def first_holder_prolongation(space):
     """Reference for `assemble`'s coarse prolongation: every free dof's row
     of P from the first element that lists it, found by sorting every local
-    dof."""
-    index, local = coarse_corners(space)
-    n_coarse = space.mesh.n_interior_vertices
+    dof, with the interior vertices numbered in vertex order."""
+    mesh, local = space.mesh, space.ref.q1
+    n_coarse = mesh.n_interior_vertices
+    number = np.full(len(mesh.vertices), n_coarse, dtype=np.int64)
+    number[~mesh.vertex_is_boundary] = np.arange(n_coarse)
+    index = number[mesh.quads]
     dofs, first = np.unique(space.dofs, return_index=True)
     free = dofs < space.n_free
     rows = dofs[free]
@@ -746,8 +749,8 @@ class TestCoarseSpace:
         # m = 1 does not contain Q1; a single element has no interior vertex
         lowest = build_global_space(uniform_rect_mesh(4), Family("ER"), 1)
         single = build_global_space(uniform_rect_mesh(1), Family("ER"), 3)
+        assert lowest.ref.q1 is None
         for space in (lowest, single):
-            assert coarse_corners(space) is None
             ops = assemble_with_operators(space)[1]
             assert ops.coarse is None and ops.coarse_matrix is None
 

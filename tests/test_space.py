@@ -235,6 +235,22 @@ class TestInterpolate:
         got = interpolate(space, u).coeffs
         assert np.max(np.abs(got - _interpolate_per_element(space, u))) < 1e-12
 
+    @pytest.mark.parametrize(
+        "family,m", [(Family("ER"), 3), (Family("R"), 3), (Family("RPlus"), 4)],
+        ids=["ER3", "R3", "RPlus4"],
+    )
+    @pytest.mark.parametrize("constant", [lambda x, y: 2.5, lambda x, y: np.array([2.5])],
+                             ids=["scalar", "shape1"])
+    def test_constant(self, family, m, constant):
+        """A u that returns a constant, as `assemble` accepts for f, gives
+        that constant on every free dof (interpolate raises unless the
+        R / RPlus relations hold)."""
+        space = build_global_space(perturbed_mesh(4, seed=4), family, m,
+                                   homogeneous=False)
+        coeffs = interpolate(space, constant).coeffs
+        assert coeffs.shape == (space.n_free,)
+        assert np.max(np.abs(coeffs - 2.5)) <= 1e-14
+
     @pytest.mark.parametrize("family,m", FAMILY_ORDERS)
     def test_reproduces_pm(self, family, m):
         """The interpolant of a degree <= m polynomial is exact on affine
