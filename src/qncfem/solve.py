@@ -11,7 +11,10 @@ uniform mesh shares one Jacobian, so there each block runs the stiffness
 kernel once, and a uniform mesh of 3x3 or more has 9 distinct Schwarz
 blocks.  `assemble` also builds the preconditioner from the element
 matrices K_e, with no read of the assembled K, and the system carries it as
-one operator.
+one operator.  K itself is read from the Schwarz blocks, which hold its
+sums, with no COO triplets or duplicate sum, and the blocks are then
+inverted in place, so the temporaries of `assemble` stay below one copy
+of K.
 The ER families give a plain SPD system; the R / RPlus families carry one
 relation row per element, and `solve` runs one preconditioned CG for both.
 
@@ -23,7 +26,9 @@ neighbouring blocks overlap on their shared edge dofs.  Both come from the
 dof table alone: a free dof has at most two holders, so each block is K_e
 plus, for each element it shares dofs with, that element's entries on
 every pair of the shared dofs: the same two-term sums as in K, so the
-blocks are K's bytes.  The fine level is applied with a gather, products
+blocks are K's bytes, and each row of K is a row of its first holder's
+block followed by the rest of the other holder's row.  The fine level is
+applied with a gather, products
 and a scatter: a block that many elements share is one GEMM over their
 gathered residuals, and the other elements take one stacked product of
 row vectors by their own inverses.  P embeds the conforming isoparametric
@@ -170,23 +175,78 @@ def _stiffness_blocks(space: GlobalSpace, q: int, jac):
     return K[inverse]
 
 
-def _shared_entries(lf, n):
-    """Flat positions (target, source) in the (ne, k, k) stack of element
-    matrices over the free-dof table lf (n where masked): for every two
-    elements that hold a common free dof, the entry `source` of one is what
-    K adds to the entry `target` of the other's diagonal block, on every
-    pair of dofs that both hold.  A free dof has at most two holders."""
-    ne, k = lf.shape
+def _partners(lf, n):
+    """Flat position e k + i, in the (ne, k) free-dof table lf (n where
+    masked), of the other holder of each local free dof, or -1 when the dof
+    is masked or has one holder.  A free dof has at most two holders."""
     flat, pos = lf.ravel(), np.arange(lf.size)
     # the other holder's position is the sum of both positions less its own
     total = np.bincount(flat, weights=pos, minlength=n + 1)[flat].astype(np.int64)
     twice = (np.bincount(flat, minlength=n + 1)[flat] == 2) & (flat < n)
-    partner = np.where(twice, total - pos, -1).reshape(ne, k)  # e k + i, or -1
-    other = partner // k  # the other holder, or -1
-    # entry (e, i, j) gains a term when dofs i and j have the same other holder
-    both = (other[:, :, None] == other[:, None, :]) & (other[:, :, None] >= 0)
-    source = partner[:, :, None] * k + (partner % k)[:, None, :]
-    return np.flatnonzero(both), source[both]
+    return np.where(twice, total - pos, -1).reshape(lf.shape)
+
+
+def _shared_blocks(partner):
+    """For each block of BLOCK_ELEMENTS elements, its slice and the mask
+    (block, k, k) of the entries (e, i, j) whose dofs i and j have the same
+    other holder: the entries where K adds that holder's term to K_e."""
+    for start in range(0, len(partner), BLOCK_ELEMENTS):
+        sl = slice(start, start + BLOCK_ELEMENTS)
+        o = partner[sl] // partner.shape[1]  # the other holder, or -1
+        yield sl, (o[:, :, None] == o[:, None, :]) & (o >= 0)[:, :, None]
+
+
+def _neighbour_sums(Kloc, partner):
+    """Turn the element matrices K_e into the diagonal blocks of K in place:
+    every shared entry gains the other holder's term.  A holder in an
+    earlier block of elements already holds the sum, which is copied, since
+    a + b and b + a have the same bytes; within a block every term is
+    gathered before any is added.  Returns the number of shared entries in
+    each row of each block, (ne, k)."""
+    k = partner.shape[1]
+    flat = Kloc.reshape(-1)
+    shared_count = np.empty(partner.shape, dtype=np.int64)
+    for sl, shared in _shared_blocks(partner):
+        p = partner[sl]
+        source = (p[:, :, None] * k + (p % k)[:, None, :])[shared]
+        add = flat[source]
+        block = Kloc[sl]
+        block[shared] = np.where(source < sl.start * k * k, add, block[shared] + add)
+        shared_count[sl] = shared.sum(axis=2)
+    return shared_count
+
+
+def _matrix_from_blocks(Kloc, lf, partner, shared_count, n) -> sp.csr_matrix:
+    """K in CSR from the diagonal blocks Kloc, which hold K's sums: row d
+    is row i of the block of its first holder over that element's free
+    dofs, then row i' of the other holder's block over the dofs the first
+    lacks, which skips the row's `shared_count` shared entries.  Rows are
+    written a block of elements at a time into arrays of K's size, then
+    sorted in place."""
+    free = lf < n
+    # the local dofs whose other holder comes first
+    second = (partner >= 0) & (partner < np.arange(lf.size).reshape(lf.shape))
+    counts = free.sum(axis=1, keepdims=True) - np.where(second, shared_count, 0)
+    counts[~free] = 0
+    # int32, the CSR index type scipy picks below 2**31 entries
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    indptr[1:] = np.cumsum(
+        np.bincount(lf.ravel(), weights=counts.ravel(), minlength=n + 1)[:n])
+    data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
+    # where each holder's part of its row starts: the second after the first
+    start = indptr[lf] + np.where(second, counts.ravel()[partner], 0)
+    for sl, shared in _shared_blocks(partner):
+        keep = free[sl][:, :, None] & free[sl][:, None, :]
+        keep ^= shared & second[sl][:, :, None]
+        # the kept entries of each row, in order, go to consecutive places
+        rows = counts[sl].ravel()
+        at = np.repeat(start[sl].ravel() - np.cumsum(rows) + rows, rows)
+        at += np.arange(len(at))
+        data[at] = Kloc[sl][keep]
+        indices[at] = np.broadcast_to(lf[sl][:, None, :], keep.shape)[keep]
+    K = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    K.sort_indices()
+    return K
 
 
 def _element_sum(local, index, n) -> sp.coo_matrix:
@@ -224,16 +284,13 @@ def _coarse_space(space: GlobalSpace, Kloc):
     return P, _element_sum(L.T @ Kloc @ L, corners, n_coarse).tocsc()
 
 
-def assemble(space: GlobalSpace, f) -> SparseSystem:
-    """Assemble stiffness and load over the free dofs with the (m+3)-point
-    tensor Gauss rule; attach the constraint rows for the R / RPlus
-    families, and the preconditioner built from the element matrices: the
-    inverses of the diagonal blocks and the factored coarse matrix P^T K P.
-    Raises SolverError when a diagonal block is singular."""
+def _element_terms(space: GlobalSpace, f, lf, n):
+    """(K_e, b): the element stiffness matrices over the retained dofs,
+    (ne, k, k), and the load vector assembled over the free dofs lf (n
+    where masked), both with the (m+3)-point tensor Gauss rule."""
     q = space.m + 3
     _, _, W = gauss_grid(q)
     phi, _, _ = space.ref.tabulate_gauss(q)
-    lf, n = space.local_free(), space.n_free
     Kloc = np.empty(lf.shape + lf.shape[1:])
     Floc = np.empty(lf.shape)
     for sl, (px, py), jac in _element_chunks(space, q):
@@ -242,21 +299,27 @@ def assemble(space: GlobalSpace, f) -> SparseSystem:
         if fv.shape != px.shape:
             fv = np.broadcast_to(fv, px.shape)
         Floc[sl] = np.einsum("ep,pi->ei", fv * jac[-1] * W[None, :], phi)
+    return Kloc, np.bincount(lf.ravel(), weights=Floc.ravel(), minlength=n + 1)[:n]
 
-    # int32 is the CSR index type scipy picks anyway; tocsr sums duplicates
-    # but keeps arrays sized for them, 15% more than nnz at ER3 64x64, and
-    # copies of the used part give that memory back
-    K = _element_sum(Kloc, lf.astype(np.int32), n).tocsr()
-    K = sp.csr_matrix((K.data.copy(), K.indices.copy(), K.indptr), shape=K.shape)
-    b = np.bincount(lf.ravel(), weights=Floc.ravel(), minlength=n + 1)[:n]
+
+def assemble(space: GlobalSpace, f) -> SparseSystem:
+    """Assemble stiffness and load over the free dofs with the (m+3)-point
+    tensor Gauss rule; attach the constraint rows for the R / RPlus
+    families, and the preconditioner built from the element matrices: the
+    inverses of the diagonal blocks and the factored coarse matrix P^T K P.
+    In order: the element matrices K_e and b; the coarse space from the
+    K_e; the neighbour sums that turn the K_e into the diagonal blocks; K,
+    read from the blocks; the boundary masks; the inverses, written over
+    the blocks.  Raises SolverError when a diagonal block is singular."""
+    lf, n = space.local_free(), space.n_free
+    # a function of its own, so that the last block's quadrature arrays are
+    # freed before K is built
+    Kloc, b = _element_terms(space, f, lf, n)
     coarse, coarse_matrix = _coarse_space(space, Kloc)
-
-    # K_e becomes the diagonal block in place: the neighbours' entries on
-    # the shared dofs are all gathered before any is added
-    target, source = _shared_entries(lf, n)
-    flat = Kloc.reshape(-1)
-    flat[target] += flat[source]
-    del target, source
+    partner = _partners(lf, n)
+    shared_count = _neighbour_sums(Kloc, partner)
+    K = _matrix_from_blocks(Kloc, lf, partner, shared_count, n)
+    del partner, shared_count
     e, j = np.nonzero(lf == n)
     Kloc[e, j, :] = 0.0
     Kloc[e, :, j] = 0.0
@@ -268,15 +331,20 @@ def assemble(space: GlobalSpace, f) -> SparseSystem:
 def _block_inverses(blocks):
     """(inv, group): the transposed inverses of the distinct blocks of a
     stack, each inverted once, and the row of inv that holds each block's
-    inverse, or None when no block repeats (inv then holds one per block,
-    in order)."""
+    inverse, or None when no block repeats.  In that case the inverses are
+    written over `blocks`, a block of elements at a time, and inv is
+    `blocks`."""
     found = _distinct_rows(blocks.reshape(len(blocks), -1))
-    first, group = found or (slice(None), None)
     try:
-        inv = np.linalg.inv(blocks[first].transpose(0, 2, 1))
+        if found is not None:
+            first, group = found
+            return np.linalg.inv(blocks[first].transpose(0, 2, 1)), group
+        for start in range(0, len(blocks), BLOCK_ELEMENTS):
+            sl = slice(start, start + BLOCK_ELEMENTS)
+            blocks[sl] = np.linalg.inv(blocks[sl].transpose(0, 2, 1))
     except np.linalg.LinAlgError as err:
         raise SolverError("singular diagonal block in the preconditioner") from err
-    return inv, group
+    return blocks, None
 
 
 def _preconditioner(n, elements, blocks, coarse=None, coarse_matrix=None):
@@ -285,12 +353,14 @@ def _preconditioner(n, elements, blocks, coarse=None, coarse_matrix=None):
     `blocks`, the matching diagonal blocks (identity rows and columns on
     masked positions), plus the exact coarse-space correction
     P (P^T A P)^{-1} P^T when a prolongation `coarse` and its
-    `coarse_matrix` P^T A P are given.  A masked entry reads an appended
-    zero and writes to a slot that is dropped.  A block that at least
-    GEMM_GROUP elements share is applied as one GEMM over their gathered
-    residuals; every other element takes its own row-vector product in one
-    stacked product.  Raises ValueError unless elements and blocks, and
-    coarse and coarse_matrix, come in pairs with matching shapes."""
+    `coarse_matrix` P^T A P are given.  When no block repeats, the
+    inverses are written over `blocks`, which the caller gives up.  A
+    masked entry reads an appended zero and writes to a slot that is
+    dropped.  A block that at least GEMM_GROUP elements share is applied as
+    one GEMM over their gathered residuals; every other element takes its
+    own row-vector product in one stacked product.  Raises ValueError
+    unless elements and blocks, and coarse and coarse_matrix, come in pairs
+    with matching shapes."""
     if (elements is None) != (blocks is None) or (coarse is None) != (coarse_matrix is None):
         raise ValueError("the preconditioner needs elements and blocks, and coarse "
                          "and coarse_matrix, together")

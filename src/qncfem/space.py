@@ -204,11 +204,17 @@ def interpolate(space: GlobalSpace, u) -> FeFunction:
     all elements at once: the dofs of each element are
     `transfer @ (u o F_K)(points)` with `ref.interpolation`'s (points,
     transfer), which for R / RPlus satisfy the boundary relation.  A u that
-    returns a constant is broadcast to the points."""
+    returns a constant is broadcast to the points.  Raises ValueError when
+    a masked (boundary) dof of u exceeds 1e-9 max(1, max |dof|): a
+    homogeneous space holds only functions that vanish there."""
     mesh = space.mesh
     pts, transfer = space.ref.interpolation
     (px, py), _ = bilinear_map(mesh.corner_array(), pts[:, 0], pts[:, 1])
     vals = np.broadcast_to(np.asarray(u(px, py), dtype=float), px.shape) @ transfer.T
+    masked = np.abs(vals[space.dofs == space.n_free])
+    if masked.size and masked.max() > 1e-9 * max(1.0, float(np.max(np.abs(vals)))):
+        raise ValueError(f"u does not vanish on the boundary of a homogeneous space: "
+                         f"a masked dof reads {masked.max():.3e}")
     coeffs = space.scatter(vals)
     if space.constraints is not None:
         resid = np.abs(space.constraints @ coeffs)

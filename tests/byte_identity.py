@@ -10,7 +10,8 @@ It runs `cli.run_study` on the three workloads of perfbench/workloads.json
 (seed 0) and on the six `cli.TABLES` rows, and for every level hashes the
 solution bytes and the iteration count, the L2/H1 errors (`float.hex`),
 K, b and C, the arguments `assemble` passes to `solve._preconditioner`
-(read through a spy, as tests/schwarz_spy.py does) and one apply of
+(read through a spy that copies them on entry, as tests/schwarz_spy.py
+does, since the preconditioner inverts the blocks in place) and one apply of
 `system.precondition` to a fixed vector.  OpenBLAS rounds long dot
 products differently with one and two threads, so the script refuses to
 run unless OMP_NUM_THREADS=1.  `--compare` exits with status 1 and lists
@@ -78,9 +79,10 @@ def hash_study(config) -> dict:
         })
         return x, report
 
-    def preconditioner(*args):
-        operators.append(args)
-        return real[1](*args)
+    def preconditioner(n, elements, blocks, *coarse):
+        # a copy: the preconditioner inverts the blocks in place
+        operators.append((n, elements, blocks.copy(), *coarse))
+        return real[1](n, elements, blocks, *coarse)
 
     cli.solve, SOLVE._preconditioner = solve, preconditioner
     try:

@@ -31,9 +31,10 @@ def assemble_with_operators(space, f=None):
     seen = []
     real = SOLVE._preconditioner
 
-    def spy(*args):
-        seen.append(Operators(*args))
-        return real(*args)
+    def spy(n, elements, blocks, *coarse):
+        # a copy: the preconditioner inverts the blocks in place
+        seen.append(Operators(n, elements, blocks.copy(), *coarse))
+        return real(n, elements, blocks, *coarse)
 
     SOLVE._preconditioner = spy
     try:

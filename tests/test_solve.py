@@ -41,15 +41,19 @@ def default_u():
     return u, gu, f
 
 
-def element_stiffness(mesh, e, family, m):
-    """Local stiffness over the retained dofs of element e, in local dof
-    order, from the element kernel of `assemble`.  (`assemble` itself
-    cannot serve on the one-element mesh of e without boundary conditions:
-    its Schwarz block is all of K, which is singular.)"""
-    solve_module, q = sys.modules["qncfem.solve"], m + 3
-    space = build_global_space(mesh, family, m)
+def element_matrices(space):
+    """The local stiffness matrices over the retained dofs, (ne, k, k) in
+    local dof order, from the element kernel of `assemble`."""
+    solve_module, q = sys.modules["qncfem.solve"], space.m + 3
     return np.concatenate([solve_module._stiffness_blocks(space, q, jac)
-                           for _, _, jac in solve_module._element_chunks(space, q)])[e]
+                           for _, _, jac in solve_module._element_chunks(space, q)])
+
+
+def element_stiffness(mesh, e, family, m):
+    """Local stiffness over the retained dofs of element e.  (`assemble`
+    itself cannot serve on the one-element mesh of e without boundary
+    conditions: its Schwarz block is all of K, which is singular.)"""
+    return element_matrices(build_global_space(mesh, family, m))[e]
 
 
 class TestElementStiffness:
@@ -128,6 +132,39 @@ class TestAssemble:
                         continue
                     dense[gi, gj] += K[i, j]
         assert np.max(np.abs(system.matrix.toarray() - dense)) < 1e-11
+
+    @pytest.mark.parametrize(
+        "family,m",
+        [(Family("ER"), 3), (Family("R"), 1), (Family("R", "tilde"), 5), (Family("RPlus"), 4)],
+        ids=["ER3", "R1", "R~5", "RPlus4"],
+    )
+    @pytest.mark.parametrize(
+        "mesh,homogeneous",
+        [(perturbed_mesh(8, seed=3), True), (rotated_listing(uniform_rect_mesh(8)), True),
+         (uniform_rect_mesh(4), False), (uniform_rect_mesh(1), False)],
+        ids=["perturbed8", "rotated8", "free-boundary4", "one-element"],
+    )
+    @pytest.mark.parametrize("block", [None, 7], ids=["one-block", "blocks-of-7"])
+    def test_matrix_is_coo_sum(self, monkeypatch, family, m, mesh, homogeneous, block):
+        """K, read from the Schwarz blocks, is the duplicate-summing COO
+        build of the element matrices byte for byte: data (with the sign
+        of every zero), indices and indptr, and their dtypes.  Without
+        boundary conditions the boundary dofs have one holder, and on one
+        element every dof has; `_preconditioner` is stubbed, since the
+        one element's block is singular for some families."""
+        solve_module = sys.modules["qncfem.solve"]
+        space = build_global_space(mesh, family, m, homogeneous=homogeneous)
+        lf, n = space.local_free(), space.n_free
+        expect = solve_module._element_sum(element_matrices(space), lf.astype(np.int32),
+                                           n).tocsr()
+        if block is not None:
+            monkeypatch.setattr(solve_module, "BLOCK_ELEMENTS", block)
+        monkeypatch.setattr(solve_module, "_preconditioner", lambda *args: None)
+        K = assemble(space, lambda x, y: np.zeros_like(x)).matrix
+        assert K.shape == (n, n) and K.has_sorted_indices
+        for got, want in ((K.data, expect.data), (K.indices, expect.indices),
+                          (K.indptr, expect.indptr)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestSolvers:
@@ -466,15 +503,17 @@ class TestElementBlockLoop:
     def test_peak_memory_bounded(self):
         """Traced peak allocation above the start, ER3 on a perturbed 64x64
         mesh: whole-mesh temporaries gave +47 MB (assemble) and +29 MB
-        (error_norms), blocks of 256 elements +23 MB and +3 MB.  `solve`
-        took +13.0 MB while it gathered the element blocks from K and
-        formed P^T K P by a sparse product, +7.3 MB with both from
-        `assemble`, +2.0 MB with the preconditioner built in `assemble`.
-        R~5 on a uniform 32x32 mesh has 9 distinct blocks: from the start
-        of `assemble` to the end of `solve`, less the K build that peaks
-        inside `assemble` (+18.8 MB), the level holds and uses +11.8 MB with
-        one 22x22 inverse per element and +7.8 MB with one per distinct
-        block."""
+        (error_norms), blocks of 256 elements +23 MB and +3 MB, and K read
+        from the Schwarz blocks, with the blocks inverted in place, brought
+        `assemble` to +15.2 MB.  `solve` took +13.0 MB while it gathered
+        the element blocks from K and formed P^T K P by a sparse product,
+        +7.3 MB with both from `assemble`, +2.0 MB with the preconditioner
+        built in `assemble`.  R~5 on a uniform 32x32 mesh has 9 distinct
+        blocks: its `assemble` took +18.7 MB with K built from COO triplets
+        and +13.0 MB with K read from the blocks.  From the start of
+        `assemble` to the end of `solve`, less the K build, the level holds
+        and uses +11.8 MB with one 22x22 inverse per element and +7.8 MB
+        with one per distinct block."""
         u, gu, f = default_u()
         space = build_global_space(perturbed_mesh(64, seed=0), Family("ER"), 3)
         coeffs = np.random.default_rng(5).standard_normal(space.n_free)
@@ -486,9 +525,10 @@ class TestElementBlockLoop:
             tracemalloc.reset_peak()  # the K build is bounded on ER3 above
             solve(uniform_system)
 
-        for call, bound_mb in [(lambda: assemble(space, f), 35.0),
+        for call, bound_mb in [(lambda: assemble(space, f), 18.0),
                                (lambda: solve(system), 4.0),
                                (assemble_then_solve, 9.5),
+                               (lambda: assemble(uniform, f), 14.0),
                                (lambda: error_norms(space, coeffs, u, gu), 12.0)]:
             tracemalloc.start()
             try:
@@ -805,8 +845,9 @@ def _dense_schwarz(A, elements, r):
 
 
 def expanded_inverses(blocks):
-    """`_block_inverses` with one transposed inverse per block."""
-    inv, group = _block_inverses(blocks)
+    """`_block_inverses` with one transposed inverse per block, of a copy of
+    `blocks`, which it would otherwise overwrite."""
+    inv, group = _block_inverses(blocks.copy())
     return inv if group is None else inv[group]
 
 
@@ -839,9 +880,10 @@ class TestPreconditioner:
 
     @staticmethod
     def _fine(family, m, mesh):
-        """(system, operators, the fine Schwarz level alone)."""
+        """(system, operators, the fine Schwarz level alone), built from a
+        copy of the blocks, which the preconditioner inverts in place."""
         system, ops = assemble_with_operators(build_global_space(mesh, family, m))
-        return system, ops, _preconditioner(ops.n, ops.elements, ops.blocks)
+        return system, ops, _preconditioner(ops.n, ops.elements, ops.blocks.copy())
 
     @three_families
     @pytest.mark.parametrize(
@@ -865,7 +907,7 @@ class TestPreconditioner:
     @three_families
     def test_distinct_blocks_keep_stacked_product(self, family, m):
         system, ops, fine = self._fine(family, m, perturbed_mesh(8, seed=3))
-        assert _block_inverses(ops.blocks)[1] is None  # no block repeats
+        assert _block_inverses(ops.blocks.copy())[1] is None  # no block repeats
         r = np.random.default_rng(13).standard_normal(system.n)
         x = np.append(r, 0.0)[ops.elements][:, None, :]
         z = np.matmul(x, np.linalg.inv(ops.blocks.transpose(0, 2, 1)))

@@ -251,6 +251,18 @@ class TestInterpolate:
         assert coeffs.shape == (space.n_free,)
         assert np.max(np.abs(coeffs - 2.5)) <= 1e-14
 
+    @pytest.mark.parametrize(
+        "family,m", [(Family("ER"), 3), (Family("R"), 3), (Family("RPlus"), 4)],
+        ids=["ER3", "R3", "RPlus4"],
+    )
+    def test_rejects_nonzero_boundary_values(self, family, m):
+        """On a homogeneous space every family rejects a u that does not
+        vanish on the boundary, naming the largest masked dof value (u = 2
+        on the right edge)."""
+        space = build_global_space(uniform_rect_mesh(4), family, m)
+        with pytest.raises(ValueError, match=r"masked dof reads 2\.000e\+00"):
+            interpolate(space, lambda x, y: 1.0 + x)
+
     @pytest.mark.parametrize("family,m", FAMILY_ORDERS)
     def test_reproduces_pm(self, family, m):
         """The interpolant of a degree <= m polynomial is exact on affine
