@@ -11,10 +11,10 @@ uniform mesh shares one Jacobian, so there each block runs the stiffness
 kernel once, and a uniform mesh of 3x3 or more has 9 distinct Schwarz
 blocks.  `assemble` also builds the preconditioner from the element
 matrices K_e, with no read of the assembled K, and the system carries it as
-one operator.  K itself is read from the Schwarz blocks, which hold its
-sums, with no COO triplets or duplicate sum, and the blocks are then
-inverted in place, so the temporaries of `assemble` stay below one copy
-of K.
+one operator.  K and the coarse matrix are element sums, which
+`_element_sum` writes straight into CSR arrays with no COO triplets, and
+the blocks are inverted in place, so the temporaries of `assemble` stay
+below one copy of K.
 The ER families give a plain SPD system; the R / RPlus families carry one
 relation row per element, and `solve` runs one preconditioned CG for both.
 
@@ -26,9 +26,7 @@ neighbouring blocks overlap on their shared edge dofs.  Both come from the
 dof table alone: a free dof has at most two holders, so each block is K_e
 plus, for each element it shares dofs with, that element's entries on
 every pair of the shared dofs: the same two-term sums as in K, so the
-blocks are K's bytes, and each row of K is a row of its first holder's
-block followed by the rest of the other holder's row.  The fine level is
-applied with a gather, products
+blocks are K's bytes.  The fine level is applied with a gather, products
 and a scatter: a block that many elements share is one GEMM over their
 gathered residuals, and the other elements take one stacked product of
 row vectors by their own inverses.  P embeds the conforming isoparametric
@@ -186,77 +184,56 @@ def _partners(lf, n):
     return np.where(twice, total - pos, -1).reshape(lf.shape)
 
 
-def _shared_blocks(partner):
-    """For each block of BLOCK_ELEMENTS elements, its slice and the mask
-    (block, k, k) of the entries (e, i, j) whose dofs i and j have the same
-    other holder: the entries where K adds that holder's term to K_e."""
-    for start in range(0, len(partner), BLOCK_ELEMENTS):
-        sl = slice(start, start + BLOCK_ELEMENTS)
-        o = partner[sl] // partner.shape[1]  # the other holder, or -1
-        yield sl, (o[:, :, None] == o[:, None, :]) & (o >= 0)[:, :, None]
-
-
 def _neighbour_sums(Kloc, partner):
     """Turn the element matrices K_e into the diagonal blocks of K in place:
-    every shared entry gains the other holder's term.  A holder in an
-    earlier block of elements already holds the sum, which is copied, since
-    a + b and b + a have the same bytes; within a block every term is
-    gathered before any is added.  Returns the number of shared entries in
-    each row of each block, (ne, k)."""
+    the entries on every pair of dofs that two elements share become the
+    sum of both elements' terms.  Each sum is formed once, at the holder
+    that comes first, and written into both (a + b and b + a have the same
+    bytes), a block of elements at a time."""
     k = partner.shape[1]
     flat = Kloc.reshape(-1)
-    shared_count = np.empty(partner.shape, dtype=np.int64)
-    for sl, shared in _shared_blocks(partner):
+    for start in range(0, len(partner), BLOCK_ELEMENTS):
+        sl = slice(start, start + BLOCK_ELEMENTS)
         p = partner[sl]
-        source = (p[:, :, None] * k + (p % k)[:, None, :])[shared]
-        add = flat[source]
+        other = p // k  # the other holder, or -1
+        later = other > np.arange(start, start + len(p))[:, None]
+        # (e, i, j) of the first holder e, whose dofs i and j both have it
+        pair = (other[:, :, None] == other[:, None, :]) & later[:, :, None]
+        source = (p[:, :, None] * k + (p % k)[:, None, :])[pair]
         block = Kloc[sl]
-        block[shared] = np.where(source < sl.start * k * k, add, block[shared] + add)
-        shared_count[sl] = shared.sum(axis=2)
-    return shared_count
+        flat[source] = block[pair] = block[pair] + flat[source]
 
 
-def _matrix_from_blocks(Kloc, lf, partner, shared_count, n) -> sp.csr_matrix:
-    """K in CSR from the diagonal blocks Kloc, which hold K's sums: row d
-    is row i of the block of its first holder over that element's free
-    dofs, then row i' of the other holder's block over the dofs the first
-    lacks, which skips the row's `shared_count` shared entries.  Rows are
-    written a block of elements at a time into arrays of K's size, then
-    sorted in place."""
-    free = lf < n
-    # the local dofs whose other holder comes first
-    second = (partner >= 0) & (partner < np.arange(lf.size).reshape(lf.shape))
-    counts = free.sum(axis=1, keepdims=True) - np.where(second, shared_count, 0)
-    counts[~free] = 0
+def _element_sum(local, index, n) -> sp.csr_matrix:
+    """The n x n matrix sum_e R_e^T local[e] R_e in CSR, where R_e maps
+    local position j to row index[e, j] and drops it when that is n or
+    more.  Row d lists the rows i of local[e] with index[e, i] = d over
+    their kept columns, in element order as a COO build does, so that the
+    duplicate sum gives the COO build's bytes; one stable sort of index
+    orders them, and they are copied as many at a time as a block of
+    BLOCK_ELEMENTS elements has.  The arrays keep their size with
+    duplicates."""
+    k = index.shape[1]
+    free = index < n
+    # the local rows e k + i by their row of the sum, the dropped ones last
+    order = np.argsort(index, axis=None, kind="stable")[:np.count_nonzero(free)]
     # int32, the CSR index type scipy picks below 2**31 entries
     indptr = np.zeros(n + 1, dtype=np.int32)
-    indptr[1:] = np.cumsum(
-        np.bincount(lf.ravel(), weights=counts.ravel(), minlength=n + 1)[:n])
+    indptr[1:] = np.cumsum(np.bincount(index.ravel()[order], minlength=n,
+                                       weights=free.sum(axis=1)[order // k]))
     data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=np.int32)
-    # where each holder's part of its row starts: the second after the first
-    start = indptr[lf] + np.where(second, counts.ravel()[partner], 0)
-    for sl, shared in _shared_blocks(partner):
-        keep = free[sl][:, :, None] & free[sl][:, None, :]
-        keep ^= shared & second[sl][:, :, None]
-        # the kept entries of each row, in order, go to consecutive places
-        rows = counts[sl].ravel()
-        at = np.repeat(start[sl].ravel() - np.cumsum(rows) + rows, rows)
-        at += np.arange(len(at))
-        data[at] = Kloc[sl][keep]
-        indices[at] = np.broadcast_to(lf[sl][:, None, :], keep.shape)[keep]
-    K = sp.csr_matrix((data, indices, indptr), shape=(n, n))
-    K.sort_indices()
-    return K
-
-
-def _element_sum(local, index, n) -> sp.coo_matrix:
-    """The n x n matrix sum_e R_e^T local[e] R_e, with duplicates, where R_e
-    maps local position j to row index[e, j] and drops it when that is n or
-    more."""
-    keep = (index[:, :, None] < n) & (index[:, None, :] < n)
-    rows = np.broadcast_to(index[:, :, None], keep.shape)[keep]
-    cols = np.broadcast_to(index[:, None, :], keep.shape)[keep]
-    return sp.coo_matrix((local[keep], (rows, cols)), shape=(n, n))
+    rows, at = local.reshape(-1, k), 0
+    for start in range(0, len(order), BLOCK_ELEMENTS * k):
+        part = order[start:start + BLOCK_ELEMENTS * k]
+        element = part // k
+        keep = free[element]
+        stop = at + np.count_nonzero(keep)
+        data[at:stop] = rows[part][keep]
+        indices[at:stop] = index[element][keep]
+        at = stop
+    A = sp.csr_matrix((data, indices, indptr), shape=(n, n))
+    A.sum_duplicates()
+    return A
 
 
 def _coarse_space(space: GlobalSpace, Kloc):
@@ -308,18 +285,16 @@ def assemble(space: GlobalSpace, f) -> SparseSystem:
     families, and the preconditioner built from the element matrices: the
     inverses of the diagonal blocks and the factored coarse matrix P^T K P.
     In order: the element matrices K_e and b; the coarse space from the
-    K_e; the neighbour sums that turn the K_e into the diagonal blocks; K,
-    read from the blocks; the boundary masks; the inverses, written over
-    the blocks.  Raises SolverError when a diagonal block is singular."""
+    K_e; K, their element sum; the pair sums that turn the K_e into the
+    diagonal blocks; the boundary masks; the inverses, written over the
+    blocks.  Raises SolverError when a diagonal block is singular."""
     lf, n = space.local_free(), space.n_free
     # a function of its own, so that the last block's quadrature arrays are
     # freed before K is built
     Kloc, b = _element_terms(space, f, lf, n)
     coarse, coarse_matrix = _coarse_space(space, Kloc)
-    partner = _partners(lf, n)
-    shared_count = _neighbour_sums(Kloc, partner)
-    K = _matrix_from_blocks(Kloc, lf, partner, shared_count, n)
-    del partner, shared_count
+    K = _element_sum(Kloc, lf, n)
+    _neighbour_sums(Kloc, _partners(lf, n))
     e, j = np.nonzero(lf == n)
     Kloc[e, j, :] = 0.0
     Kloc[e, :, j] = 0.0

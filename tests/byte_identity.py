@@ -2,9 +2,9 @@
 studies, to show that a refactor leaves every result byte for byte as it
 was.
 
-    OMP_NUM_THREADS=1 PYTHONPATH=src python tests/byte_identity.py --write before.json
+    PYTHONPATH=src python tests/byte_identity.py --write before.json
     ... change the code ...
-    OMP_NUM_THREADS=1 PYTHONPATH=src python tests/byte_identity.py --compare before.json
+    PYTHONPATH=src python tests/byte_identity.py --compare before.json
 
 It runs `cli.run_study` on the three workloads of perfbench/workloads.json
 (seed 0) and on the six `cli.TABLES` rows, and for every level hashes the
@@ -13,8 +13,9 @@ K, b and C, the arguments `assemble` passes to `solve._preconditioner`
 (read through a spy that copies them on entry, as tests/schwarz_spy.py
 does, since the preconditioner inverts the blocks in place) and one apply of
 `system.precondition` to a fixed vector.  OpenBLAS rounds long dot
-products differently with one and two threads, so the script refuses to
-run unless OMP_NUM_THREADS=1.  `--compare` exits with status 1 and lists
+products differently with one and two threads, so the script sets
+OMP_NUM_THREADS, OPENBLAS_NUM_THREADS (which OpenBLAS reads first) and
+MKL_NUM_THREADS to 1 before numpy loads.  `--compare` exits with status 1 and lists
 the differing entries when any hash differs.  The file name does not
 match pytest's test pattern, so the suite does not collect it.
 """
@@ -25,6 +26,10 @@ import json
 import os
 import pathlib
 import sys
+
+# before numpy, whose BLAS reads the thread counts when it loads
+os.environ.update(dict.fromkeys(
+    ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
 
 import numpy as np
 import scipy.sparse as sp
@@ -110,10 +115,6 @@ def main(argv=None) -> int:
     mode.add_argument("--write", metavar="FILE", help="record the hashes in FILE")
     mode.add_argument("--compare", metavar="FILE", help="check the hashes against FILE")
     args = parser.parse_args(argv)
-    if os.environ.get("OMP_NUM_THREADS") != "1":
-        print("byte_identity: set OMP_NUM_THREADS=1; results differ at other "
-              "BLAS thread counts", file=sys.stderr)
-        return 2
     hashes = collect()
     if args.write:
         pathlib.Path(args.write).write_text(json.dumps(hashes, indent=1, sort_keys=True))

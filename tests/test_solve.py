@@ -49,6 +49,25 @@ def element_matrices(space):
                            for _, _, jac in solve_module._element_chunks(space, q)])
 
 
+def coo_element_sum(local, index, n):
+    """Reference for `_element_sum`: the n x n matrix sum_e R_e^T local[e]
+    R_e as COO triplets with duplicates, where R_e maps local position j to
+    row index[e, j] and drops it when that is n or more."""
+    keep = (index[:, :, None] < n) & (index[:, None, :] < n)
+    rows = np.broadcast_to(index[:, :, None], keep.shape)[keep]
+    cols = np.broadcast_to(index[:, None, :], keep.shape)[keep]
+    return sp.coo_matrix((local[keep], (rows, cols)), shape=(n, n))
+
+
+def assert_same_bytes(got, want):
+    """Two compressed sparse matrices hold the same data (with the sign of
+    every zero), indices and indptr, in the same dtypes."""
+    assert got.format == want.format and got.shape == want.shape
+    for a, b in ((got.data, want.data), (got.indices, want.indices),
+                 (got.indptr, want.indptr)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def element_stiffness(mesh, e, family, m):
     """Local stiffness over the retained dofs of element e.  (`assemble`
     itself cannot serve on the one-element mesh of e without boundary
@@ -146,25 +165,64 @@ class TestAssemble:
     )
     @pytest.mark.parametrize("block", [None, 7], ids=["one-block", "blocks-of-7"])
     def test_matrix_is_coo_sum(self, monkeypatch, family, m, mesh, homogeneous, block):
-        """K, read from the Schwarz blocks, is the duplicate-summing COO
-        build of the element matrices byte for byte: data (with the sign
-        of every zero), indices and indptr, and their dtypes.  Without
-        boundary conditions the boundary dofs have one holder, and on one
-        element every dof has; `_preconditioner` is stubbed, since the
-        one element's block is singular for some families."""
+        """K and the coarse matrix P^T K P are the duplicate-summing COO
+        builds of the element matrices K_e and L^T K_e L byte for byte:
+        data (with the sign of every zero), indices and indptr, and their
+        dtypes.  A coarse row has up to four holders, a row of K two.
+        Without boundary conditions the boundary dofs have one holder, and
+        on one element every dof has; `_preconditioner` is stubbed, since
+        the one element's block is singular for some families."""
         solve_module = sys.modules["qncfem.solve"]
         space = build_global_space(mesh, family, m, homogeneous=homogeneous)
         lf, n = space.local_free(), space.n_free
-        expect = solve_module._element_sum(element_matrices(space), lf.astype(np.int32),
-                                           n).tocsr()
+        Kloc = element_matrices(space)
+        expect = coo_element_sum(Kloc, lf, n).tocsr()
         if block is not None:
             monkeypatch.setattr(solve_module, "BLOCK_ELEMENTS", block)
-        monkeypatch.setattr(solve_module, "_preconditioner", lambda *args: None)
+        seen = []
+        monkeypatch.setattr(solve_module, "_preconditioner", lambda *args: seen.append(args))
         K = assemble(space, lambda x, y: np.zeros_like(x)).matrix
-        assert K.shape == (n, n) and K.has_sorted_indices
-        for got, want in ((K.data, expect.data), (K.indices, expect.indices),
-                          (K.indptr, expect.indptr)):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert K.has_sorted_indices
+        assert_same_bytes(K, expect)
+        ((*_, coarse_matrix),) = seen
+        mesh, q1 = space.mesh, space.ref.q1
+        if q1 is None or mesh.n_interior_vertices == 0:
+            assert coarse_matrix is None
+            return
+        n_coarse = mesh.n_interior_vertices
+        index = np.full(len(mesh.vertices), n_coarse)
+        index[~mesh.vertex_is_boundary] = np.arange(n_coarse)
+        L = q1[space.ref.retained]
+        assert_same_bytes(coarse_matrix,
+                          coo_element_sum(L.T @ Kloc @ L, index[mesh.quads], n_coarse).tocsc())
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("block", [None, 7], ids=["default-blocks", "blocks-of-7"])
+    def test_element_sum_is_coo_sum(self, monkeypatch, dtype, block):
+        """`_element_sum` on a random table is the COO build byte for byte:
+        rows with one to five holders (more than K or P^T K P has), entries
+        masked at n and beyond, and holders of one row in different blocks."""
+        solve_module = sys.modules["qncfem.solve"]
+        if block is not None:
+            monkeypatch.setattr(solve_module, "BLOCK_ELEMENTS", block)
+        rng = np.random.default_rng(7)
+        n, k = 40, 6
+        # every row d < n gets h_d holders, 1 to 5, among 60 elements of k
+        # slots each; each element holds a row once, as a dof table does
+        holders = np.repeat(np.arange(n), rng.integers(1, 6, size=n))
+        index = np.full((60, k), n, dtype=dtype)
+        for d in holders:
+            open_slot = np.any(index >= n, axis=1) & ~np.any(index == d, axis=1)
+            e = rng.choice(np.flatnonzero(open_slot))
+            index[e, rng.choice(np.flatnonzero(index[e] >= n))] = d
+        # the slots left empty are dropped, at n, n + 1 or n + 2
+        index[index == n] = rng.integers(n, n + 3, size=np.count_nonzero(index == n))
+        counts = np.bincount(index.ravel(), minlength=n + 3)[:n]
+        assert counts.min() == 1 and counts.max() == 5
+        local = rng.standard_normal((60, k, k))
+        got = solve_module._element_sum(local, index, n)
+        assert got.has_sorted_indices
+        assert_same_bytes(got, coo_element_sum(local, index, n).tocsr())
 
 
 class TestSolvers:
@@ -502,18 +560,15 @@ class TestElementBlockLoop:
 
     def test_peak_memory_bounded(self):
         """Traced peak allocation above the start, ER3 on a perturbed 64x64
-        mesh: whole-mesh temporaries gave +47 MB (assemble) and +29 MB
-        (error_norms), blocks of 256 elements +23 MB and +3 MB, and K read
-        from the Schwarz blocks, with the blocks inverted in place, brought
-        `assemble` to +15.2 MB.  `solve` took +13.0 MB while it gathered
-        the element blocks from K and formed P^T K P by a sparse product,
-        +7.3 MB with both from `assemble`, +2.0 MB with the preconditioner
-        built in `assemble`.  R~5 on a uniform 32x32 mesh has 9 distinct
-        blocks: its `assemble` took +18.7 MB with K built from COO triplets
-        and +13.0 MB with K read from the blocks.  From the start of
-        `assemble` to the end of `solve`, less the K build, the level holds
-        and uses +11.8 MB with one 22x22 inverse per element and +7.8 MB
-        with one per distinct block."""
+        mesh and R~5 on a uniform 32x32 mesh, which has 9 distinct Schwarz
+        blocks.  Each bound rules out one way to use more memory:
+        `assemble` (ER3 +15.4 MB, R~5 +12.9 MB) with COO triplets for K
+        or whole-mesh element temporaries; `solve` (+2.0 MB) with a
+        preconditioner built from K instead of in `assemble`; a level from
+        the start of `assemble` to the end of `solve`, less the K build
+        (+8.4 MB), with one block inverse per element instead of one per
+        distinct block; `error_norms` (+3.2 MB) with whole-mesh
+        temporaries."""
         u, gu, f = default_u()
         space = build_global_space(perturbed_mesh(64, seed=0), Family("ER"), 3)
         coeffs = np.random.default_rng(5).standard_normal(space.n_free)
