@@ -15,7 +15,7 @@ import contextlib
 import pathlib
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -73,7 +73,6 @@ class StudyConfig:
     levels: int = 5
     mesh_kind: str = "uniform"  # "uniform" | "perturbed"
     seed: int = 0
-    amplitude: float = 0.2
     min_level: int = 1
 
     def __post_init__(self):
@@ -83,6 +82,8 @@ class StudyConfig:
         if self.mesh_kind not in _MESH_KINDS:
             raise ValueError(f"unknown mesh kind {self.mesh_kind!r}; "
                              f"expected one of {', '.join(map(repr, _MESH_KINDS))}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if self.min_level < 1:
             raise ValueError(f"min_level must be at least 1, got {self.min_level}")
         if self.levels < self.min_level:
@@ -120,7 +121,7 @@ def _mesh_for_level(config: StudyConfig, level: int):
     n = 2 ** (level - 1)
     if config.mesh_kind == "uniform" or n < 2:
         return uniform_rect_mesh(n)
-    return perturbed_mesh(n, seed=config.seed, amplitude=config.amplitude)
+    return perturbed_mesh(n, seed=config.seed)
 
 
 def run_study(config: StudyConfig, problem=None) -> list[StudyRow]:
@@ -229,15 +230,8 @@ def _print_study(config: StudyConfig, csv_file=None) -> int:
 
 
 def _run(args) -> int:
-    config = StudyConfig(
-        family=args.family,
-        variant=args.variant,
-        m=args.order,
-        levels=args.levels,
-        mesh_kind=args.mesh,
-        seed=args.seed,
-        amplitude=args.amplitude,
-    )
+    config = StudyConfig(**{f.name: getattr(args, f.name)
+                            for f in fields(StudyConfig) if f.name in args})
     try:  # an order whose dof set is rank-deficient in floating point
         build_reference_element(config.family_obj(), config.m)
     except RuntimeError as err:
@@ -268,7 +262,7 @@ def _mesh_cmd(args) -> int:
     if args.kind == "uniform":
         mesh = uniform_rect_mesh(args.n)
     else:
-        mesh = perturbed_mesh(args.n, seed=args.seed, amplitude=args.amplitude)
+        mesh = perturbed_mesh(args.n, seed=args.seed)
     save_mesh(mesh, args.out)
     print(f"wrote {args.out}: {len(mesh.vertices)} vertices, "
           f"{mesh.n_elements} quads")
@@ -283,15 +277,16 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a convergence study")
-    p_run.add_argument("--family", choices=tuple(_FAMILY_TAGS), default="er")
-    p_run.add_argument("--variant", choices=("standard", "tilde"),
-                       default="standard")
-    p_run.add_argument("--order", type=int, default=3, metavar="M")
-    p_run.add_argument("--levels", type=int, default=5, metavar="L")
-    p_run.add_argument("--mesh", choices=_MESH_KINDS, default="uniform")
-    p_run.add_argument("--seed", type=int, default=0, metavar="S")
-    p_run.add_argument("--amplitude", type=float, default=0.2, metavar="A")
+    # each flag's dest is a StudyConfig field; an absent flag leaves no
+    # attribute, so the field keeps StudyConfig's default
+    p_run = sub.add_parser("run", help="run a convergence study",
+                           argument_default=argparse.SUPPRESS)
+    p_run.add_argument("--family", choices=tuple(_FAMILY_TAGS))
+    p_run.add_argument("--variant", choices=("standard", "tilde"))
+    p_run.add_argument("--order", dest="m", type=int, metavar="M")
+    p_run.add_argument("--levels", type=int, metavar="L")
+    p_run.add_argument("--mesh", dest="mesh_kind", choices=_MESH_KINDS)
+    p_run.add_argument("--seed", type=int, metavar="S")
     p_run.add_argument("--csv", default=None, metavar="PATH")
     p_run.set_defaults(func=_run)
 
@@ -309,7 +304,6 @@ def main(argv=None) -> int:
     p_mesh.add_argument("--kind", choices=_MESH_KINDS, default="uniform")
     p_mesh.add_argument("--n", type=int, default=4)
     p_mesh.add_argument("--seed", type=int, default=0)
-    p_mesh.add_argument("--amplitude", type=float, default=0.2)
     p_mesh.add_argument("--out", required=True)
     p_mesh.set_defaults(func=_mesh_cmd)
 

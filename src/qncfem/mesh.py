@@ -34,6 +34,9 @@ LOCAL_EDGES = ((0, 3), (0, 1), (1, 2), (3, 2))
 # children of a refined quad over its corners A1..A4 (0..3), the midpoints of
 # A1A2, A2A3, A3A4, A4A1 (4..7) and the center (8)
 CHILDREN = ((0, 4, 8, 7), (4, 1, 5, 8), (8, 5, 2, 6), (7, 8, 6, 3))
+# largest shift of perturbed_mesh's centre vertex per coordinate, in coarse
+# mesh widths
+SHIFT = 0.2
 
 
 class MeshError(Exception):
@@ -255,12 +258,11 @@ def refined_children(coarse: QuadMesh, fine: QuadMesh) -> np.ndarray:
     return kids.reshape(-1, 4)
 
 
-def perturbed_mesh(n: int, seed: int = 0, amplitude: float = 0.2) -> QuadMesh:
-    """Randomly shift the interior vertices of a coarse 2x2 mesh of the unit
-    square by at most amplitude * h per coordinate (h = 1/2), then refine by
-    midpoint subdivision to n x n elements (n a power of two >= 2)."""
-    if not 0.0 <= amplitude <= 0.3:  # false for NaN too
-        raise ValueError(f"amplitude must lie in [0, 0.3], got {amplitude}")
+def perturbed_mesh(n: int, seed: int = 0) -> QuadMesh:
+    """Randomly shift the one interior vertex of a coarse 2x2 mesh of the
+    unit square, its centre, by at most SHIFT * h per coordinate (h = 1/2),
+    then refine by midpoint subdivision to n x n elements (n a power of two
+    >= 2)."""
     if n < 2 or n & (n - 1):
         raise ValueError("n must be a power of two, at least 2")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
@@ -270,11 +272,9 @@ def perturbed_mesh(n: int, seed: int = 0, amplitude: float = 0.2) -> QuadMesh:
     coarse = uniform_rect_mesh(2)
     interior = np.nonzero(~coarse.vertex_is_boundary)[0]
     vertices = coarse.vertices.copy()
-    vertices[interior] += rng.uniform(
-        -amplitude * h, amplitude * h, size=(len(interior), 2)
-    )
-    # the centre moves by at most 0.3 h per coordinate, which keeps every
-    # coarse quad strictly convex; a child is its parent's bilinear map on a
+    vertices[interior] += rng.uniform(-SHIFT * h, SHIFT * h, size=(len(interior), 2))
+    # every coarse quad stays strictly convex while the centre's shift
+    # (dx, dy) has |dx| + |dy| < h; a child is its parent's bilinear map on a
     # sub-square, so it stays strictly convex too
     mesh = QuadMesh(vertices, coarse.quads)
     while mesh.n_elements < n * n:
@@ -293,49 +293,40 @@ def save_mesh(mesh: QuadMesh, path) -> None:
             fh.write(" ".join(str(int(i)) for i in q) + "\n")
 
 
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise ValueError(f"negative count {n}")
+    return n
+
+
+def _fields(text: str, k: int, parse) -> list:
+    fields = text.split()
+    if len(fields) != k:
+        raise ValueError(f"{len(fields)} fields, not {k}")
+    return [parse(f) for f in fields]
+
+
 def load_mesh(path) -> QuadMesh:
     with open(path) as fh:
         lines = [ln.strip() for ln in fh]
-    ln = 0
 
-    def fail(msg):
-        raise MeshError(f"{path}:{ln + 1}: {msg}")
+    def read(ln, what, parse):
+        try:
+            return parse(lines[ln])
+        except (ValueError, IndexError):
+            raise MeshError(f"{path}:{ln + 1}: expected {what}")
 
     if not lines or lines[0] != "quadmesh v1":
-        fail("expected header 'quadmesh v1'")
-    ln = 1
-    try:
-        nv = int(lines[ln])
-        if nv < 0:
-            raise ValueError
-    except (ValueError, IndexError):
-        fail("expected vertex count")
-    vertices = []
-    for i in range(nv):
-        ln = 2 + i
-        try:
-            x, y = lines[ln].split()
-            vertices.append((float(x), float(y)))
-        except (ValueError, IndexError):
-            fail("expected 'x y' vertex line")
-    ln = 2 + nv
-    try:
-        ne = int(lines[ln])
-        if ne < 0:
-            raise ValueError
-    except (ValueError, IndexError):
-        fail("expected quad count")
-    quads = []
-    for i in range(ne):
-        ln = 3 + nv + i
-        try:
-            parts = lines[ln].split()
-            if len(parts) != 4:
-                raise ValueError
-            quads.append([int(p) for p in parts])
-        except (ValueError, IndexError):
-            fail("expected four vertex indices")
+        raise MeshError(f"{path}:1: expected header 'quadmesh v1'")
+    nv = read(1, "vertex count", _count)
+    vertices = [read(2 + i, "'x y' vertex line", lambda s: _fields(s, 2, float))
+                for i in range(nv)]
+    ne = read(2 + nv, "quad count", _count)
+    quads = [read(3 + nv + i, "four vertex indices", lambda s: _fields(s, 4, int))
+             for i in range(ne)]
     for ln in range(3 + nv + ne, len(lines)):
         if lines[ln]:
-            fail(f"unexpected line after the {ne} declared quads: {lines[ln]!r}")
+            raise MeshError(f"{path}:{ln + 1}: unexpected line after the {ne} "
+                            f"declared quads: {lines[ln]!r}")
     return QuadMesh(np.array(vertices), np.array(quads))

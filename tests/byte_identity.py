@@ -10,8 +10,8 @@ It runs `cli.run_study` on the three workloads of perfbench/workloads.json
 (seed 0) and on the six `cli.TABLES` rows, and for every level hashes the
 solution bytes and the iteration count, the L2/H1 errors (`float.hex`),
 K, b and C, the arguments `assemble` passes to `solve._preconditioner`
-(read through a spy that copies them on entry, as tests/schwarz_spy.py
-does, since the preconditioner inverts the blocks in place) and one apply of
+(recorded by `schwarz_spy.recording`, which copies the blocks on entry,
+since the preconditioner inverts them in place) and one apply of
 `system.precondition` to a fixed vector.  OpenBLAS rounds long dot
 products differently with one and two threads, so the script sets
 OMP_NUM_THREADS, OPENBLAS_NUM_THREADS (which OpenBLAS reads first) and
@@ -35,8 +35,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from qncfem import cli
+from schwarz_spy import recording
 
-SOLVE = sys.modules["qncfem.solve"]
 WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
 
 
@@ -68,11 +68,11 @@ def hash_study(config) -> dict:
     """{level/item: hash} of one study, run through spies on the names
     `run_study` calls; each level is hashed as soon as it is solved, so
     that no level's arrays outlive it."""
-    levels, operators = [], []
-    real = cli.solve, SOLVE._preconditioner
+    levels = []
+    real = cli.solve
 
     def solve(system, x0=None):
-        x, report = real[0](system, x0)
+        x, report = real(system, x0)
         probe = np.sin(np.arange(system.n) + 1.0)
         levels.append({
             "solution": digest(x, report.iterations),
@@ -84,16 +84,12 @@ def hash_study(config) -> dict:
         })
         return x, report
 
-    def preconditioner(n, elements, blocks, *coarse):
-        # a copy: the preconditioner inverts the blocks in place
-        operators.append((n, elements, blocks.copy(), *coarse))
-        return real[1](n, elements, blocks, *coarse)
-
-    cli.solve, SOLVE._preconditioner = solve, preconditioner
+    cli.solve = solve
     try:
-        rows = cli.run_study(config)
+        with recording() as operators:
+            rows = cli.run_study(config)
     finally:
-        cli.solve, SOLVE._preconditioner = real
+        cli.solve = real
     out = {}
     for row, items in zip(rows, levels, strict=True):
         items["errors"] = digest(row.l2_err.hex(), row.h1_err.hex())

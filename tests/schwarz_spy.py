@@ -4,6 +4,7 @@
 check its parts byte for byte read them here, through a spy on
 `solve._preconditioner`, so that no test-only code lives in `src`."""
 
+import contextlib
 import sys
 from typing import NamedTuple
 
@@ -25,9 +26,10 @@ class Operators(NamedTuple):
     coarse_matrix: sp.csc_matrix | None = None  # P^T K P
 
 
-def assemble_with_operators(space, f=None):
-    """(system, Operators): `assemble(space, f)`, by default with zero
-    load, and the operators its preconditioner is built from."""
+@contextlib.contextmanager
+def recording():
+    """Record the `Operators` of every `_preconditioner` call while active,
+    in the list it yields."""
     seen = []
     real = SOLVE._preconditioner
 
@@ -38,8 +40,15 @@ def assemble_with_operators(space, f=None):
 
     SOLVE._preconditioner = spy
     try:
-        system = assemble(space, f if f is not None else lambda x, y: np.zeros_like(x))
+        yield seen
     finally:
         SOLVE._preconditioner = real
+
+
+def assemble_with_operators(space, f=None):
+    """(system, Operators): `assemble(space, f)`, by default with zero
+    load, and the operators its preconditioner is built from."""
+    with recording() as seen:
+        system = assemble(space, f if f is not None else lambda x, y: np.zeros_like(x))
     (operators,) = seen
     return system, operators

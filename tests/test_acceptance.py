@@ -167,7 +167,7 @@ class TestCriterion4:
         combos = [(Family("R"), 3), (Family("R"), 5), (Family("ER"), 3),
                   (Family("ER"), 5), (Family("RPlus"), 2), (Family("RPlus"), 4)]
         meshes = [uniform_rect_mesh(n) for n in (2, 3, 4)]
-        meshes.append(perturbed_mesh(4, seed=1, amplitude=0.2))
+        meshes.append(perturbed_mesh(4, seed=1))
         checked = 0
         passed = True
         for family, m in combos:
@@ -228,7 +228,7 @@ class TestCriterion7:
                 for level in (2, 3, 4, 5):
                     n = 2 ** (level - 1)
                     mesh = (uniform_rect_mesh(n) if kind == "uniform"
-                            else perturbed_mesh(n, seed=0, amplitude=0.2))
+                            else perturbed_mesh(n, seed=0))
                     space = build_global_space(mesh, family, m,
                                                homogeneous=False)
                     fe = interpolate(space, u)

@@ -119,6 +119,12 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match=r"^levels must be at least min_level"):
             StudyConfig(levels=levels, min_level=min_level)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValueError,
+                           match=f"^seed must be a non-negative integer, got {seed!r}$"):
+            StudyConfig(seed=seed)
+
     def test_single_level_accepted(self):
         assert StudyConfig(levels=2, min_level=2).levels == 2
 
@@ -214,17 +220,10 @@ class TestMain:
             main(["run", "--family", "r", "--order", "2"])
 
     @pytest.mark.parametrize("argv", [
-        ["run", "--mesh", "perturbed", "--amplitude", "nan", "--levels", "2"],
-        ["mesh", "--kind", "perturbed", "--amplitude", "nan", "--out", "m.txt"],
-    ], ids=["run", "mesh"])
-    def test_nan_amplitude_rejected(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        assert "qncfem: error: amplitude" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("argv", [
-        ["run", "--mesh", "perturbed", "--seed", "-1", "--levels", "2"],
+        # level 2 is the first with a perturbed mesh: the seed is checked
+        # before level 1 is solved and before the CSV target is opened
+        ["run", "--mesh", "perturbed", "--seed", "-1", "--levels", "3",
+         "--csv", "{tmp}/out.csv"],
         ["mesh", "--kind", "perturbed", "--seed", "-1", "--out", "{tmp}/m.txt"],
     ], ids=["run", "mesh"])
     def test_negative_seed_rejected(self, capsys, tmp_path, argv):
@@ -235,6 +234,25 @@ class TestMain:
         assert out == ""
         assert err == "qncfem: error: seed must be a non-negative integer, got -1\n"
         assert not (tmp_path / "m.txt").exists()
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("argv,config", [
+        ([], StudyConfig()),
+        (["--family", "r", "--variant", "tilde", "--order", "5", "--levels", "3",
+          "--mesh", "perturbed", "--seed", "4"],
+         StudyConfig(family="r", variant="tilde", m=5, levels=3,
+                     mesh_kind="perturbed", seed=4)),
+    ], ids=["defaults", "every-flag"])
+    def test_run_flags_map_to_config_fields(self, capsys, monkeypatch, argv, config):
+        seen = []
+
+        def capture(config):
+            seen.append(config)
+            return [StudyRow(1, 0.1, 0.0, 1.0, 0.0, 4, 1, 0.01)]
+
+        monkeypatch.setattr(cli, "run_study", capture)
+        assert main(["run", *argv]) == 0
+        assert seen == [config]
 
     def test_run_zero_levels_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

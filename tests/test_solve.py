@@ -89,7 +89,7 @@ class TestElementStiffness:
         [(Family("R"), 3), (Family("ER"), 3), (Family("RPlus"), 2), (Family("RPlus"), 4)],
     )
     def test_symmetric_psd_with_constant_null(self, family, m):
-        mesh = perturbed_mesh(2, seed=0, amplitude=0.2)
+        mesh = perturbed_mesh(2, seed=0)
         for e in range(mesh.n_elements):
             K = element_stiffness(mesh, e, family, m)
             assert np.max(np.abs(K - K.T)) < 1e-11
@@ -108,7 +108,7 @@ class TestAssemble:
 
     def test_matrix_symmetry(self):
         space = build_global_space(
-            perturbed_mesh(4, seed=1, amplitude=0.2), Family("R"), 3
+            perturbed_mesh(4, seed=1), Family("R"), 3
         )
         system = assemble(space, lambda x, y: np.ones_like(x))
         d = system.matrix - system.matrix.T

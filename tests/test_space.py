@@ -84,7 +84,7 @@ class TestDimensions:
         if meshgen.startswith("u"):
             mesh = uniform_rect_mesh(int(meshgen[1]))
         else:
-            mesh = perturbed_mesh(int(meshgen[1]), seed=1, amplitude=0.2)
+            mesh = perturbed_mesh(int(meshgen[1]), seed=1)
         space = build_global_space(mesh, family, m)
         assert kernel_dimension(space) == expected_dimension(space)
 
@@ -284,7 +284,7 @@ class TestInterpolate:
     def test_relation_residual_of_interpolant(self, family, m):
         """Point values of the elementwise Q_m interpolant satisfy the
         boundary relation, so interpolate() accepts them."""
-        mesh = perturbed_mesh(4, seed=0, amplitude=0.2)
+        mesh = perturbed_mesh(4, seed=0)
         space = build_global_space(mesh, family, m)
         u = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
         fe = interpolate(space, u)  # raises if the residual exceeds 1e-9
@@ -317,7 +317,7 @@ class TestEvaluate:
         assert val[0] == 0.0 and np.all(grad == 0.0)
 
     def test_reproduces_linear(self):
-        mesh = perturbed_mesh(2, seed=6, amplitude=0.2)
+        mesh = perturbed_mesh(2, seed=6)
         space = build_global_space(mesh, Family("R"), 3, homogeneous=False)
         u = lambda x, y: 2.0 * x - 0.5 * y + 0.25
         fe = interpolate(space, u)
@@ -332,7 +332,7 @@ class TestEvaluate:
             assert np.max(np.abs(grad[1] + 0.5)) < 1e-10
 
     def test_gradient_finite_difference(self):
-        mesh = perturbed_mesh(2, seed=8, amplitude=0.2)
+        mesh = perturbed_mesh(2, seed=8)
         space = build_global_space(mesh, Family("ER"), 3)
         from qncfem.space import FeFunction
 
