@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .mesh import MeshError, perturbed_mesh, save_mesh, uniform_rect_mesh
+from .mesh import MeshError, _check_seed, perturbed_mesh, save_mesh, uniform_rect_mesh
 from .refelem import Family, build_reference_element, property_checks
 from .solve import SolverError, assemble, error_norms, solve
 from .space import build_global_space, prolong
@@ -82,8 +82,7 @@ class StudyConfig:
         if self.mesh_kind not in _MESH_KINDS:
             raise ValueError(f"unknown mesh kind {self.mesh_kind!r}; "
                              f"expected one of {', '.join(map(repr, _MESH_KINDS))}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        _check_seed(self.seed)
         if self.min_level < 1:
             raise ValueError(f"min_level must be at least 1, got {self.min_level}")
         if self.levels < self.min_level:
@@ -259,6 +258,7 @@ def _tables(args) -> int:
 
 
 def _mesh_cmd(args) -> int:
+    _check_seed(args.seed)  # for either kind, as `run` checks it
     if args.kind == "uniform":
         mesh = uniform_rect_mesh(args.n)
     else:

@@ -258,6 +258,11 @@ def refined_children(coarse: QuadMesh, fine: QuadMesh) -> np.ndarray:
     return kids.reshape(-1, 4)
 
 
+def _check_seed(seed) -> None:
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def perturbed_mesh(n: int, seed: int = 0) -> QuadMesh:
     """Randomly shift the one interior vertex of a coarse 2x2 mesh of the
     unit square, its centre, by at most SHIFT * h per coordinate (h = 1/2),
@@ -265,8 +270,7 @@ def perturbed_mesh(n: int, seed: int = 0) -> QuadMesh:
     >= 2)."""
     if n < 2 or n & (n - 1):
         raise ValueError("n must be a power of two, at least 2")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_seed(seed)
     h = 0.5  # the coarse mesh width
     rng = np.random.default_rng(seed)
     coarse = uniform_rect_mesh(2)
@@ -314,7 +318,7 @@ def load_mesh(path) -> QuadMesh:
     def read(ln, what, parse):
         try:
             return parse(lines[ln])
-        except (ValueError, IndexError):
+        except (ValueError, IndexError, OverflowError):
             raise MeshError(f"{path}:{ln + 1}: expected {what}")
 
     if not lines or lines[0] != "quadmesh v1":
@@ -323,7 +327,8 @@ def load_mesh(path) -> QuadMesh:
     vertices = [read(2 + i, "'x y' vertex line", lambda s: _fields(s, 2, float))
                 for i in range(nv)]
     ne = read(2 + nv, "quad count", _count)
-    quads = [read(3 + nv + i, "four vertex indices", lambda s: _fields(s, 4, int))
+    # int64 as QuadMesh stores them: a larger index overflows here, on its line
+    quads = [read(3 + nv + i, "four vertex indices", lambda s: _fields(s, 4, np.int64))
              for i in range(ne)]
     for ln in range(3 + nv + ne, len(lines)):
         if lines[ln]:

@@ -361,13 +361,12 @@ class ReferenceElement:
         return self.sampling @ phi.reshape(4, -1, self.n_retained)
 
     @cached_property
-    def q1(self) -> np.ndarray | None:
+    def q1(self) -> np.ndarray:
         """Every local dof of the bilinear (1 + sx x)(1 + sy y) / 4 of each
         reference corner (sx, sy), corners A1..A4 in CHILD_OFFSETS order,
-        shape (ndofs, 4); None for m = 1, whose shape space does not contain
-        Q1.  Each dof is `sampling` applied to the bilinears at `points`."""
-        if self.m < 2:
-            return None
+        shape (ndofs, 4): the bilinears' own for m >= 2, their interpolant's
+        for m = 1 (for R1 in ker C: Q1 satisfies the midpoint relation).
+        Each dof is `sampling` applied to the bilinears at `points`."""
         sx, sy = np.array(CHILD_OFFSETS).T
         bilinears = np.moveaxis(np.array([[np.ones(4), sy], [sx, sx * sy]]), -1, 0) / 4.0
         return self.sampling @ poly_values(bilinears, *self.points.T)

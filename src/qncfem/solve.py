@@ -29,18 +29,18 @@ every pair of the shared dofs: the same two-term sums as in K, so the
 blocks are K's bytes.  The fine level is applied with a gather, products
 and a scatter: a block that many elements share is one GEMM over their
 gathered residuals, and the other elements take one stacked product of
-row vectors by their own inverses.  P embeds the conforming isoparametric
-Q1 space on the same mesh (interior-vertex hat functions) into the
-nonconforming space; each free dof's row of P comes from any element that
-holds it.  Q1 lies in every shape space with m >= 2 and, for R / RPlus,
-inside the relation kernel, so the coarse term needs no projection of its
-own.  Every element restricts P to one reference (n_retained x 4) matrix
-L, the reference element's `q1` values, so P^T K P is the Q1 assembly of
-L^T K_e L, 16 entries per element; `_coarse_space` builds both.  Iteration counts stay
-bounded under refinement and grow only mildly with m.  Systems without a
-coarse space (m = 1, no interior vertex) use the element blocks alone; a
-hand-built system without a preconditioner uses 1x1 blocks of its
-diagonal, which is Jacobi.
+row vectors by their own inverses.  One coarse space serves every order:
+P maps the isoparametric Q1 space on the same mesh (interior-vertex hats)
+to the nonconforming dofs, each free dof's row from any element that
+holds it; P v is the bilinear for m >= 2 and its interpolant for m = 1
+(Brenner, op. cit.; Sarkis, Numer. Math. 77, 1997).  For R / RPlus, P v
+lies in ker C (Q1 satisfies the relation, at m = 1 the midpoint one), so
+the coarse term needs no projection.  Each element restricts P to one
+reference (n_retained x 4) matrix L, `ref.q1`, so P^T K P is the Q1
+assembly of L^T K_e L; `_coarse_space` builds both.  Iterations stay
+bounded under refinement and grow mildly with m.  A mesh without an
+interior vertex has no coarse space, and a hand-built system without a
+preconditioner uses Jacobi.
 """
 
 from __future__ import annotations
@@ -237,16 +237,16 @@ def _element_sum(local, index, n) -> sp.csr_matrix:
 
 
 def _coarse_space(space: GlobalSpace, Kloc):
-    """(P, P^T K P) of the Q1 space, or (None, None) when Q1 is not in the
-    shape space (m = 1) or the mesh has no interior vertex.  Column v of P
-    holds the dofs of the hat function of interior vertex v (in vertex
-    order), each free dof's row taken from any element that holds it.
+    """(P, P^T K P) of the Q1 space, or (None, None) when the mesh has no
+    interior vertex.  Column v of P holds the dofs of the hat function of
+    interior vertex v (in vertex order), or for m = 1 of its interpolant,
+    each free dof's row taken from any element that holds it.
     P^T K P assembles L^T K_e L over the element matrices Kloc, with L =
     `ref.q1` on the retained dofs: a masked dof lies on a boundary edge,
     where only the bilinears of its two boundary corners do not vanish."""
     mesh, local = space.mesh, space.ref.q1
     n_coarse, n, dofs = mesh.n_interior_vertices, space.n_free, space.dofs
-    if local is None or n_coarse == 0:
+    if n_coarse == 0:
         return None, None
     index = np.full(len(mesh.vertices), n_coarse, dtype=np.int64)
     index[~mesh.vertex_is_boundary] = np.arange(n_coarse)

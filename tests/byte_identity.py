@@ -7,7 +7,8 @@ was.
     PYTHONPATH=src python tests/byte_identity.py --compare before.json
 
 It runs `cli.run_study` on the three workloads of perfbench/workloads.json
-(seed 0) and on the six `cli.TABLES` rows, and for every level hashes the
+(seed 0), on the six `cli.TABLES` rows and on ER m=1 and R m=1 (uniform,
+levels 2-6), which no workload or table has, and for every level hashes the
 solution bytes and the iteration count, the L2/H1 errors (`float.hex`),
 K, b and C, the arguments `assemble` passes to `solve._preconditioner`
 (recorded by `schwarz_spy.recording`, which copies the blocks on entry,
@@ -62,6 +63,8 @@ def studies():
     for name, w in sorted(spec.items()):
         yield name, cli.StudyConfig(**w["config"], seed=w["fingerprint_seed"])
     yield from ((f"tables/{name}", config) for name, config in cli.TABLES.items())
+    for family in ("er", "r"):
+        yield f"m1/{family}1", cli.StudyConfig(family=family, m=1, levels=6, min_level=2)
 
 
 def hash_study(config) -> dict:

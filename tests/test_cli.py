@@ -225,7 +225,8 @@ class TestMain:
         ["run", "--mesh", "perturbed", "--seed", "-1", "--levels", "3",
          "--csv", "{tmp}/out.csv"],
         ["mesh", "--kind", "perturbed", "--seed", "-1", "--out", "{tmp}/m.txt"],
-    ], ids=["run", "mesh"])
+        ["mesh", "--kind", "uniform", "--seed", "-1", "--n", "2", "--out", "{tmp}/m.txt"],
+    ], ids=["run", "mesh", "mesh-uniform"])
     def test_negative_seed_rejected(self, capsys, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
             main([a.format(tmp=tmp_path) for a in argv])

@@ -416,6 +416,14 @@ class TestMeshIO:
         with pytest.raises(MeshError):
             load_mesh(path)
 
+    def test_index_beyond_int64_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("quadmesh v1\n4\n0 0\n1 0\n1 1\n0 1\n1\n"
+                        "0 1 2 99999999999999999999999\n")
+        with pytest.raises(MeshError) as exc:
+            load_mesh(path)
+        assert str(exc.value) == f"{path}:8: expected four vertex indices"
+
     def test_lines_past_declared_quads_rejected(self, tmp_path):
         # one quad declared, two listed, then a garbage line: the error names
         # the second quad line (line 10)

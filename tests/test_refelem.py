@@ -422,13 +422,9 @@ class TestSampling:
 
     @pytest.mark.parametrize("family,orders", ALL_FAMILIES)
     def test_q1_holds_the_corner_bilinears(self, family, orders):
-        # point dofs: column c is corner c's bilinear at the points; m = 1
-        # does not contain Q1
+        # point dofs: column c is corner c's bilinear at the points
         for m in orders:
             ref = build_reference_element(family, m)
-            if m == 1:
-                assert ref.q1 is None
-                continue
             x, y = ref.points.T
             expect = np.column_stack([(1 + sx * x) * (1 + sy * y) / 4
                                       for sx, sy in CHILD_OFFSETS])
