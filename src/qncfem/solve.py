@@ -67,6 +67,7 @@ __all__ = [
 ]
 
 REL_TOL = 1e-13  # relative (projected) residual at which CG stops
+STALL_ITERATIONS = 1000  # CG gives up after as many without a new least residual
 MAX_ITER_FACTOR = 400.0  # iteration budget max(100, int(F * sqrt(n)))
 BLOCK_ELEMENTS = 256  # elements per block of the element kernels
 GEMM_GROUP = 16  # elements that share a Schwarz block, to apply it as one GEMM
@@ -306,20 +307,34 @@ def assemble(space: GlobalSpace, f) -> SparseSystem:
 def _block_inverses(blocks):
     """(inv, group): the transposed inverses of the distinct blocks of a
     stack, each inverted once, and the row of inv that holds each block's
-    inverse, or None when no block repeats.  In that case the inverses are
-    written over `blocks`, a block of elements at a time, and inv is
-    `blocks`."""
-    found = _distinct_rows(blocks.reshape(len(blocks), -1))
+    inverse, or None when no block repeats.  inv is `blocks[first]`, a view
+    of `blocks` when no block repeats (so the inverses are written over
+    the blocks) and a copy of the distinct blocks otherwise; it is inverted
+    in place, a block of elements at a time.  Raises SolverError when a
+    block is singular: when LAPACK meets a zero pivot, or when ||B 1|| <
+    k eps ||B|| (infinity norm), the rounding of its k-term row sums.
+    Every shape space holds the constants and every dof is a point value,
+    so a block that is K_e alone (no masked dof, no neighbour term) maps
+    the all-ones vector 1 to zero, which LAPACK's pivots need not show;
+    the regular blocks measured keep ||B 1|| above 1e-12 ||B||."""
+    first, group = _distinct_rows(blocks.reshape(len(blocks), -1)) or (slice(None), None)
+    inv = blocks[first]
+    k = blocks.shape[-1]
+    ones = np.ones(k)
     try:
-        if found is not None:
-            first, group = found
-            return np.linalg.inv(blocks[first].transpose(0, 2, 1)), group
-        for start in range(0, len(blocks), BLOCK_ELEMENTS):
+        for start in range(0, len(inv), BLOCK_ELEMENTS):
             sl = slice(start, start + BLOCK_ELEMENTS)
-            blocks[sl] = np.linalg.inv(blocks[sl].transpose(0, 2, 1))
+            # the chunk's rows, so that B 1 and |B| 1 are one BLAS product each
+            rows = inv[sl].reshape(-1, k)
+            image = np.abs(rows @ ones).reshape(-1, k).max(axis=1)
+            if np.any(image < k * np.finfo(float).eps
+                      * (np.abs(rows) @ ones).reshape(-1, k).max(axis=1)):
+                raise SolverError("singular diagonal block in the preconditioner: "
+                                  "the constants are in its null space")
+            inv[sl] = np.linalg.inv(inv[sl].transpose(0, 2, 1))
     except np.linalg.LinAlgError as err:
         raise SolverError("singular diagonal block in the preconditioner") from err
-    return blocks, None
+    return inv, group
 
 
 def _preconditioner(n, elements, blocks, coarse=None, coarse_matrix=None):
@@ -333,16 +348,8 @@ def _preconditioner(n, elements, blocks, coarse=None, coarse_matrix=None):
     masked entry reads an appended zero and writes to a slot that is
     dropped.  A block that at least GEMM_GROUP elements share is applied as
     one GEMM over their gathered residuals; every other element takes its
-    own row-vector product in one stacked product.  Raises ValueError
-    unless elements and blocks, and coarse and coarse_matrix, come in pairs
-    with matching shapes."""
-    if (elements is None) != (blocks is None) or (coarse is None) != (coarse_matrix is None):
-        raise ValueError("the preconditioner needs elements and blocks, and coarse "
-                         "and coarse_matrix, together")
-    want = elements.shape + elements.shape[1:]
-    if blocks.shape != want:
-        raise ValueError(f"blocks must have shape {want} for elements of shape "
-                         f"{elements.shape}, got {blocks.shape}")
+    own row-vector product in one stacked product.  Raises SolverError when
+    a block is singular (`_block_inverses`)."""
     inv, group = _block_inverses(blocks)
     # the shared groups first, each a contiguous run of elements, then the
     # rest; when no block repeats, `elements` and inv serve uncopied
@@ -390,11 +397,13 @@ def solve(system: SparseSystem, x0=None):
     iterations, and an x0 whose residual is larger than that of zero is
     dropped.  CG stops at a relative projected residual of REL_TOL, within
     a budget of max(100, MAX_ITER_FACTOR * sqrt(n)) iterations, or earlier
-    on a direction with nonpositive (or NaN) curvature p.Ap or when r.z is
+    on a direction with nonpositive (or NaN) curvature p.Ap, when r.z is
     not positive (roundoff floor, or a preconditioner that is not positive
-    definite).  Returns (x, SolveReport); raises SolverError when the
-    residual has not reached REL_TOL, or when C x is not zero, and
-    ValueError unless x0 has shape (n,)."""
+    definite), or when STALL_ITERATIONS iterations have passed without a
+    new least residual (a residual stalled on a floor above REL_TOL).
+    Returns (x, SolveReport); raises SolverError when the residual has not
+    reached REL_TOL ("stalled" after the last exit), or when C x is not
+    zero, and ValueError unless x0 has shape (n,)."""
     A, b, C = system.matrix, system.rhs, system.constraints
     if x0 is not None and np.shape(x0) != (system.n,):
         raise ValueError(f"expected x0 of shape ({system.n},), got {np.shape(x0)}")
@@ -434,9 +443,9 @@ def solve(system: SparseSystem, x0=None):
     z = project(precondition(r))
     p = z.copy()
     rz = float(np.dot(r, z))
-    rel = np.linalg.norm(r) / bnorm
-    it = 0
-    while rel > REL_TOL and it < maxiter:
+    rel = best = np.linalg.norm(r) / bnorm
+    it = best_at = 0
+    while rel > REL_TOL and it < maxiter and it - best_at < STALL_ITERATIONS:
         Ap = project(A @ p)
         pAp = float(np.dot(p, Ap))
         if not pAp > 0.0:
@@ -448,6 +457,8 @@ def solve(system: SparseSystem, x0=None):
         rz_new = float(np.dot(r, z))
         it += 1
         rel = np.linalg.norm(r) / bnorm
+        if rel < best:
+            best, best_at = rel, it
         if not rz_new > 0.0:
             break
         p = z + (rz_new / rz) * p
@@ -461,8 +472,10 @@ def solve(system: SparseSystem, x0=None):
         constraint_residual=cres,
     )
     if not rel <= REL_TOL:
+        stalled = it - best_at >= STALL_ITERATIONS
         raise SolverError(
-            f"CG did not converge: residual {rel:.3e} after {it} iterations",
+            f"CG {'stalled' if stalled else 'did not converge'}: residual {rel:.3e} "
+            f"after {it} iterations",
             report,
         )
     if cres > 1e-9 * max(float(np.max(np.abs(x))), 1.0):

@@ -6,12 +6,12 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from qncfem.cli import StudyConfig, StudyError, run_study
+from qncfem.cli import StudyConfig, StudyError, default_problem, run_study
 from qncfem.mesh import QuadMesh, bilinear_map, perturbed_mesh, refine, uniform_rect_mesh
 from qncfem.refelem import Family, gauss_grid
 from qncfem.solve import (
+    STALL_ITERATIONS,
     SolverError,
     SparseSystem,
     _block_inverses,
@@ -21,6 +21,7 @@ from qncfem.solve import (
     solve,
 )
 from qncfem.space import FeFunction, build_global_space, prolong
+from kkt_reference import LONG_DOUBLE_REASON, refined_solution
 from schwarz_spy import assemble_with_operators
 from test_space import rotated_listing
 
@@ -272,24 +273,44 @@ class TestSolvers:
         with pytest.raises(SolverError):
             solve(system)
 
-    @pytest.mark.parametrize("field", ["elements", "blocks", "coarse", "coarse_matrix"])
-    def test_preconditioner_fields_come_in_pairs(self, field):
-        _, ops = assemble_with_operators(
-            build_global_space(uniform_rect_mesh(4), Family("ER"), 3))
-        with pytest.raises(ValueError, match="together"):
-            _preconditioner(*ops._replace(**{field: None}))
-
-    @pytest.mark.parametrize("shape", [(2, 2, 3), (2, 3, 3), (2, 2)],
-                             ids=["columns", "rows", "flat"])
-    def test_blocks_must_match_element_table(self, shape):
-        with pytest.raises(ValueError, match=r"blocks must have shape \(2, 2, 2\)"):
-            _preconditioner(3, np.array([[0, 1], [2, 3]]), np.ones(shape))
+    def test_stalled_residual_raises_before_budget(self):
+        """A system with no solution: the 1-D Laplacian with free ends,
+        whose null space holds the constants, and a load with a small
+        constant part (1e-11 relative) that no x can match.  CG reaches its
+        least residual near that part in about n iterations and sets no new
+        one after; it raises STALL_ITERATIONS later, well inside its budget
+        of 400 sqrt(n) = 4,000 iterations."""
+        n = 100
+        A = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)).tolil()
+        A[0, 0] = A[-1, -1] = 1.0
+        A = A.tocsr()
+        b = A @ np.sin(np.linspace(0.0, 3.0, n))
+        b += 1e-11 * np.linalg.norm(b) / np.sqrt(n)
+        with pytest.raises(SolverError, match="stalled") as err:
+            solve(SparseSystem(A, b))
+        iterations = err.value.report.iterations
+        assert STALL_ITERATIONS < iterations < n + STALL_ITERATIONS
 
     def test_singular_element_block_raises(self):
         # the first element's block [[1, 1], [1, 1]] is singular
         blocks = np.array([[[1.0, 1], [1, 1]], [[1, 0], [0, 1]]])
         with pytest.raises(SolverError, match="singular diagonal block"):
             _preconditioner(3, np.array([[0, 1], [2, 3]]), blocks)
+
+    @pytest.mark.parametrize(
+        "family,m",
+        [(Family("ER"), 1), (Family("R"), 1), (Family("ER"), 3), (Family("R", "tilde"), 5),
+         (Family("RPlus"), 4), (Family("ER"), 5)],
+        ids=["ER1", "R1", "ER3", "R~5", "RPlus4", "ER5"],
+    )
+    def test_constant_null_vector_block_raises(self, family, m):
+        """On one element without boundary conditions the only Schwarz
+        block is K_e itself, which maps the constants (every dof a point
+        value of 1) to zero: `assemble` raises, however LAPACK's pivots
+        round."""
+        space = build_global_space(uniform_rect_mesh(1), family, m, homogeneous=False)
+        with pytest.raises(SolverError, match="singular diagonal block"):
+            assemble(space, lambda x, y: np.ones_like(x))
 
     @pytest.mark.parametrize(
         "precondition",
@@ -355,18 +376,13 @@ class TestSolvers:
         assert report.constraint_residual < 1e-11
 
     def test_constrained_matches_dense_kkt(self):
-        """Full pipeline on the relation-carrying family against a dense
-        KKT solve of the same matrices."""
+        """Full pipeline on the relation-carrying family against the
+        refined reference from a dense KKT factor of the same matrices."""
         u, gu, f = default_u()
         space = build_global_space(uniform_rect_mesh(2), Family("R"), 3)
         system = assemble(space, f)
         x, _ = solve(system)
-        K = system.matrix.toarray()
-        C = system.constraints.toarray()[:-1]
-        nc = C.shape[0]
-        kkt = np.block([[K, C.T], [C, np.zeros((nc, nc))]])
-        rhs = np.concatenate([system.rhs, np.zeros(nc)])
-        ref = np.linalg.solve(kkt, rhs)[: space.n_free]
+        ref = refined_solution(system, dense=True)
         assert np.max(np.abs(x - ref)) < 1e-9 * max(1.0, np.max(np.abs(ref)))
 
     def test_solve_dispatch(self):
@@ -903,15 +919,25 @@ class TestCoarseSpace:
         system, ops = assemble_with_operators(space, f)
         assert ops.coarse is not None
         x, _ = solve(system)
-        K = system.matrix
-        if system.constraints is None:
-            kkt, rhs = K, system.rhs
-        else:
-            C = system.constraints[:-1]
-            kkt = sp.bmat([[K, C.T], [C, None]])
-            rhs = np.concatenate([system.rhs, np.zeros(C.shape[0])])
-        ref = spla.splu(kkt.tocsc()).solve(rhs)[: space.n_free]
+        ref = refined_solution(system)
         assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
+
+
+class TestRefinedReference:
+    @pytest.mark.skipif(LONG_DOUBLE_REASON is not None, reason=str(LONG_DOUBLE_REASON))
+    @pytest.mark.parametrize(
+        "family,m", [(Family("R", "tilde"), 5), (Family("ER"), 5)], ids=["R~5", "ER5"])
+    def test_sparse_and_dense_agree(self, family, m):
+        """At 752 dofs (`cli.TABLES` level 4) the refined SuperLU and dense
+        LAPACK solutions agree to an ulp or two per entry, within 1e-15
+        relative, where the unrefined ones differ by 2e-14 to 5e-14 and give
+        L2 errors 3e-10 to 4e-10 apart."""
+        _, _, f = default_problem()
+        space = build_global_space(uniform_rect_mesh(8), family, m)
+        assert space.n_free == 752
+        system = assemble(space, f)
+        sparse, dense = refined_solution(system), refined_solution(system, dense=True)
+        assert np.linalg.norm(sparse - dense) <= 1e-15 * np.linalg.norm(dense)
 
 
 def _dense_schwarz(A, elements, r):
