@@ -88,6 +88,7 @@ class StudyConfig:
         if self.levels < self.min_level:
             raise ValueError(f"levels must be at least min_level ({self.min_level}), "
                              f"got {self.levels}")
+        self.family_obj().check_order(self.m)
 
     def family_obj(self) -> Family:
         return Family(_FAMILY_TAGS[self.family], self.variant)

@@ -156,10 +156,6 @@ class QuadMesh:
         return int(np.sum(~self.edge_is_boundary))
 
     @property
-    def n_boundary_edges(self) -> int:
-        return int(np.sum(self.edge_is_boundary))
-
-    @property
     def n_interior_vertices(self) -> int:
         return len(self.vertices) - self.n_boundary_vertices
 

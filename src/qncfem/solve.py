@@ -39,8 +39,7 @@ the coarse term needs no projection.  Each element restricts P to one
 reference (n_retained x 4) matrix L, `ref.q1`, so P^T K P is the Q1
 assembly of L^T K_e L; `_coarse_space` builds both.  Iterations stay
 bounded under refinement and grow mildly with m.  A mesh without an
-interior vertex has no coarse space, and a hand-built system without a
-preconditioner uses Jacobi.
+interior vertex has no coarse space.
 """
 
 from __future__ import annotations
@@ -89,15 +88,13 @@ class SolveReport:
 @dataclass
 class SparseSystem:
     """Symmetric sparse system K x = b, optionally restricted to ker(C), and
-    the preconditioner r -> M^{-1} r that `solve` uses.  `assemble` sets it
-    to the two-level Schwarz operator it builds from the element matrices;
-    a hand-built system without one is preconditioned by its diagonal
-    (Jacobi)."""
+    the preconditioner r -> M^{-1} r that `solve` uses: `assemble` sets it
+    to the two-level Schwarz operator it builds from the element matrices."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
+    precondition: Callable[[np.ndarray], np.ndarray]
     constraints: sp.csr_matrix | None = None
-    precondition: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
     def n(self) -> int:
@@ -274,8 +271,6 @@ def _element_terms(space: GlobalSpace, f, lf, n):
     for sl, (px, py), jac in _element_chunks(space, q):
         Kloc[sl] = _stiffness_blocks(space, q, jac)
         fv = np.asarray(f(px, py), dtype=float)
-        if fv.shape != px.shape:
-            fv = np.broadcast_to(fv, px.shape)
         Floc[sl] = np.einsum("ep,pi->ei", fv * jac[-1] * W[None, :], phi)
     return Kloc, np.bincount(lf.ravel(), weights=Floc.ravel(), minlength=n + 1)[:n]
 
@@ -337,13 +332,13 @@ def _block_inverses(blocks):
     return inv, group
 
 
-def _preconditioner(n, elements, blocks, coarse=None, coarse_matrix=None):
+def _preconditioner(n, elements, blocks, coarse, coarse_matrix):
     """r -> M^{-1} r on n dofs: element-block additive Schwarz over the
     table `elements` (free dof per local position, n where masked) with
     `blocks`, the matching diagonal blocks (identity rows and columns on
     masked positions), plus the exact coarse-space correction
-    P (P^T A P)^{-1} P^T when a prolongation `coarse` and its
-    `coarse_matrix` P^T A P are given.  When no block repeats, the
+    P (P^T A P)^{-1} P^T when the prolongation `coarse` and its
+    `coarse_matrix` P^T A P are not None.  When no block repeats, the
     inverses are written over `blocks`, which the caller gives up.  A
     masked entry reads an appended zero and writes to a slot that is
     dropped.  A block that at least GEMM_GROUP elements share is applied as
@@ -386,11 +381,11 @@ def _preconditioner(n, elements, blocks, coarse=None, coarse_matrix=None):
 
 
 def solve(system: SparseSystem, x0=None):
-    """CG preconditioned by `system.precondition` (Jacobi when that is
-    None) on ker(C), or on the whole space when the system has no
-    constraint rows.  Residuals and directions are projected onto
-    ker(C) with p <- p - C~^T (C~ C~^T)^{-1} C~ p, where C~ drops the last
-    (redundant) relation row.
+    """CG preconditioned by `system.precondition` on ker(C), or on the
+    whole space when the system has no constraint rows.  Residuals and
+    directions are projected onto ker(C) with
+    p <- p - C~^T (C~ C~^T)^{-1} C~ p, where C~ drops the last (redundant)
+    relation row.
 
     CG starts from x0 projected onto ker(C), or from zero; a good x0 (the
     prolonged solution of a coarser level, nested iteration) saves
@@ -402,8 +397,10 @@ def solve(system: SparseSystem, x0=None):
     definite), or when STALL_ITERATIONS iterations have passed without a
     new least residual (a residual stalled on a floor above REL_TOL).
     Returns (x, SolveReport); raises SolverError when the residual has not
-    reached REL_TOL ("stalled" after the last exit), or when C x is not
-    zero, and ValueError unless x0 has shape (n,)."""
+    reached REL_TOL ("stalled" after the last exit), when C x is not zero,
+    or when the true projected residual of x is not below that of x = 0
+    ("diverged": the recursive residual can reach REL_TOL on a system
+    with no solution), and ValueError unless x0 has shape (n,)."""
     A, b, C = system.matrix, system.rhs, system.constraints
     if x0 is not None and np.shape(x0) != (system.n,):
         raise ValueError(f"expected x0 of shape ({system.n},), got {np.shape(x0)}")
@@ -437,9 +434,6 @@ def solve(system: SparseSystem, x0=None):
         if np.linalg.norm(r0) < bnorm:
             x, r = x0, r0
     precondition = system.precondition
-    if precondition is None:  # Jacobi: every dof its own 1x1 block
-        precondition = _preconditioner(system.n, np.arange(system.n)[:, None],
-                                       A.diagonal()[:, None, None])
     z = project(precondition(r))
     p = z.copy()
     rz = float(np.dot(r, z))
@@ -480,6 +474,10 @@ def solve(system: SparseSystem, x0=None):
         )
     if cres > 1e-9 * max(float(np.max(np.abs(x))), 1.0):
         raise SolverError(f"constraint residual too large: {cres:.3e}", report)
+    # the rule for x0 above: an x no better than zero is no solution
+    if not report.relative_residual < 1.0:
+        raise SolverError(f"CG diverged: true residual {report.relative_residual:.3e} "
+                          f"after {it} iterations", report)
     return x, report
 
 

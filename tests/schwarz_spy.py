@@ -22,8 +22,8 @@ class Operators(NamedTuple):
     n: int
     elements: np.ndarray  # free dof per retained local dof, n where masked
     blocks: np.ndarray  # (ne, k, k) diagonal blocks of K
-    coarse: sp.csr_matrix | None = None  # P
-    coarse_matrix: sp.csc_matrix | None = None  # P^T K P
+    coarse: sp.csr_matrix | None  # P
+    coarse_matrix: sp.csc_matrix | None  # P^T K P
 
 
 @contextlib.contextmanager
@@ -33,10 +33,10 @@ def recording():
     seen = []
     real = SOLVE._preconditioner
 
-    def spy(n, elements, blocks, *coarse):
+    def spy(n, elements, blocks, coarse, coarse_matrix):
         # a copy: the preconditioner inverts the blocks in place
-        seen.append(Operators(n, elements, blocks.copy(), *coarse))
-        return real(n, elements, blocks, *coarse)
+        seen.append(Operators(n, elements, blocks.copy(), coarse, coarse_matrix))
+        return real(n, elements, blocks, coarse, coarse_matrix)
 
     SOLVE._preconditioner = spy
     try:

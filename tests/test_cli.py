@@ -107,7 +107,8 @@ class TestStudyConfig:
     @pytest.mark.parametrize("family,tag", [("r", "R"), ("er", "ER"), ("rplus", "RPlus")])
     @pytest.mark.parametrize("kind", ["uniform", "perturbed"])
     def test_accepted_values(self, family, tag, kind):
-        assert StudyConfig(family=family, mesh_kind=kind).family_obj().tag == tag
+        m = 4 if tag == "RPlus" else 3  # RPlus needs an even order, the default is 3
+        assert StudyConfig(family=family, m=m, mesh_kind=kind).family_obj().tag == tag
 
     @pytest.mark.parametrize("min_level", [0, -1])
     def test_min_level_below_one_rejected(self, min_level):
@@ -124,6 +125,17 @@ class TestStudyConfig:
         with pytest.raises(ValueError,
                            match=f"^seed must be a non-negative integer, got {seed!r}$"):
             StudyConfig(seed=seed)
+
+    @pytest.mark.parametrize("family,variant,m,message", [
+        ("er", "tilde", 3, "tilde variant applies to the R family only"),
+        ("er", "standard", 4, "ER family needs odd order, got 4"),
+        ("rplus", "standard", 3, "RPlus family needs even order >= 2, got 3"),
+        ("r", "tilde", 1, "tilde variant needs m >= 3"),
+    ], ids=["er-tilde", "er4", "rplus3", "r1-tilde"])
+    def test_family_order_mismatch_rejected(self, family, variant, m, message):
+        # at construction, not once run_study has built the first mesh
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            StudyConfig(family=family, variant=variant, m=m)
 
     def test_single_level_accepted(self):
         assert StudyConfig(levels=2, min_level=2).levels == 2

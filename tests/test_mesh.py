@@ -124,7 +124,7 @@ class TestUniformMesh:
         mesh = uniform_rect_mesh(1)
         assert mesh.n_elements == 1
         assert len(mesh.vertices) == 4
-        assert mesh.n_boundary_edges == 4
+        assert int(mesh.edge_is_boundary.sum()) == 4
         assert mesh.n_interior_edges == 0
 
     def test_two_by_two_counts(self):
@@ -132,7 +132,7 @@ class TestUniformMesh:
         assert mesh.n_elements == 4
         assert mesh.n_interior_vertices == 1
         assert mesh.n_interior_edges == 4
-        assert mesh.n_boundary_edges == 8
+        assert int(mesh.edge_is_boundary.sum()) == 8
 
     def test_four_by_four_counts(self):
         mesh = uniform_rect_mesh(4)
@@ -143,7 +143,7 @@ class TestUniformMesh:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_euler_identities(self, n):
         mesh = uniform_rect_mesh(n)
-        assert 4 * mesh.n_elements == 2 * mesh.n_interior_edges + mesh.n_boundary_edges
+        assert 4 * mesh.n_elements == 2 * mesh.n_interior_edges + int(mesh.edge_is_boundary.sum())
         assert (
             2 * mesh.n_elements
             == 2 * mesh.n_interior_vertices + mesh.n_boundary_vertices - 2

@@ -42,6 +42,13 @@ def default_u():
     return u, gu, f
 
 
+def jacobi(A):
+    """The preconditioner of a hand-built system: every dof its own 1x1
+    Schwarz block, A's diagonal, and no coarse space."""
+    n = A.shape[0]
+    return _preconditioner(n, np.arange(n)[:, None], A.diagonal()[:, None, None], None, None)
+
+
 def element_matrices(space):
     """The local stiffness matrices over the retained dofs, (ne, k, k) in
     local dof order, from the element kernel of `assemble`."""
@@ -231,8 +238,8 @@ class TestSolvers:
         n = 40
         rng = np.random.default_rng(0)
         b = rng.standard_normal(n)
-        system = SparseSystem(sp.identity(n, format="csr"), b)
-        x, report = solve(system)
+        A = sp.identity(n, format="csr")
+        x, report = solve(SparseSystem(A, b, jacobi(A)))
         assert report.iterations == 1
         assert np.max(np.abs(x - b)) < 1e-12
 
@@ -241,14 +248,14 @@ class TestSolvers:
         A = rng.standard_normal((50, 50))
         A = A @ A.T + 50 * np.eye(50)
         b = rng.standard_normal(50)
-        system = SparseSystem(sp.csr_matrix(A), b)
-        x, report = solve(system)
+        K = sp.csr_matrix(A)
+        x, report = solve(SparseSystem(K, b, jacobi(K)))
         assert np.max(np.abs(x - np.linalg.solve(A, b))) < 1e-10
         assert report.relative_residual < 1e-11
 
     def test_zero_rhs(self):
-        system = SparseSystem(sp.identity(10, format="csr"), np.zeros(10))
-        x, report = solve(system)
+        A = sp.identity(10, format="csr")
+        x, report = solve(SparseSystem(A, np.zeros(10), jacobi(A)))
         assert np.all(x == 0.0) and report.iterations == 0
 
     def test_nonconvergence_raises(self, monkeypatch):
@@ -261,7 +268,7 @@ class TestSolvers:
         A = sp.diags([-1.0, 2.0, -1.0], [-1, 0, 1], shape=(n, n)).tocsr()
         b = np.ones(n)
         with pytest.raises(SolverError) as err:
-            solve(SparseSystem(A, b))
+            solve(SparseSystem(A, b, jacobi(A)))
         assert err.value.report.iterations == 100
 
     @pytest.mark.parametrize("diagonal", [(1.0, 0.0), (1.0, -1.0)])
@@ -269,9 +276,9 @@ class TestSolvers:
         # the singular matrix has a singular 1x1 block, and the indefinite
         # one reaches a direction with p.Ap <= 0; neither may escape as a
         # LinAlgError or ZeroDivisionError
-        system = SparseSystem(sp.diags(diagonal).tocsr(), np.ones(2))
+        A = sp.diags(diagonal).tocsr()
         with pytest.raises(SolverError):
-            solve(system)
+            solve(SparseSystem(A, np.ones(2), jacobi(A)))
 
     def test_stalled_residual_raises_before_budget(self):
         """A system with no solution: the 1-D Laplacian with free ends,
@@ -287,15 +294,25 @@ class TestSolvers:
         b = A @ np.sin(np.linspace(0.0, 3.0, n))
         b += 1e-11 * np.linalg.norm(b) / np.sqrt(n)
         with pytest.raises(SolverError, match="stalled") as err:
-            solve(SparseSystem(A, b))
+            solve(SparseSystem(A, b, jacobi(A)))
         iterations = err.value.report.iterations
         assert STALL_ITERATIONS < iterations < n + STALL_ITERATIONS
+
+    def test_diverged_solution_raises(self):
+        """ER1 without boundary conditions and f = 1: K is singular and
+        b . 1 = 1, so no x solves K x = b.  The recursive residual still
+        drifts below REL_TOL, while max|x| grows past 1e13 and the true
+        residual is larger than that of x = 0."""
+        space = build_global_space(uniform_rect_mesh(8), Family("ER"), 1, homogeneous=False)
+        with pytest.raises(SolverError, match="^CG diverged: true residual") as err:
+            solve(assemble(space, lambda x, y: np.ones_like(x)))
+        assert not err.value.report.relative_residual < 1.0
 
     def test_singular_element_block_raises(self):
         # the first element's block [[1, 1], [1, 1]] is singular
         blocks = np.array([[[1.0, 1], [1, 1]], [[1, 0], [0, 1]]])
         with pytest.raises(SolverError, match="singular diagonal block"):
-            _preconditioner(3, np.array([[0, 1], [2, 3]]), blocks)
+            _preconditioner(3, np.array([[0, 1], [2, 3]]), blocks, None, None)
 
     @pytest.mark.parametrize(
         "family,m",
@@ -370,7 +387,8 @@ class TestSolvers:
         b = rng.standard_normal(n)
         row = np.ones((1, n))
         C = sp.csr_matrix(np.vstack([row, row]))
-        system = SparseSystem(sp.identity(n, format="csr"), b, constraints=C)
+        A = sp.identity(n, format="csr")
+        system = SparseSystem(A, b, jacobi(A), constraints=C)
         x, report = solve(system)
         assert np.max(np.abs(x - (b - b.mean()))) < 1e-11
         assert report.constraint_residual < 1e-11
@@ -988,7 +1006,7 @@ class TestPreconditioner:
         """(system, operators, the fine Schwarz level alone), built from a
         copy of the blocks, which the preconditioner inverts in place."""
         system, ops = assemble_with_operators(build_global_space(mesh, family, m))
-        return system, ops, _preconditioner(ops.n, ops.elements, ops.blocks.copy())
+        return system, ops, _preconditioner(ops.n, ops.elements, ops.blocks.copy(), None, None)
 
     @three_families
     @pytest.mark.parametrize(
@@ -1035,13 +1053,7 @@ class TestPreconditioner:
         B = sp.random(30, 30, density=0.2, random_state=10)
         A = (B @ B.T + sp.diags(rng.uniform(1.0, 5.0, 30))).tocsr()
         r = rng.standard_normal(30)
-        jacobi = _preconditioner(30, np.arange(30)[:, None], A.diagonal()[:, None, None])
-        assert np.allclose(jacobi(r), r / A.diagonal(), rtol=1e-14, atol=0.0)
-        # a hand-built system without a preconditioner gets that one
-        x, report = solve(SparseSystem(A, r))
-        expect = solve(SparseSystem(A, r, precondition=jacobi))
-        assert x.tobytes() == expect[0].tobytes()
-        assert report.iterations == expect[1].iterations > 1
+        assert np.allclose(jacobi(A)(r), r / A.diagonal(), rtol=1e-14, atol=0.0)
 
 
 class TestEdgeOrientation:
