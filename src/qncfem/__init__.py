@@ -13,9 +13,8 @@ The package solves the homogeneous Poisson problem on (0,1)^2 and reports
 L2 / broken-H1 convergence tables via the ``qncfem`` command line tool.
 """
 
-from .legendre1d import QuadRule1D, gauss_rule
 from .mesh import QuadMesh, load_mesh, perturbed_mesh, refine, uniform_rect_mesh
-from .refelem import Family, ReferenceElement, build_reference_element
+from .refelem import Family, ReferenceElement, build_reference_element, gauss_rule
 from .solve import SparseSystem, assemble, error_norms, solve
 from .space import (
     FeFunction,
@@ -29,7 +28,6 @@ from .space import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "QuadRule1D",
     "gauss_rule",
     "QuadMesh",
     "uniform_rect_mesh",

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .mesh import MeshError, _check_seed, perturbed_mesh, save_mesh, uniform_rect_mesh
+from .mesh import MeshError, _check_integer, perturbed_mesh, save_mesh, uniform_rect_mesh
 from .refelem import Family, build_reference_element, property_checks
 from .solve import SolverError, assemble, error_norms, solve
 from .space import build_global_space, prolong
@@ -82,7 +82,9 @@ class StudyConfig:
         if self.mesh_kind not in _MESH_KINDS:
             raise ValueError(f"unknown mesh kind {self.mesh_kind!r}; "
                              f"expected one of {', '.join(map(repr, _MESH_KINDS))}")
-        _check_seed(self.seed)
+        for name in ("m", "levels", "min_level"):
+            _check_integer(name, getattr(self, name))
+        _check_integer("seed", self.seed, nonnegative=True)
         if self.min_level < 1:
             raise ValueError(f"min_level must be at least 1, got {self.min_level}")
         if self.levels < self.min_level:
@@ -172,12 +174,13 @@ def run_study(config: StudyConfig, problem=None) -> list[StudyRow]:
 
 def format_table(rows: list[StudyRow]) -> str:
     lines = [
-        "level        L2 error  rate       H1 error  rate     ndof  iters   sec"
+        f"{'level':>5}  {'L2 error':>10}  {'rate':>4}  {'H1 error':>10}  {'rate':>4}  "
+        f"{'ndof':>7}  {'iters':>5}  {'sec':>5}"
     ]
     for r in rows:
         lines.append(
-            f"{r.level:5d}  {r.l2_err:14.9f}  {r.l2_order:4.1f}  "
-            f"{r.h1_err:13.8f}  {r.h1_order:4.1f}  {r.ndof:7d}  "
+            f"{r.level:5d}  {r.l2_err:10.4e}  {r.l2_order:4.1f}  "
+            f"{r.h1_err:10.4e}  {r.h1_order:4.1f}  {r.ndof:7d}  "
             f"{r.iterations:5d}  {r.seconds:5.1f}"
         )
     return "\n".join(lines)
@@ -259,7 +262,7 @@ def _tables(args) -> int:
 
 
 def _mesh_cmd(args) -> int:
-    _check_seed(args.seed)  # for either kind, as `run` checks it
+    _check_integer("seed", args.seed, nonnegative=True)  # for either kind, as `run` does
     if args.kind == "uniform":
         mesh = uniform_rect_mesh(args.n)
     else:

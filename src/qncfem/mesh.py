@@ -254,9 +254,13 @@ def refined_children(coarse: QuadMesh, fine: QuadMesh) -> np.ndarray:
     return kids.reshape(-1, 4)
 
 
-def _check_seed(seed) -> None:
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+def _check_integer(name: str, value, nonnegative: bool = False) -> None:
+    """Raise ValueError naming the field unless value is an int or a numpy
+    integer, not a bool, and at least 0 if `nonnegative`."""
+    kind = "a non-negative integer" if nonnegative else "an integer"
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (nonnegative and value < 0)):
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
 
 
 def perturbed_mesh(n: int, seed: int = 0) -> QuadMesh:
@@ -266,7 +270,7 @@ def perturbed_mesh(n: int, seed: int = 0) -> QuadMesh:
     >= 2)."""
     if n < 2 or n & (n - 1):
         raise ValueError("n must be a power of two, at least 2")
-    _check_seed(seed)
+    _check_integer("seed", seed, nonnegative=True)
     h = 0.5  # the coarse mesh width
     rng = np.random.default_rng(seed)
     coarse = uniform_rect_mesh(2)

@@ -16,6 +16,9 @@ identity row.  Only this module applies that matrix: other layers read the
 values it tabulates, the Vandermonde, `child_transfer`, `q1` and
 `interpolation`.
 
+It also holds the 1-D rules on [-1, 1] behind the dof set and the
+quadrature: Gauss-Legendre, Gauss-Lobatto nodes and Lagrange bases.
+
 Families:
     R     (odd m)  : P_m + span{x^m y - x y^m}     (tilde variant: + {x y^m})
     ER    (odd m)  : P_m + span{x^m y - x y^m, x^{m+1} - y^{m+1}}
@@ -29,9 +32,10 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .legendre1d import gauss_lobatto_nodes, gauss_rule, lagrange_basis
-
 __all__ = [
+    "gauss_rule",
+    "gauss_lobatto_nodes",
+    "lagrange_basis",
     "Family",
     "ReferenceElement",
     "build_shape_space",
@@ -45,6 +49,86 @@ __all__ = [
     "property_checks",
     "verify_relation",
 ]
+
+
+def _legendre_eval_with_deriv(n: int, x):
+    """(L_n(x), L_n'(x)) by the three-term recurrence; x may be a scalar or
+    an array."""
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    x = np.asarray(x, dtype=float)
+    p_prev = np.ones_like(x)
+    if n == 0:
+        return p_prev, np.zeros_like(x)
+    p = x.copy()
+    dp_prev = np.zeros_like(x)
+    dp = np.ones_like(x)
+    for j in range(1, n):
+        p_next = ((2 * j + 1) * x * p - j * p_prev) / (j + 1)
+        dp_next = ((2 * j + 1) * (p + x * dp) - j * dp_prev) / (j + 1)
+        p_prev, p = p, p_next
+        dp_prev, dp = dp, dp_next
+    return p, dp
+
+
+@lru_cache(maxsize=None)
+def gauss_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre rule on [-1, 1], exact on P_{2n-1}: read-only
+    (nodes, weights), the pair numpy's `leggauss` returns.  Newton iteration
+    from Chebyshev seeds."""
+    if n < 1:
+        raise ValueError("need at least one point")
+    i = np.arange(1, n + 1)
+    x = np.cos(np.pi * (4 * i - 1) / (4 * n + 2))
+    for _ in range(100):
+        p, dp = _legendre_eval_with_deriv(n, x)
+        dx = p / dp
+        x = x - dx
+        if np.max(np.abs(dx)) < 4e-16:
+            break
+    else:
+        raise RuntimeError(f"Newton iteration for Gauss nodes failed at n={n}")
+    x = np.sort(x)
+    # enforce exact skew symmetry
+    x = 0.5 * (x - x[::-1])
+    if n % 2 == 1:
+        x[n // 2] = 0.0
+    _, dp = _legendre_eval_with_deriv(n, x)
+    w = 2.0 / ((1.0 - x**2) * dp**2)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+@lru_cache(maxsize=None)
+def gauss_lobatto_nodes(n: int) -> np.ndarray:
+    """n Gauss-Lobatto nodes on [-1, 1] (endpoints included), n >= 2."""
+    if n < 2:
+        raise ValueError("need at least two points")
+    if n == 2:
+        inner = np.array([])
+    else:
+        c = np.zeros(n)
+        c[n - 1] = 1.0
+        inner = np.polynomial.legendre.Legendre(c).deriv().roots()
+    nodes = np.concatenate(([-1.0], np.sort(inner.real), [1.0]))
+    nodes = 0.5 * (nodes - nodes[::-1])
+    nodes.setflags(write=False)
+    return nodes
+
+
+def lagrange_basis(nodes, i: int, x):
+    """Cardinal Lagrange basis l_i on the given distinct nodes."""
+    nodes = np.asarray(nodes, dtype=float)
+    if len(np.unique(nodes)) != len(nodes):
+        raise ValueError("nodes must be pairwise distinct")
+    x = np.asarray(x, dtype=float)
+    out = np.ones_like(x)
+    for j, nj in enumerate(nodes):
+        if j != i:
+            out = out * (x - nj) / (nodes[i] - nj)
+    return out
+
 
 # Reference square corners A1..A4 (counterclockwise) and edges:
 # e1: x=-1 (param y), e2: y=-1 (param x), e3: x=+1 (param y), e4: y=+1 (param x).
@@ -62,9 +146,9 @@ CHILD_OFFSETS = ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
 
 def gauss_grid(q: int):
     """q x q tensor Gauss rule on [-1,1]^2 as flat arrays (X, Y, W)."""
-    rule = gauss_rule(q)
-    X, Y = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
-    W = np.outer(rule.weights, rule.weights)
+    nodes, weights = gauss_rule(q)
+    X, Y = np.meshgrid(nodes, nodes, indexing="ij")
+    W = np.outer(weights, weights)
     return X.ravel(), Y.ravel(), W.ravel()
 
 
@@ -133,7 +217,7 @@ def boundary_dof_points(family: Family, m: int) -> np.ndarray:
     """Edge Gauss points in canonical order (e1, e2, e3, e4; increasing
     parameter), plus the corner (1,1) for the even-order family; (n, 2)."""
     family.check_order(m)
-    t = gauss_rule(m).nodes
+    t = gauss_rule(m)[0]
     pts = [np.column_stack(EDGE_PARAM_POINT[e](t)) for e in (1, 2, 3, 4)]
     if family.tag == "RPlus":
         pts.append([[1.0, 1.0]])
@@ -179,7 +263,7 @@ def _gamma_weights(m: int) -> np.ndarray:
     """Relation coefficients gamma over the m Gauss nodes of the odd-order
     family, ordered by increasing node."""
     k = (m - 1) // 2
-    g = gauss_rule(m).nodes
+    g = gauss_rule(m)[0]
     gpos = g[k + 1 :]  # g_1..g_k
     gamma = np.empty(m)
     for idx, gi in enumerate(g):
@@ -200,7 +284,7 @@ def _rel2_weights(m: int) -> np.ndarray:
     """Relation coefficients for the even-order family over the m Gauss nodes
     of the m-point rule, ordered by increasing node."""
     k = m // 2
-    g = gauss_rule(m).nodes
+    g = gauss_rule(m)[0]
     gpos = g[k:]  # g_1..g_k
     w = np.empty(m)
     for idx, gi in enumerate(g):
@@ -235,7 +319,7 @@ def constraint_weights_oracle(m: int) -> np.ndarray:
     augmented Lagrange bases (Gauss nodes plus -1, resp. plus +1)."""
     if m % 2 == 0:
         raise ValueError("oracle is defined for odd orders")
-    g = gauss_rule(m).nodes
+    g = gauss_rule(m)[0]
     nodes0 = np.concatenate(([-1.0], g))
     nodes1 = np.concatenate((g, [1.0]))
     out = np.empty(m)

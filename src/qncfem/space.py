@@ -44,10 +44,6 @@ class GlobalSpace:
     constraints: sp.csr_matrix | None  # (ne, n_free) relation rows, or None
 
     @property
-    def family(self) -> Family:
-        return self.ref.family
-
-    @property
     def m(self) -> int:
         return self.ref.m
 
@@ -177,26 +173,20 @@ def prolong(coarse: GlobalSpace, coeffs: np.ndarray, fine: GlobalSpace) -> np.nd
 
 
 def expected_dimension(space: GlobalSpace) -> int:
-    """Closed-form dimension of the homogeneous space on a simply connected
-    mesh.  Raises ValueError unless V - E + F = 1: on a mesh with holes or
-    with several components the closed form is not the dimension (each
-    one-cell hole adds one for R and RPlus)."""
+    """Dimension of the homogeneous space on a simply connected mesh, from
+    the element's dofs: its corner and interior dofs, m per interior edge,
+    and for an element with a boundary relation (R, RPlus) one less per
+    interior edge and one more per interior vertex.  Raises ValueError
+    unless V - E + F = 1 (each one-cell hole adds one for R and RPlus)."""
     mesh = space.mesh
     euler = len(mesh.vertices) - mesh.n_edges + mesh.n_elements
     if euler != 1:
         raise ValueError(f"expected_dimension needs a simply connected mesh, "
                          f"got V - E + F = {euler}")
-    ne, nvi, nsi = mesh.n_elements, mesh.n_interior_vertices, mesh.n_interior_edges
-    m = space.m
-    tag = space.family.tag
-    if tag == "R":
-        k = (m - 1) // 2
-        return ne * (2 * k - 1) * (k - 1) + nvi + nsi * 2 * k
-    if tag == "RPlus":
-        k = m // 2
-        return ne * ((2 * k - 3) * (k - 1) + 1) + nvi + nsi * (2 * k - 1)
-    k = (m - 1) // 2
-    return ne * (2 * k - 1) * (k - 1) + nsi * (2 * k + 1)
+    ref, m = space.ref, space.m
+    c = int(ref.constraint is not None)
+    return (mesh.n_elements * (len(ref.sampling) - 4 * m)
+            + mesh.n_interior_edges * (m - c) + mesh.n_interior_vertices * c)
 
 
 def interpolate(space: GlobalSpace, u) -> FeFunction:

@@ -8,7 +8,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
-from qncfem.legendre1d import gauss_rule
+from qncfem.refelem import gauss_rule
 
 
 def simplified_constraint_weights(m: int) -> np.ndarray:
@@ -20,7 +20,7 @@ def simplified_constraint_weights(m: int) -> np.ndarray:
     the overall sign (-1)^(k-1) folded in here.
     """
     k = (m - 1) // 2
-    g = gauss_rule(m).nodes
+    g = gauss_rule(m)[0]
     gpos = g[k + 1 :]
     sign = (-1.0) ** (k - 1)
     out = np.empty(m)
@@ -44,7 +44,7 @@ def discrete_bubble(k: int) -> np.ndarray:
     vanishes at all 4m even-family edge Gauss points."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    g = gauss_rule(2 * k).nodes
+    g = gauss_rule(2 * k)[0]
     # a polynomial in r = x^2 + y^2, and r^p = sum_l C(p, l) x^2l y^2(p-l)
     radial = np.polynomial.polynomial.polyfromroots(1.0 + g[k:] ** 2)
     out = np.zeros((2 * k + 1, 2 * k + 1))

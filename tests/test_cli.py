@@ -1,5 +1,7 @@
 """Tests for the command-line driver and convergence-study plumbing."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -120,7 +122,7 @@ class TestStudyConfig:
         with pytest.raises(ValueError, match=r"^levels must be at least min_level"):
             StudyConfig(levels=levels, min_level=min_level)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None])
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, True])
     def test_bad_seed_rejected(self, seed):
         with pytest.raises(ValueError,
                            match=f"^seed must be a non-negative integer, got {seed!r}$"):
@@ -139,6 +141,24 @@ class TestStudyConfig:
 
     def test_single_level_accepted(self):
         assert StudyConfig(levels=2, min_level=2).levels == 2
+
+    @pytest.mark.parametrize("kwargs,name,value", [
+        ({"m": 3.0}, "m", 3.0),
+        ({"m": True}, "m", True),
+        ({"levels": 2.5}, "levels", 2.5),
+        ({"levels": "5"}, "levels", "5"),
+        ({"min_level": 1.5, "levels": 3}, "min_level", 1.5),
+        ({"min_level": True, "levels": 3}, "min_level", True),
+    ], ids=["m-float", "m-bool", "levels-float", "levels-str", "min_level-float",
+            "min_level-bool"])
+    def test_non_integer_count_rejected(self, kwargs, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            StudyConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        config = StudyConfig(m=np.int64(5), levels=np.int32(3), min_level=np.int64(2),
+                             seed=np.uint8(4))
+        assert [r.level for r in run_study(config)] == [2, 3]
 
 
 class TestEmit:
@@ -161,6 +181,14 @@ class TestEmit:
         out = format_table(self._rows())
         assert "level" in out.splitlines()[0]
         assert len(out.splitlines()) == 3
+
+    def test_text_table_shows_small_errors(self):
+        out = format_table([StudyRow(6, 5.4512e-11, 6.0, 2.5359e-8, 5.0, 12288, 20, 0.1)])
+        header, row = out.splitlines()
+        assert "5.4512e-11" in row and "2.5359e-08" in row
+        # every header label ends where its column does
+        ends = [[m.end() for m in re.finditer(r"\S+(?: \S+)*", line)] for line in (header, row)]
+        assert ends[0] == ends[1] and len(ends[0]) == 8
 
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError):

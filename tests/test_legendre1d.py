@@ -1,4 +1,4 @@
-"""Tests for the 1D Legendre / Gauss layer."""
+"""Tests for the 1D Legendre / Gauss rules of the reference element."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import legendre as L
 from numpy.polynomial import polynomial as P
 
-from qncfem.legendre1d import (
+from qncfem.refelem import (
     _legendre_eval_with_deriv,
     gauss_lobatto_nodes,
     gauss_rule,
@@ -58,49 +58,59 @@ class TestLegendreEval:
 
 class TestGaussRule:
     def test_one_point(self):
-        r = gauss_rule(1)
-        assert np.allclose(r.nodes, [0.0])
-        assert np.allclose(r.weights, [2.0])
+        nodes, weights = gauss_rule(1)
+        assert np.allclose(nodes, [0.0])
+        assert np.allclose(weights, [2.0])
 
     def test_two_point(self):
-        r = gauss_rule(2)
-        assert np.allclose(r.nodes, [-0.5773502691896257, 0.5773502691896257])
-        assert np.allclose(r.weights, [1.0, 1.0])
+        nodes, weights = gauss_rule(2)
+        assert np.allclose(nodes, [-0.5773502691896257, 0.5773502691896257])
+        assert np.allclose(weights, [1.0, 1.0])
 
     def test_three_point(self):
-        r = gauss_rule(3)
-        assert np.allclose(r.nodes, [-0.7745966692414834, 0.0, 0.7745966692414834])
-        assert np.allclose(r.weights, [5 / 9, 8 / 9, 5 / 9])
+        nodes, weights = gauss_rule(3)
+        assert np.allclose(nodes, [-0.7745966692414834, 0.0, 0.7745966692414834])
+        assert np.allclose(weights, [5 / 9, 8 / 9, 5 / 9])
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_monomial_exactness(self, n):
-        r = gauss_rule(n)
+        nodes, weights = gauss_rule(n)
         for p in range(2 * n):
             exact = 2.0 / (p + 1) if p % 2 == 0 else 0.0
-            got = float(np.dot(r.weights, r.nodes**p))
+            got = float(np.dot(weights, nodes**p))
             assert abs(got - exact) < 1e-13
 
     @pytest.mark.parametrize("n", range(1, 21))
     def test_skew_symmetry(self, n):
-        x = gauss_rule(n).nodes
+        x = gauss_rule(n)[0]
         assert np.max(np.abs(x + x[::-1])) < 1e-15
 
     def test_weights_positive_and_sum(self):
         for n in range(1, 30):
-            w = gauss_rule(n).weights
+            w = gauss_rule(n)[1]
             assert np.all(w > 0)
             assert abs(np.sum(w) - 2.0) < 1e-13
 
     def test_large_orders_converge(self):
         # the Newton iteration must succeed through n = 64
         for n in (32, 48, 64):
-            r = gauss_rule(n)
-            assert np.all(np.diff(r.nodes) > 0)
-            assert abs(np.sum(r.weights) - 2.0) < 1e-12
+            nodes, weights = gauss_rule(n)
+            assert np.all(np.diff(nodes) > 0)
+            assert abs(np.sum(weights) - 2.0) < 1e-12
 
     def test_invalid_count(self):
         with pytest.raises(ValueError):
             gauss_rule(0)
+
+    def test_read_only(self):
+        # the rule is cached, so a write would change every later caller's rule
+        for n in (1, 4):
+            nodes, weights = gauss_rule(n)
+            assert not nodes.flags.writeable and not weights.flags.writeable
+            with pytest.raises(ValueError):
+                nodes[0] = 0.5
+            with pytest.raises(ValueError):
+                weights[0] = 0.5
 
 
 class TestGaussLobatto:
@@ -141,11 +151,11 @@ class TestInterpGauss:
     drop exactly the L_m component, which vanishes at the nodes."""
 
     def test_kills_l3(self):
-        assert np.max(np.abs(L.legval(gauss_rule(3).nodes, [0, 0, 0, 1]))) < 1e-15
+        assert np.max(np.abs(L.legval(gauss_rule(3)[0], [0, 0, 0, 1]))) < 1e-15
 
     def test_cubic(self):
         # x^3 = (2/5) L_3 + (3/5) L_1: the interpolant is 0.6 x
-        x = gauss_rule(3).nodes
+        x = gauss_rule(3)[0]
         assert np.allclose(P.polyfit(x, x**3, 2), (0.0, 0.6, 0.0), atol=1e-13)
 
     @settings(max_examples=100, deadline=None)
@@ -158,7 +168,7 @@ class TestInterpGauss:
     )
     def test_interp_equals_projection_on_pm(self, coeffs):
         m = 5
-        x = gauss_rule(m).nodes
+        x = gauss_rule(m)[0]
         interp = P.polyfit(x, P.polyval(x, coeffs), m - 1)
         t = np.linspace(-1.0, 1.0, 11)
         proj = L.legval(t, L.poly2leg(coeffs)[:m])

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from paper_identities import discrete_bubble, simplified_constraint_weights
 from qncfem import refelem
-from qncfem.legendre1d import gauss_rule
 from qncfem.refelem import (
     CHILD_OFFSETS,
     EDGE_PARAM_POINT,
@@ -18,6 +17,7 @@ from qncfem.refelem import (
     constraint_weights,
     constraint_weights_oracle,
     gauss_grid,
+    gauss_rule,
     interior_dof_points,
     verify_relation,
 )
@@ -156,7 +156,7 @@ class TestDofPoints:
         R / RPlus retain every dof except dof m."""
         for family, m in ((f, m) for f, orders in ALL_FAMILIES for m in orders):
             ref = build_reference_element(family, m)
-            t = gauss_rule(m).nodes
+            t = gauss_rule(m)[0]
             assert np.all(np.diff(t) > 0)
             for j in range(4 * m):
                 x, y = EDGE_PARAM_POINT[j // m + 1](t[j % m])
@@ -368,7 +368,7 @@ class TestReferenceElement:
             dropped = np.setdiff1d(np.arange(len(ref.points)), ref.retained)
             assert dropped.tolist() == [m]
             # dof m is Gauss point 0 of edge 2 (y = -1, parameter x)
-            x, y = EDGE_PARAM_POINT[2](gauss_rule(m).nodes[:1])
+            x, y = EDGE_PARAM_POINT[2](gauss_rule(m)[0][:1])
             assert ref.points[m].tolist() == [x[0], y[0]]
 
     def test_dropped_value_recovered_by_relation(self):

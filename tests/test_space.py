@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from paper_identities import edge_elements, jump_functionals
-from qncfem.legendre1d import gauss_lobatto_nodes, gauss_rule
 from qncfem.mesh import (
     MeshError,
     QuadMesh,
@@ -19,6 +18,8 @@ from qncfem.refelem import (
     CHILD_OFFSETS,
     EDGE_PARAM_POINT,
     Family,
+    gauss_lobatto_nodes,
+    gauss_rule,
 )
 from qncfem.solve import error_norms
 from qncfem.space import (
@@ -37,6 +38,13 @@ FAMILY_ORDERS = [
     (Family("ER"), 5),
     (Family("RPlus"), 2),
     (Family("RPlus"), 4),
+]
+# appended, so that the ids of the FAMILY_ORDERS cases stay as they were
+DIMENSION_CASES = FAMILY_ORDERS + [
+    (Family("ER"), 1),
+    (Family("R"), 1),
+    (Family("R", "tilde"), 3),
+    (Family("RPlus"), 6),
 ]
 
 
@@ -76,11 +84,11 @@ class TestDimensions:
         space = build_global_space(uniform_rect_mesh(2), Family("R"), 5)
         assert kernel_dimension(space) == 29 == expected_dimension(space)
 
-    @pytest.mark.parametrize("family,m", FAMILY_ORDERS)
+    @pytest.mark.parametrize("family,m", DIMENSION_CASES)
     @pytest.mark.parametrize("meshgen", ["u2", "u3", "u4", "p4"])
     def test_dimension_theorem_all_combinations(self, family, m, meshgen):
-        """Computed kernel dimension equals the closed form on every listed
-        mesh/family/order combination (24 cases)."""
+        """Computed kernel dimension equals the dof count on every listed
+        mesh/family/order combination (40 cases)."""
         if meshgen.startswith("u"):
             mesh = uniform_rect_mesh(int(meshgen[1]))
         else:
@@ -111,7 +119,7 @@ class TestDimensions:
 class TestContinuity:
     def _point_jump(self, space, coeffs):
         mesh, m = space.mesh, space.m
-        t = gauss_rule(m).nodes
+        t = gauss_rule(m)[0]
         cloc = space.local_values(coeffs)
         worst = 0.0
         for inc in edge_elements(mesh):
@@ -150,7 +158,7 @@ class TestContinuity:
         rng = np.random.default_rng(2)
         coeffs = rng.standard_normal(space.n_free)
         cloc = space.local_values(coeffs)
-        t = gauss_rule(3).nodes
+        t = gauss_rule(3)[0]
         mesh = space.mesh
         incidences = edge_elements(mesh)
         for edge in np.nonzero(mesh.edge_is_boundary)[0]:
@@ -416,6 +424,8 @@ class TestProlong:
             pytest.param(Family("R"), 3, id="family2-3-point"),
             pytest.param(Family("R", "tilde"), 5, id="family3-5-point"),
             pytest.param(Family("RPlus"), 4, id="family4-4-point"),
+            pytest.param(Family("ER"), 1, id="family0-1-point"),
+            pytest.param(Family("R"), 1, id="family2-1-point"),
         ],
     )
     @pytest.mark.parametrize("fine_mesh", [uniform_rect_mesh(8),
