@@ -111,9 +111,9 @@ TABLES = {
 class StudyRow:
     level: int
     l2_err: float
-    l2_order: float
+    l2_order: float  # NaN at the first level, where no rate is measured
     h1_err: float
-    h1_order: float
+    h1_order: float  # NaN likewise
     ndof: int
     iterations: int
     seconds: float
@@ -155,8 +155,9 @@ def run_study(config: StudyConfig, problem=None) -> list[StudyRow]:
         del x0  # freed with the system before the next level is set up
         coarse = (space, coeffs)
         l2, h1 = error_norms(space, coeffs, u, grad_u)
-        l2o = np.log2(prev.l2_err / l2) if prev is not None and l2 > 0 else 0.0
-        h1o = np.log2(prev.h1_err / h1) if prev is not None and h1 > 0 else 0.0
+        # no rate at the first level, nor against a zero error
+        l2o = np.log2(prev.l2_err / l2) if prev is not None and l2 > 0 else np.nan
+        h1o = np.log2(prev.h1_err / h1) if prev is not None and h1 > 0 else np.nan
         row = StudyRow(
             level=level,
             l2_err=l2,
@@ -172,15 +173,22 @@ def run_study(config: StudyConfig, problem=None) -> list[StudyRow]:
     return rows
 
 
+def _rate(value: float, spec: str, missing: str) -> str:
+    """A rate formatted with `spec`, or `missing` where none was measured
+    (NaN)."""
+    return missing if np.isnan(value) else format(value, spec)
+
+
 def format_table(rows: list[StudyRow]) -> str:
+    """The text table; a rate that was not measured prints as `-`."""
     lines = [
         f"{'level':>5}  {'L2 error':>10}  {'rate':>4}  {'H1 error':>10}  {'rate':>4}  "
         f"{'ndof':>7}  {'iters':>5}  {'sec':>5}"
     ]
     for r in rows:
         lines.append(
-            f"{r.level:5d}  {r.l2_err:10.4e}  {r.l2_order:4.1f}  "
-            f"{r.h1_err:10.4e}  {r.h1_order:4.1f}  {r.ndof:7d}  "
+            f"{r.level:5d}  {r.l2_err:10.4e}  {_rate(r.l2_order, '4.1f', '-'):>4}  "
+            f"{r.h1_err:10.4e}  {_rate(r.h1_order, '4.1f', '-'):>4}  {r.ndof:7d}  "
             f"{r.iterations:5d}  {r.seconds:5.1f}"
         )
     return "\n".join(lines)
@@ -196,8 +204,8 @@ def emit(rows: list[StudyRow], fmt: str = "text") -> str:
         lines = ["level,l2_err,l2_order,h1_err,h1_order,ndof,iters,seconds"]
         for r in rows:
             lines.append(
-                f"{r.level},{r.l2_err:.12g},{r.l2_order:.12g},"
-                f"{r.h1_err:.12g},{r.h1_order:.12g},{r.ndof},"
+                f"{r.level},{r.l2_err:.12g},{_rate(r.l2_order, '.12g', '')},"
+                f"{r.h1_err:.12g},{_rate(r.h1_order, '.12g', '')},{r.ndof},"
                 f"{r.iterations},{r.seconds:.12g}"
             )
         out = "\n".join(lines) + "\n"

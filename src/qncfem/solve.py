@@ -16,7 +16,8 @@ one operator.  K and the coarse matrix are element sums, which
 the blocks are inverted in place, so the temporaries of `assemble` stay
 below one copy of K.
 The ER families give a plain SPD system; the R / RPlus families carry one
-relation row per element, and `solve` runs one preconditioned CG for both.
+relation row per element, and `solve` runs one preconditioned CG for both,
+on ker C with a projection for R / RPlus.
 
 The preconditioner is additive two-level Schwarz (Pavarino, Numer. Math. 66,
 1994; Brenner, Math. Comp. 65, 1996),
@@ -40,6 +41,19 @@ reference (n_retained x 4) matrix L, `ref.q1`, so P^T K P is the Q1
 assembly of L^T K_e L; `_coarse_space` builds both.  Iterations stay
 bounded under refinement and grow mildly with m.  A mesh without an
 interior vertex has no coarse space.
+
+The projection onto ker C is oblique to the fine level F, which makes M a
+constraint preconditioner (Keller, Gould & Wathen, SIMAX 21, 2000; Gould,
+Hribar & Nocedal, SISC 23, 2001): Pi_F v = v - C~^T S^{-1} C~ F v with
+S = C~ F C~^T, where C~ drops the last relation row, which the others
+imply.  S is the element sum of G_e^T B_e^{-1} G_e, G_e being the relation
+rows that touch element e on its retained dofs, which `_relations` takes
+from the dof table and the reference weights; `assemble` factors it once.
+Since C~ P = 0, M^{-1} Pi_F is symmetric, maps into ker C and vanishes on
+range C~^T, so CG projects its residual once per iteration and nothing
+else.  Wrapping M^{-1} in the Euclidean projection
+I - C~^T (C~ C~^T)^{-1} C~ instead takes twice the iterations (cold RPlus4
+on 32x32: 89 against 43).
 """
 
 from __future__ import annotations
@@ -47,6 +61,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -78,8 +93,20 @@ class SolverError(Exception):
         self.report = report
 
 
+class Projection(NamedTuple):
+    """The F-oblique projection along range(C~^T) onto ker(C~ F), for
+    residuals, and its transpose, which maps any x into ker(C~)."""
+
+    residual: Callable[[np.ndarray], np.ndarray]  # v - C~^T S^{-1} C~ F v
+    iterate: Callable[[np.ndarray], np.ndarray]  # v - F C~^T S^{-1} C~ v
+
+
 @dataclass
 class SolveReport:
+    """CG's iterations, the relative residual of x, ||Pi (b - K x)|| /
+    ||Pi b|| with the projection Pi of `solve` (the identity without
+    relation rows), and max |C x|."""
+
     iterations: int = 0
     relative_residual: float = np.inf
     constraint_residual: float = 0.0
@@ -87,14 +114,17 @@ class SolveReport:
 
 @dataclass
 class SparseSystem:
-    """Symmetric sparse system K x = b, optionally restricted to ker(C), and
-    the preconditioner r -> M^{-1} r that `solve` uses: `assemble` sets it
-    to the two-level Schwarz operator it builds from the element matrices."""
+    """Symmetric sparse system K x = b, optionally restricted to ker(C),
+    the preconditioner r -> M^{-1} r that `solve` uses and, with relation
+    rows, the projection CG runs with: `assemble` sets them to the
+    two-level Schwarz operator it builds from the element matrices and to
+    the projection oblique to its fine level."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     precondition: Callable[[np.ndarray], np.ndarray]
     constraints: sp.csr_matrix | None = None
+    projection: Projection | None = None
 
     @property
     def n(self) -> int:
@@ -295,8 +325,44 @@ def assemble(space: GlobalSpace, f) -> SparseSystem:
     Kloc[e, j, :] = 0.0
     Kloc[e, :, j] = 0.0
     Kloc[e, j, j] = 1.0
-    return SparseSystem(matrix=K, rhs=b, constraints=space.constraints,
-                        precondition=_preconditioner(n, lf, Kloc, coarse, coarse_matrix))
+    precondition, projection = _preconditioner(n, lf, Kloc, coarse, coarse_matrix,
+                                               _relations(space, lf))
+    return SparseSystem(matrix=K, rhs=b, precondition=precondition,
+                        constraints=space.constraints, projection=projection)
+
+
+def _relations(space: GlobalSpace, lf):
+    """(C~, G, index), C~ being the relation rows but the last, which the
+    others imply, or None when C~ has no entry.  For each element e, G[e]
+    (k x 5) holds the columns of C~^T on its retained free dofs lf[e]
+    (zero rows where masked): the relation of e and those of its
+    neighbours across its edges 0-3, whose rows of C~ `index` (ne, 5)
+    gives, or ne - 1 (past C~) for a missing neighbour and for the last
+    relation.  G comes from the dof table and the reference weights, not
+    from C: an edge dof has at most the two holders of its edge, each
+    weighting it by the weight at its own local position, and the dofs
+    past the weights have none."""
+    C = space.constraints
+    if C is None or C[:-1].nnz == 0:
+        return None
+    ref, m, n = space.ref, space.m, space.n_free
+    ne, k = lf.shape
+    w = ref.constraint / np.max(np.abs(ref.constraint))  # the entries of C
+    width = len(w)
+    partner = _partners(space.dofs[:, :width], n)
+    own = np.zeros(len(ref.sampling))
+    own[:width] = w
+    G = np.zeros((ne, k, 5))
+    G[:, :, 0] = np.where(lf < n, own[ref.retained], 0.0)
+    edge = np.nonzero(ref.retained < 4 * m)[0]
+    at = ref.retained[edge]
+    other = partner[:, at]
+    G[:, edge, 1 + at // m] = np.where(other >= 0, w[other % width], 0.0)
+    index = np.empty((ne, 5), dtype=np.int64)
+    index[:, 0] = np.arange(ne)
+    first = partner[:, : 4 * m : m]  # the first dof of each edge
+    index[:, 1:] = np.where(first >= 0, first // width, ne - 1)
+    return C[:-1], G, index
 
 
 def _block_inverses(blocks):
@@ -332,20 +398,56 @@ def _block_inverses(blocks):
     return inv, group
 
 
-def _preconditioner(n, elements, blocks, coarse, coarse_matrix):
-    """r -> M^{-1} r on n dofs: element-block additive Schwarz over the
-    table `elements` (free dof per local position, n where masked) with
-    `blocks`, the matching diagonal blocks (identity rows and columns on
-    masked positions), plus the exact coarse-space correction
-    P (P^T A P)^{-1} P^T when the prolongation `coarse` and its
-    `coarse_matrix` P^T A P are not None.  When no block repeats, the
-    inverses are written over `blocks`, which the caller gives up.  A
-    masked entry reads an appended zero and writes to a slot that is
-    dropped.  A block that at least GEMM_GROUP elements share is applied as
-    one GEMM over their gathered residuals; every other element takes its
-    own row-vector product in one stacked product.  Raises SolverError when
-    a block is singular (`_block_inverses`)."""
+def _relation_matrix(inv, group, relations):
+    """S = C~ F C~^T, F = sum_e R_e^T B_e^{-1} R_e being the fine level:
+    the element sum of G_e^T B_e^{-1} G_e over the `relations` (C~, G,
+    index) of `_relations`, with the transposed inverses inv and their rows
+    group of `_block_inverses`.  When blocks repeat, the products run once
+    per distinct pair of a block and a G_e (nine on a uniform mesh),
+    otherwise a block of elements at a time."""
+    Ct, G, index = relations
+    row = np.arange(len(G)) if group is None else group  # of inv, per element
+    first, inverse = _EVERY_ROW
+    found = None if group is None else _distinct_rows(G.reshape(len(G), -1))
+    if found is not None:
+        pair = group * len(found[0]) + found[1]
+        _, first, inverse = np.unique(pair, return_index=True, return_inverse=True)
+    G, row = G[first], row[first]
+    local = np.empty((len(G),) + G.shape[2:] * 2)
+    for start in range(0, len(G), BLOCK_ELEMENTS):
+        sl = slice(start, start + BLOCK_ELEMENTS)
+        # (B^{-T} G)^T G = G^T B^{-1} G
+        np.matmul(np.matmul(inv[row[sl]], G[sl]).transpose(0, 2, 1), G[sl], out=local[sl])
+    return _element_sum(local[inverse], index, Ct.shape[0])
+
+
+def _preconditioner(n, elements, blocks, coarse, coarse_matrix, relations):
+    """(r -> M^{-1} r, Projection or None) on n dofs.  M^{-1} is
+    element-block additive Schwarz over the table `elements` (free dof per
+    local position, n where masked) with `blocks`, the matching diagonal
+    blocks (identity rows and columns on masked positions), plus the exact
+    coarse-space correction P (P^T A P)^{-1} P^T when the prolongation
+    `coarse` and its `coarse_matrix` P^T A P are not None.  When no block
+    repeats, the inverses are written over `blocks`, which the caller
+    gives up.  A masked entry reads an appended zero and writes to a slot
+    that is dropped.  A block that at least GEMM_GROUP elements share is
+    applied as one GEMM over their gathered residuals; every other element
+    takes its own row-vector product in one stacked product.
+
+    With `relations` (C~, G, index) of `_relations`, the projection is
+    oblique to the fine level F, and S = C~ F C~^T is factored once.
+    Since C~ P = 0, M^{-1} Pi_F = F - F C~^T S^{-1} C~ F + Q is symmetric,
+    maps into ker(C~) and vanishes on range(C~^T).  Raises SolverError
+    when a block is singular (`_block_inverses`)."""
     inv, group = _block_inverses(blocks)
+    if relations is not None:
+        # S is SPD: a minimum-degree ordering of its pattern with diagonal
+        # pivots, as for the coarse matrix
+        s_lu = spla.splu(_relation_matrix(inv, group, relations).tocsc(),
+                         permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                         options={"SymmetricMode": True})
+        Ct = relations[0]
+        CtT = Ct.T.tocsr()
     # the shared groups first, each a contiguous run of elements, then the
     # rest; when no block repeats, `elements` and inv serve uncopied
     products, split = [], 0
@@ -371,31 +473,38 @@ def _preconditioner(n, elements, blocks, coarse, coarse_matrix):
         np.matmul(x[split:], inv, out=z[split:])
         return np.bincount(scatter, weights=z.ravel(), minlength=n + 1)[:n]
 
+    projection = None if relations is None else Projection(
+        residual=lambda v: v - CtT @ s_lu.solve(Ct @ fine(v)),
+        iterate=lambda v: v - fine(CtT @ s_lu.solve(Ct @ v)))
     if coarse is None:
-        return fine
+        return fine, projection
     # a minimum-degree ordering of the symmetric coarse matrix halves the
     # factor time of the default column ordering
     lu = spla.splu(coarse_matrix, permc_spec="MMD_AT_PLUS_A")
     restrict = coarse.T.tocsr()
-    return lambda r: fine(r) + coarse @ lu.solve(restrict @ r)
+    return lambda r: fine(r) + coarse @ lu.solve(restrict @ r), projection
 
 
 def solve(system: SparseSystem, x0=None):
-    """CG preconditioned by `system.precondition` on ker(C), or on the
-    whole space when the system has no constraint rows.  Residuals and
-    directions are projected onto ker(C) with
-    p <- p - C~^T (C~ C~^T)^{-1} C~ p, where C~ drops the last (redundant)
-    relation row.
+    """CG preconditioned by `system.precondition`, on ker(C) when the
+    system carries a `projection`, else on the whole space.  With relation
+    rows the residuals are projected with Pi_F v = v - C~^T S^{-1} C~ F v,
+    S = C~ F C~^T, where F is the preconditioner's fine level and C~ drops
+    the last (redundant) relation row: each iteration projects its updated
+    residual r - alpha A p once, and M^{-1} of a projected residual already
+    lies in ker(C), so the directions need no projection
+    (`_preconditioner`).
 
-    CG starts from x0 projected onto ker(C), or from zero; a good x0 (the
-    prolonged solution of a coarser level, nested iteration) saves
-    iterations, and an x0 whose residual is larger than that of zero is
-    dropped.  CG stops at a relative projected residual of REL_TOL, within
-    a budget of max(100, MAX_ITER_FACTOR * sqrt(n)) iterations, or earlier
-    on a direction with nonpositive (or NaN) curvature p.Ap, when r.z is
-    not positive (roundoff floor, or a preconditioner that is not positive
-    definite), or when STALL_ITERATIONS iterations have passed without a
-    new least residual (a residual stalled on a floor above REL_TOL).
+    CG starts from x0 mapped into ker(C) by the transpose of Pi_F, or from
+    zero; a good x0 (the prolonged solution of a coarser level, nested
+    iteration) saves iterations, and an x0 whose residual is larger than
+    that of zero is dropped.  CG stops at a relative projected residual of
+    REL_TOL, within a budget of max(100, MAX_ITER_FACTOR * sqrt(n))
+    iterations, or earlier on a direction with nonpositive (or NaN)
+    curvature p.Ap, when r.z is not positive (roundoff floor, or a
+    preconditioner that is not positive definite), or when
+    STALL_ITERATIONS iterations have passed without a new least residual
+    (a residual stalled on a floor above REL_TOL).
     Returns (x, SolveReport); raises SolverError when the residual has not
     reached REL_TOL ("stalled" after the last exit), when C x is not zero,
     or when the true projected residual of x is not below that of x = 0
@@ -404,18 +513,8 @@ def solve(system: SparseSystem, x0=None):
     A, b, C = system.matrix, system.rhs, system.constraints
     if x0 is not None and np.shape(x0) != (system.n,):
         raise ValueError(f"expected x0 of shape ({system.n},), got {np.shape(x0)}")
-    if C is None or C.nnz == 0:
-        C = None
-        project = lambda v: v
-    else:
-        Ct = C[:-1]  # the last element's row is implied by the others
-        # C~ C~^T is SPD: a minimum-degree ordering of its pattern, as for the
-        # coarse matrix, with diagonal pivots leaves 37% less fill in L + U
-        # than the default column ordering at 32x32
-        lu = spla.splu((Ct @ Ct.T).tocsc(), permc_spec="MMD_AT_PLUS_A",
-                       diag_pivot_thresh=0.0, options={"SymmetricMode": True})
-        CtT = Ct.T.tocsr()
-        project = lambda v: v - CtT @ lu.solve(Ct @ v)
+    identity = lambda v: v
+    project, project_x0 = system.projection or (identity, identity)
 
     maxiter = max(100, int(MAX_ITER_FACTOR * np.sqrt(system.n)))
     x = np.zeros_like(b)
@@ -424,30 +523,36 @@ def solve(system: SparseSystem, x0=None):
     if bnorm == 0.0:
         return x, SolveReport(relative_residual=0.0)
     if x0 is not None:
-        x0 = project(np.array(x0, dtype=float))  # a copy: x is updated in place
-        # b - A x0 has a range(C^T) part of the size of b, and the C~ C~^T
-        # solve is accurate to about 1e-12, so one projection leaves a
-        # residue near REL_TOL that CG cannot reduce; a second removes it
+        x0 = project_x0(np.array(x0, dtype=float))  # a copy: x is updated in place
+        # b - A x0 has a range(C^T) part of the size of b, and the S solve
+        # is accurate to about 1e-12, so one projection leaves a residue
+        # near REL_TOL, which M^{-1} would carry out of ker(C) into the
+        # first direction; a second removes it
         r0 = project(project(b - A @ x0))
         # the accuracy CG can reach scales with the largest residual it
         # meets (Greenbaum, SIMAX 18, 1997): an x0 worse than zero is dropped
         if np.linalg.norm(r0) < bnorm:
             x, r = x0, r0
     precondition = system.precondition
-    z = project(precondition(r))
+    z = precondition(r)
     p = z.copy()
     rz = float(np.dot(r, z))
     rel = best = np.linalg.norm(r) / bnorm
     it = best_at = 0
     while rel > REL_TOL and it < maxiter and it - best_at < STALL_ITERATIONS:
-        Ap = project(A @ p)
+        Ap = A @ p
         pAp = float(np.dot(p, Ap))
         if not pAp > 0.0:
             break
         alpha = rz / pAp
         x += alpha * p
+        # the updated residual is projected, not A p alone: the rounding
+        # residue of the S solve in range(C~^T) then stays in proportion
+        # to r instead of piling up (projecting A p alone, cold R1 on
+        # 128x128 broke down at 1.7e-13); p in ker(C) gives p.Ap = p.Pi_F Ap
         r -= alpha * Ap
-        z = project(precondition(r))
+        r = project(r)
+        z = precondition(r)
         rz_new = float(np.dot(r, z))
         it += 1
         rel = np.linalg.norm(r) / bnorm

@@ -10,14 +10,17 @@ It runs `cli.run_study` on the three workloads of perfbench/workloads.json
 (seed 0), on the six `cli.TABLES` rows and on ER m=1 and R m=1 (uniform,
 levels 2-6), which no workload or table has, and for every level hashes the
 solution bytes and the iteration count, the L2/H1 errors (`float.hex`),
-K, b and C, the arguments `assemble` passes to `solve._preconditioner`
-(recorded by `schwarz_spy.recording`, which copies the blocks on entry,
-since the preconditioner inverts them in place) and one apply of
-`system.precondition` to a fixed vector.  OpenBLAS rounds long dot
+K, b and C, the Schwarz operators `assemble` passes to
+`solve._preconditioner` (recorded by `schwarz_spy.recording`, which copies
+the blocks on entry, since the preconditioner inverts them in place) and
+one apply of `system.precondition` to a fixed vector; for the relation
+families also the relation blocks it passes and one apply of the
+projection's residual map.  OpenBLAS rounds long dot
 products differently with one and two threads, so the script sets
 OMP_NUM_THREADS, OPENBLAS_NUM_THREADS (which OpenBLAS reads first) and
 MKL_NUM_THREADS to 1 before numpy loads.  `--compare` exits with status 1 and lists
-the differing entries when any hash differs.  The file name does not
+the differing entries when any hash differs; it ends with the count of
+equal hashes and one line per study with its equal and differing counts.  The file name does not
 match pytest's test pattern, so the suite does not collect it.
 """
 
@@ -77,14 +80,20 @@ def hash_study(config) -> dict:
     def solve(system, x0=None):
         x, report = real(system, x0)
         probe = np.sin(np.arange(system.n) + 1.0)
-        levels.append({
+        ops = operators.pop()
+        items = {
             "solution": digest(x, report.iterations),
             "K": digest(system.matrix),
             "b": digest(system.rhs),
             "C": digest(system.constraints),
-            "preconditioner_args": digest(*operators.pop()),
+            "preconditioner_args": digest(ops.n, ops.elements, ops.blocks, ops.coarse,
+                                          ops.coarse_matrix),
             "precondition": digest(system.precondition(probe)),
-        })
+        }
+        if ops.relations is not None:
+            items["relations"] = digest(*ops.relations)
+            items["projection"] = digest(system.projection.residual(probe))
+        levels.append(items)
         return x, report
 
     cli.solve = solve
@@ -125,6 +134,12 @@ def main(argv=None) -> int:
     for key in differ:
         print(f"differs: {key}")
     print(f"{len(hashes) - len(differ)} of {len(recorded | hashes)} hashes equal")
+    # a key is study/levelL/item, and a study name may hold a slash
+    study = lambda key: key.rsplit("/", 2)[0]
+    for name in sorted({study(k) for k in recorded | hashes}):
+        keys = [k for k in recorded | hashes if study(k) == name]
+        count = sum(k in differ for k in keys)
+        print(f"{name}: {len(keys) - count} equal, {count} differ")
     return 1 if differ else 0
 
 

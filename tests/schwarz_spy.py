@@ -1,8 +1,8 @@
 """Read the operators `assemble` builds its preconditioner from.
 
-`SparseSystem` carries only the finished preconditioner; the tests that
-check its parts byte for byte read them here, through a spy on
-`solve._preconditioner`, so that no test-only code lives in `src`."""
+`SparseSystem` carries only the finished preconditioner and projection;
+the tests that check their parts byte for byte read them here, through a
+spy on `solve._preconditioner`, so that no test-only code lives in `src`."""
 
 import contextlib
 import sys
@@ -24,6 +24,7 @@ class Operators(NamedTuple):
     blocks: np.ndarray  # (ne, k, k) diagonal blocks of K
     coarse: sp.csr_matrix | None  # P
     coarse_matrix: sp.csc_matrix | None  # P^T K P
+    relations: tuple | None  # (C~, G, index) of `solve._relations`, or None
 
 
 @contextlib.contextmanager
@@ -33,10 +34,10 @@ def recording():
     seen = []
     real = SOLVE._preconditioner
 
-    def spy(n, elements, blocks, coarse, coarse_matrix):
+    def spy(n, elements, blocks, coarse, coarse_matrix, relations):
         # a copy: the preconditioner inverts the blocks in place
-        seen.append(Operators(n, elements, blocks.copy(), coarse, coarse_matrix))
-        return real(n, elements, blocks, coarse, coarse_matrix)
+        seen.append(Operators(n, elements, blocks.copy(), coarse, coarse_matrix, relations))
+        return real(n, elements, blocks, coarse, coarse_matrix, relations)
 
     SOLVE._preconditioner = spy
     try:

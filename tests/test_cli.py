@@ -69,9 +69,11 @@ class TestRunStudy:
         )
         assert rows[-1].l2_err < rows[0].l2_err
 
-    def test_first_row_has_zero_order(self):
+    def test_first_row_has_no_rate(self):
+        # no rate is measured at the first level: NaN, not a rate of 0
         rows = run_study(StudyConfig(family="er", m=3, levels=2))
-        assert rows[0].l2_order == 0.0 and rows[0].h1_order == 0.0
+        assert np.isnan(rows[0].l2_order) and np.isnan(rows[0].h1_order)
+        assert rows[1].l2_order > 0.0 and rows[1].h1_order > 0.0
 
     def test_custom_problem(self):
         # u = x(1-x)y(1-y): -lap u = 2y(1-y) + 2x(1-x)
@@ -164,7 +166,7 @@ class TestStudyConfig:
 class TestEmit:
     def _rows(self):
         return [
-            StudyRow(2, 1.5e-3, 0.0, 2.5e-2, 0.0, 24, 11, 0.1),
+            StudyRow(2, 1.5e-3, np.nan, 2.5e-2, np.nan, 24, 11, 0.1),
             StudyRow(3, 9.5e-5, 3.98, 3.1e-3, 3.01, 120, 25, 0.2),
         ]
 
@@ -177,10 +179,22 @@ class TestEmit:
         assert float(fields[1]) == 9.5e-5
         assert int(fields[5]) == 120
 
+    def test_csv_leaves_missing_rates_empty(self):
+        first, second = emit(self._rows(), "csv").strip().splitlines()[1:]
+        assert first.split(",")[2] == "" and first.split(",")[4] == ""
+        assert float(second.split(",")[2]) == 3.98
+
     def test_text_table(self):
         out = format_table(self._rows())
         assert "level" in out.splitlines()[0]
         assert len(out.splitlines()) == 3
+
+    def test_text_table_marks_missing_rates(self):
+        header, first, second = format_table(self._rows()).splitlines()
+        assert first.split()[2] == "-" and first.split()[4] == "-"
+        assert second.split()[2] == "4.0"
+        # the dash sits at the right edge of the rate column
+        assert first.rindex("-", 0, header.index("H1")) == header.index("rate") + 3
 
     def test_text_table_shows_small_errors(self):
         out = format_table([StudyRow(6, 5.4512e-11, 6.0, 2.5359e-8, 5.0, 12288, 20, 0.1)])

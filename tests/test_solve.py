@@ -46,7 +46,8 @@ def jacobi(A):
     """The preconditioner of a hand-built system: every dof its own 1x1
     Schwarz block, A's diagonal, and no coarse space."""
     n = A.shape[0]
-    return _preconditioner(n, np.arange(n)[:, None], A.diagonal()[:, None, None], None, None)
+    return _preconditioner(n, np.arange(n)[:, None], A.diagonal()[:, None, None],
+                           None, None, None)[0]
 
 
 def element_matrices(space):
@@ -188,11 +189,12 @@ class TestAssemble:
         if block is not None:
             monkeypatch.setattr(solve_module, "BLOCK_ELEMENTS", block)
         seen = []
-        monkeypatch.setattr(solve_module, "_preconditioner", lambda *args: seen.append(args))
+        monkeypatch.setattr(solve_module, "_preconditioner",
+                            lambda *args: seen.append(args) or (None, None))
         K = assemble(space, lambda x, y: np.zeros_like(x)).matrix
         assert K.has_sorted_indices
         assert_same_bytes(K, expect)
-        ((*_, coarse_matrix),) = seen
+        ((*_, coarse_matrix, _),) = seen
         mesh, q1 = space.mesh, space.ref.q1
         if mesh.n_interior_vertices == 0:
             assert coarse_matrix is None
@@ -312,7 +314,7 @@ class TestSolvers:
         # the first element's block [[1, 1], [1, 1]] is singular
         blocks = np.array([[[1.0, 1], [1, 1]], [[1, 0], [0, 1]]])
         with pytest.raises(SolverError, match="singular diagonal block"):
-            _preconditioner(3, np.array([[0, 1], [2, 3]]), blocks, None, None)
+            _preconditioner(3, np.array([[0, 1], [2, 3]]), blocks, None, None, None)
 
     @pytest.mark.parametrize(
         "family,m",
@@ -381,14 +383,19 @@ class TestSolvers:
     def test_sum_constraint_analytic(self):
         """K = I with the constraint sum(x) = 0 projects b onto mean zero.
         The duplicated row stands in for the implied last element row that
-        solve always drops."""
+        the projection always drops.  Each dof is an element with a 1x1
+        Schwarz block, and the one kept relation weights it by 1, so the
+        projection comes from `_preconditioner` as `assemble`'s does."""
         n = 30
         rng = np.random.default_rng(2)
         b = rng.standard_normal(n)
         row = np.ones((1, n))
         C = sp.csr_matrix(np.vstack([row, row]))
         A = sp.identity(n, format="csr")
-        system = SparseSystem(A, b, jacobi(A), constraints=C)
+        relations = (C[:-1], np.ones((n, 1, 1)), np.zeros((n, 1), dtype=np.int64))
+        precondition, projection = _preconditioner(
+            n, np.arange(n)[:, None], A.diagonal()[:, None, None], None, None, relations)
+        system = SparseSystem(A, b, precondition, constraints=C, projection=projection)
         x, report = solve(system)
         assert np.max(np.abs(x - (b - b.mean()))) < 1e-11
         assert report.constraint_residual < 1e-11
@@ -630,9 +637,9 @@ class TestElementBlockLoop:
 
 
 class TestDistinctElements:
-    """The stiffness blocks and the block inverses are computed once per
-    distinct element; the results must be the bytes of the kernels run on
-    every element."""
+    """The stiffness blocks, the block inverses and the products of S =
+    C~ F C~^T are computed once per distinct element; the results must be
+    the bytes of the kernels run on every element."""
 
     solve_module = sys.modules["qncfem.solve"]
 
@@ -643,8 +650,9 @@ class TestDistinctElements:
         stiffness = [self.solve_module._stiffness_blocks(space, q, jac)
                      for _, _, jac in self.solve_module._element_chunks(space, q)]
         inv = expanded_inverses(ops.blocks)
+        S = [] if ops.relations is None else relation_matrix(ops)
         return [a.tobytes() for a in (K.data, K.indices, K.indptr, system.rhs,
-                                      *stiffness, inv)]
+                                      *stiffness, inv, *S)]
 
     def _jacobian_rows(self, space):
         (_, _, jac), = self.solve_module._element_chunks(space, space.m + 3)
@@ -702,10 +710,10 @@ class TestDistinctElements:
     def test_uniform_mesh_runs_kernels_once_per_distinct_element(self, monkeypatch):
         space = build_global_space(uniform_rect_mesh(32), Family("R", "tilde"), 5)
         matmul, inv = np.matmul, np.linalg.inv
-        stiffness_sizes, inverse_sizes = [], []
+        matmul_sizes, inverse_sizes = [], []
 
         def counting_matmul(a, b, **kwargs):
-            stiffness_sizes.append(len(a))
+            matmul_sizes.append(len(a))
             return matmul(a, b, **kwargs)
 
         def counting_inv(a):
@@ -717,8 +725,11 @@ class TestDistinctElements:
         assemble(space, default_u()[2])
         blocks = space.mesh.n_elements // self.solve_module.BLOCK_ELEMENTS
         assert blocks == 4
-        assert stiffness_sizes == [1] * (2 * blocks)  # two products per block
-        # with the boundary masks, 9 distinct Schwarz blocks over the whole mesh
+        # the stiffness kernel, two products per block of elements, then
+        # G_e^T B_e^{-1} G_e once per distinct pair of a Schwarz block and
+        # a relation block, in two products: the boundary masks make 9
+        # distinct Schwarz blocks over the whole mesh, and 9 pairs
+        assert matmul_sizes == [1] * (2 * blocks) + [9, 9]
         assert inverse_sizes == [9]
 
 
@@ -795,6 +806,30 @@ class TestOperatorsFromElementMatrices:
         for got, want in ((P.data, expect.data), (P.indices, expect.indices),
                           (P.indptr, expect.indptr)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @cases
+    @pytest.mark.parametrize(
+        "mesh,homogeneous",
+        [(uniform_rect_mesh(8), True), (perturbed_mesh(8, seed=3), True),
+         (rotated_listing(uniform_rect_mesh(8)), True), (uniform_rect_mesh(4), False)],
+        ids=["uniform8", "perturbed8", "rotated8", "free-boundary4"],
+    )
+    def test_relation_blocks_match_sampled_constraints(self, family, m, mesh, homogeneous):
+        """G_e, built from the dof table and the reference weights, is the
+        columns of C~^T that touch element e, sampled from C, byte for byte;
+        every other column of C~^T is zero on e's dofs."""
+        space = build_global_space(mesh, family, m, homogeneous=homogeneous)
+        ops = assemble_with_operators(space)[1]
+        if space.constraints is None:
+            assert ops.relations is None
+            return
+        Ct, G, index = ops.relations
+        assert_same_bytes(Ct, space.constraints[:-1].tocsr())
+        expect = sampled_relations(space.constraints, ops.elements)
+        e, c = np.nonzero(index < Ct.shape[0])
+        got = np.zeros_like(expect)
+        got[e, :, index[e, c]] = G[e, :, c]  # (e, relation) pairs are distinct
+        assert np.array_equal(got, expect)
 
     @cases
     @meshes
@@ -974,6 +1009,22 @@ def expanded_inverses(blocks):
     return inv if group is None else inv[group]
 
 
+def relation_matrix(ops):
+    """The CSR arrays of `_relation_matrix` over the recorded operators,
+    from a copy of their blocks."""
+    S = sys.modules["qncfem.solve"]._relation_matrix(*_block_inverses(ops.blocks.copy()),
+                                                    ops.relations)
+    return S.data, S.indices, S.indptr
+
+
+def sampled_relations(C, elements):
+    """Reference for `_relations`' G: the dense (ne, k, ne - 1) columns of
+    C~^T = C[:-1]^T on each element's retained free dofs, sampled from C,
+    zero where masked."""
+    Ct = np.vstack([C[:-1].toarray().T, np.zeros(C.shape[0] - 1)])  # row n reads 0
+    return Ct[elements]
+
+
 def moved_vertex_mesh(n):
     """`uniform_rect_mesh(n)` with one interior vertex moved: the elements
     around it get blocks of their own, the others share theirs."""
@@ -1006,7 +1057,8 @@ class TestPreconditioner:
         """(system, operators, the fine Schwarz level alone), built from a
         copy of the blocks, which the preconditioner inverts in place."""
         system, ops = assemble_with_operators(build_global_space(mesh, family, m))
-        return system, ops, _preconditioner(ops.n, ops.elements, ops.blocks.copy(), None, None)
+        return system, ops, _preconditioner(ops.n, ops.elements, ops.blocks.copy(),
+                                            None, None, None)[0]
 
     @three_families
     @pytest.mark.parametrize(
@@ -1054,6 +1106,85 @@ class TestPreconditioner:
         A = (B @ B.T + sp.diags(rng.uniform(1.0, 5.0, 30))).tocsr()
         r = rng.standard_normal(30)
         assert np.allclose(jacobi(A)(r), r / A.diagonal(), rtol=1e-14, atol=0.0)
+
+
+class TestConstraintPreconditioner:
+    """The projection of the relation families is oblique to the fine
+    Schwarz level F: Pi_F v = v - C~^T S^{-1} C~ F v with S = C~ F C~^T.
+    Since the coarse space lies in ker(C), M^{-1} Pi_F is symmetric, maps
+    into ker(C) and vanishes on range(C~^T), so CG needs no projection of
+    the preconditioned residual."""
+
+    families = pytest.mark.parametrize(
+        "family,m",
+        [(Family("R"), 1), (Family("R"), 3), (Family("R", "tilde"), 5), (Family("RPlus"), 4)],
+        ids=["R1", "R3", "R~5", "RPlus4"],
+    )
+    meshes = pytest.mark.parametrize(
+        "mesh", [uniform_rect_mesh(4), perturbed_mesh(8, seed=3)],
+        ids=["uniform4", "perturbed8"],
+    )
+
+    @staticmethod
+    def _dense(family, m, mesh):
+        """(system, C, Pi_F, its transpose as applied to x0, M^{-1} Pi_F),
+        dense, column by column."""
+        space = build_global_space(mesh, family, m)
+        system = assemble(space, default_u()[2])
+        apply = lambda fn, V: np.column_stack([fn(v) for v in V.T])
+        identity = np.eye(system.n)
+        residual = apply(system.projection.residual, identity)
+        return (system, space.constraints.toarray(), residual,
+                apply(system.projection.iterate, identity),
+                apply(system.precondition, residual))
+
+    @families
+    @meshes
+    def test_preconditioned_projection_is_symmetric(self, family, m, mesh):
+        *_, MPi = self._dense(family, m, mesh)
+        assert np.max(np.abs(MPi - MPi.T)) <= 1e-12 * np.max(np.abs(MPi))
+
+    @families
+    @meshes
+    def test_maps_into_kernel_and_vanishes_on_relation_range(self, family, m, mesh):
+        system, C, _, _, MPi = self._dense(family, m, mesh)
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal(system.n)
+        z = MPi @ v
+        assert np.linalg.norm(C @ z) <= 1e-12 * np.linalg.norm(C) * np.linalg.norm(z)
+        # against M^{-1} itself on the same vector, which does not vanish
+        Cty = C[:-1].T @ rng.standard_normal(C.shape[0] - 1)
+        scale = np.linalg.norm(system.precondition(Cty))
+        assert np.linalg.norm(MPi @ Cty) <= 1e-12 * scale
+
+    @families
+    @meshes
+    def test_projection_is_idempotent_and_transposed_for_x0(self, family, m, mesh):
+        system, C, Pi, PiT, _ = self._dense(family, m, mesh)
+        scale = np.max(np.abs(Pi))
+        assert np.max(np.abs(Pi @ Pi - Pi)) <= 1e-12 * scale
+        assert np.max(np.abs(PiT - Pi.T)) <= 1e-12 * scale
+        # the transpose maps any x0 into ker(C)
+        assert np.max(np.abs(C @ PiT)) <= 1e-12 * np.max(np.abs(PiT))
+
+    @pytest.mark.parametrize(
+        "family,m", [(Family("RPlus"), 4), (Family("R", "tilde"), 5)], ids=["RPlus4", "R~5"])
+    def test_cold_iterations_at_32(self, family, m):
+        # the Euclidean projection took 89 (RPlus4) and 63 (R~5) iterations
+        space = build_global_space(uniform_rect_mesh(32), family, m)
+        _, report = solve(assemble(space, default_u()[2]))
+        assert report.iterations <= 50
+
+    @pytest.mark.parametrize("family,m", [(Family("RPlus"), 2), (Family("R"), 1)],
+                             ids=["RPlus2", "R1"])
+    def test_cold_converges_at_128(self, family, m):
+        # with the Euclidean projection CG raised SolverError after 1,851
+        # iterations on RPlus2 (ROADMAP item 1); projecting A p alone in
+        # place of the updated residual, R1 broke down at 1.7e-13
+        space = build_global_space(uniform_rect_mesh(128), family, m)
+        _, report = solve(assemble(space, default_u()[2]))
+        assert report.relative_residual < 1e-10
+        assert report.constraint_residual < 1e-12
 
 
 class TestEdgeOrientation:
