@@ -3,7 +3,9 @@ edge adjacency, refinement, I/O.
 
 `bilinear_map` is the one implementation of the element maps and their
 Jacobians; it takes corner arrays, so it serves all elements at once or
-one element alone.
+one element alone.  It is `bilinear_coefficients` followed by
+`bilinear_points` and `bilinear_jacobian`, which the assembly calls apart,
+to map the points of every element but form each distinct Jacobian once.
 
 Element corners A1..A4 are counterclockwise; local edges are
 e1 = (A1, A4), e2 = (A1, A2), e3 = (A2, A3), e4 = (A4, A3), matching the
@@ -20,6 +22,9 @@ import numpy as np
 __all__ = [
     "QuadMesh",
     "bilinear_map",
+    "bilinear_coefficients",
+    "bilinear_points",
+    "bilinear_jacobian",
     "MeshError",
     "uniform_rect_mesh",
     "perturbed_mesh",
@@ -43,6 +48,42 @@ class MeshError(Exception):
     pass
 
 
+def bilinear_coefficients(corners):
+    """The bilinear maps x = c0 + c1 xh + c2 yh + c3 xh yh of [-1,1]^2 onto
+    quadrilaterals with corners A1..A4, shaped (..., 4, 2): (c0, c1, c2,
+    c3), each shaped (2,) + corners.shape[:-2], the coordinate first.  The
+    Jacobian depends on (c1, c2, c3) alone, so maps with equal bytes there
+    have Jacobians with equal bytes."""
+    a1, a2, a3, a4 = np.moveaxis(np.asarray(corners, dtype=float), (-2, -1), (0, 1))
+    return ((a1 + a2 + a3 + a4) / 4.0, (-a1 + a2 + a3 - a4) / 4.0,
+            (-a1 - a2 + a3 + a4) / 4.0, (a1 - a2 + a3 - a4) / 4.0)
+
+
+def _at_points(c, xh):
+    """The coefficients of `bilinear_coefficients`, with an axis of length
+    one per axis of the reference points xh, so that they broadcast."""
+    return (a.reshape(a.shape + (1,) * np.ndim(xh)) for a in c)
+
+
+def bilinear_points(c, xh, yh):
+    """The images (x, y) of the reference points (xh, yh) under the maps of
+    coefficients c (`bilinear_coefficients`), each shaped c[0].shape[1:] +
+    xh.shape."""
+    c0, c1, c2, c3 = _at_points(c, xh)
+    # one coordinate at a time: separate arrays, and temporaries half the size
+    return tuple(c0[k] + c1[k] * xh + c2[k] * yh + c3[k] * xh * yh for k in (0, 1))
+
+
+def bilinear_jacobian(c, xh, yh):
+    """The Jacobian entries (j11, j12, j21, j22, det), j_ik = d x_i / d xh_k,
+    of the maps of coefficients c (`bilinear_coefficients`) at the reference
+    points (xh, yh), each shaped c[0].shape[1:] + xh.shape."""
+    _, c1, c2, c3 = _at_points(c, xh)
+    j11, j21 = (c1[k] + c3[k] * yh for k in (0, 1))
+    j12, j22 = (c2[k] + c3[k] * xh for k in (0, 1))
+    return j11, j12, j21, j22, j11 * j22 - j12 * j21
+
+
 def bilinear_map(corners, xh, yh):
     """The bilinear maps of [-1,1]^2 onto quadrilaterals with corners A1..A4,
     shaped (..., 4, 2), at the reference points (xh, yh): the images (x, y)
@@ -51,19 +92,8 @@ def bilinear_map(corners, xh, yh):
     for all elements, `mesh.vertices[mesh.quads[e]]` for element e alone."""
     xh = np.asarray(xh, dtype=float)
     yh = np.asarray(yh, dtype=float)
-    # corners first, then the coordinate, then the element axes
-    P = np.moveaxis(np.asarray(corners, dtype=float), (-2, -1), (0, 1))
-    a1, a2, a3, a4 = P.reshape(P.shape + (1,) * xh.ndim)
-    # x = c0 + c1 xh + c2 yh + c3 xh yh
-    c0 = (a1 + a2 + a3 + a4) / 4.0
-    c1 = (-a1 + a2 + a3 - a4) / 4.0
-    c2 = (-a1 - a2 + a3 + a4) / 4.0
-    c3 = (a1 - a2 + a3 - a4) / 4.0
-    # one coordinate at a time: separate arrays, and temporaries half the size
-    x, y = (c0[k] + c1[k] * xh + c2[k] * yh + c3[k] * xh * yh for k in (0, 1))
-    j11, j21 = (c1[k] + c3[k] * yh for k in (0, 1))
-    j12, j22 = (c2[k] + c3[k] * xh for k in (0, 1))
-    return (x, y), (j11, j12, j21, j22, j11 * j22 - j12 * j21)
+    c = bilinear_coefficients(corners)
+    return bilinear_points(c, xh, yh), bilinear_jacobian(c, xh, yh)
 
 
 def _first_appearance(keys):

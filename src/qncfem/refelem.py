@@ -144,12 +144,16 @@ EDGE_PARAM_POINT = {
 CHILD_OFFSETS = ((-1.0, -1.0), (1.0, -1.0), (1.0, 1.0), (-1.0, 1.0))
 
 
+@lru_cache(maxsize=None)
 def gauss_grid(q: int):
-    """q x q tensor Gauss rule on [-1,1]^2 as flat arrays (X, Y, W)."""
+    """q x q tensor Gauss rule on [-1,1]^2 as read-only flat arrays (X, Y,
+    W)."""
     nodes, weights = gauss_rule(q)
     X, Y = np.meshgrid(nodes, nodes, indexing="ij")
-    W = np.outer(weights, weights)
-    return X.ravel(), Y.ravel(), W.ravel()
+    grid = X.ravel(), Y.ravel(), np.outer(weights, weights).ravel()
+    for a in grid:
+        a.setflags(write=False)
+    return grid
 
 
 @dataclass(frozen=True)

@@ -3,18 +3,28 @@
 The stiffness matrix is assembled with tensor-Gauss quadrature on the
 reference square, vectorized over blocks of BLOCK_ELEMENTS elements (as are
 the error norms), so temporaries per quadrature point keep a fixed size as
-the mesh grows.  Within a block the stiffness kernel runs once per distinct
-Jacobian, and over the whole mesh the preconditioner inverts each distinct
-Schwarz block once (`_distinct_rows` compares them by their bytes), so the
-results are bitwise those of running every element; every element of a
-uniform mesh shares one Jacobian, so there each block runs the stiffness
-kernel once, and a uniform mesh of 3x3 or more has 9 distinct Schwarz
-blocks.  `assemble` also builds the preconditioner from the element
-matrices K_e, with no read of the assembled K, and the system carries it as
-one operator.  K and the coarse matrix are element sums, which
-`_element_sum` writes straight into CSR arrays with no COO triplets, and
-the blocks are inverted in place, so the temporaries of `assemble` stay
-below one copy of K.
+the mesh grows.  `assemble` keys the elements by their inputs, once per
+call, with `_distinct_rows` as the one grouping primitive (`error_norms`
+keys the maps again, for its own Jacobians).  A map class is
+the elements whose bilinear-map coefficients (c1, c2, c3) have the same
+bytes, so equal Jacobian bytes at any points: its Jacobian, the
+positivity check and the stiffness kernel run once, while f and u are
+evaluated at every element's points.  A block class is the elements with
+the same map class and, per retained dof, the same map class and local
+position of the other holder and the same mask: its Schwarz block and
+relation block are formed once, the distinct blocks are then grouped by
+their bytes, and each distinct block is inverted once.  K, the coarse
+matrix and S read each element's matrix through its class, so no
+(elements, k, k) array exists on a mesh with repeats, and the results are
+bitwise those of running every element.  A uniform mesh has one map
+class and 9 block classes at 3x3 or more; a mesh where nothing repeats
+has one class per element and takes the same path, forming its blocks
+in place over the element matrices.  `assemble` builds the
+preconditioner from the element matrices K_e, with no read of the
+assembled K, and the system carries it as one operator.  K and the
+coarse matrix are element sums, which `_element_sum` writes straight
+into CSR arrays with no COO triplets, and the blocks are inverted in
+place, so the temporaries of `assemble` stay below one copy of K.
 The ER families give a plain SPD system; the R / RPlus families carry one
 relation row per element, and `solve` runs one preconditioned CG for both,
 on ker C with a projection for R / RPlus.
@@ -67,7 +77,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import bilinear_map
+from .mesh import bilinear_coefficients, bilinear_jacobian, bilinear_points
 from .refelem import gauss_grid
 from .space import GlobalSpace
 
@@ -131,25 +141,61 @@ class SparseSystem:
         return len(self.rhs)
 
 
-def _element_chunks(space: GlobalSpace, q: int):
-    """The elements in blocks of BLOCK_ELEMENTS, so that per-element
-    temporaries stay bounded: for each block its slice, the quadrature
-    points (px, py) of the q x q Gauss grid and the Jacobian entries
-    (j11, j12, j21, j22, det), each shaped (block, q*q)."""
-    X, Y, _ = gauss_grid(q)
-    corners = space.mesh.corner_array()
-    for start in range(0, len(corners), BLOCK_ELEMENTS):
-        sl = slice(start, start + BLOCK_ELEMENTS)
-        points, jac = bilinear_map(corners[sl], X, Y)
-        det = jac[-1]
-        if not np.min(det) > 0.0:
-            bad = start + int(np.argmin(np.min(det, axis=1)))
-            raise ValueError(f"nonpositive Jacobian in element {bad}")
-        yield sl, points, jac
+class _MapClasses(NamedTuple):
+    """The elements' bilinear maps, grouped into map classes: the elements
+    whose (c1, c2, c3) have the same bytes, which gives them Jacobians with
+    the same bytes at any points."""
+
+    coefficients: tuple  # (c0, c1, c2, c3) of every element, each (2, ne)
+    of_classes: tuple  # the same of each class's first element
+    first: np.ndarray | None  # the first element of each class, in order
+    index: np.ndarray | None  # the class of each element
+    # first and index are None when no two elements share a class
+
+    def jacobians(self, rows, q: int):
+        """The Jacobian entries (j11, j12, j21, j22, det) of the classes
+        rows, a slice or an index array, at the q x q Gauss grid, each
+        (rows, q*q).  Raises ValueError when a det is not positive, naming
+        the first element of the first such class."""
+        X, Y, _ = gauss_grid(q)
+        jac = bilinear_jacobian(tuple(c[:, rows] for c in self.of_classes), X, Y)
+        if not np.min(jac[-1]) > 0.0:
+            bad = ~(np.min(jac[-1], axis=1) > 0.0)
+            c = np.arange(len(self.of_classes[0][0]))[rows][np.argmax(bad)]
+            raise ValueError("nonpositive Jacobian in element "
+                             f"{c if self.first is None else self.first[c]}")
+        return jac
 
 
-# (first, inverse) of `_distinct_rows` that keep every row in place: views
-_EVERY_ROW = (slice(None), slice(None))
+def _map_classes(space: GlobalSpace) -> _MapClasses:
+    """The map coefficients of every element and their map classes, keyed
+    by (c1, c2, c3)."""
+    c = bilinear_coefficients(space.mesh.corner_array())
+    found = _classes(np.concatenate([a.T for a in c[1:]], axis=1))
+    if found is None:
+        return _MapClasses(c, c, None, None)
+    return _MapClasses(c, tuple(a[:, found[0]] for a in c), *found)
+
+
+def _classes(key):
+    """(first, index) of the distinct rows of key by their bytes, numbered
+    in order of first appearance: first[c] is the first row of class c, and
+    index[r] the class of row r.  None when no row repeats (`_distinct_rows`)."""
+    found = _distinct_rows(key)
+    if found is None:
+        return None
+    first, inverse = found
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
+
+
+def _compose(outer, inner):
+    """outer[inner], either of them None for the identity."""
+    if inner is None:
+        return outer
+    return inner if outer is None else outer[inner]
 
 
 @functools.cache
@@ -158,13 +204,13 @@ def _projection(width: int) -> np.ndarray:
 
 
 def _distinct_rows(rows):
-    """Group the rows of a 2-D float64 array by their bytes: (first,
-    inverse) such that rows[first][inverse] equals rows byte for byte, or
-    None when no row repeats.  Rows are keyed by a random projection of
-    their bits (integer arithmetic, so equal bytes give equal keys in any
-    summation order), first of eight sampled columns, which settles most
-    arrays without a repeat, then of all; a key shared by rows with
-    different bytes also gives None."""
+    """Group the rows of a 2-D array of 8-byte items (float64 or int64) by
+    their bytes: (first, inverse) such that rows[first][inverse] equals
+    rows byte for byte, or None when no row repeats.  Rows are keyed by a
+    random projection of their bits (integer arithmetic, so equal bytes give
+    equal keys in any summation order), first of eight sampled columns,
+    which settles most arrays without a repeat, then of all; a key shared
+    by rows with different bytes also gives None."""
     bits = rows.view(np.uint64)
     for part in (bits[:, ::-(-rows.shape[1] // 8)], bits):
         keys = part @ _projection(part.shape[1])
@@ -181,12 +227,10 @@ def _distinct_rows(rows):
 
 
 def _stiffness_blocks(space: GlobalSpace, q: int, jac):
-    """Local stiffness blocks of one block of elements from the Jacobian
-    entries `_element_chunks(space, q)` yields, computed once per distinct
-    Jacobian (every element of a uniform mesh shares one)."""
+    """Local stiffness blocks, one per row of the Jacobian entries jac
+    (`_MapClasses.jacobians`) at the q x q Gauss grid."""
     _, _, W = gauss_grid(q)
-    first, inverse = _distinct_rows(np.concatenate(jac, axis=1)) or _EVERY_ROW
-    j11, j12, j21, j22, det = (x[first] for x in jac)
+    j11, j12, j21, j22, det = jac
     _, dpx, dpy = space.ref.tabulate_gauss(q)  # (nq, nret)
     a = W[None, :] / det
     # physical gradients scaled by det, (J^{-T} grad_hat) * det, one
@@ -198,7 +242,7 @@ def _stiffness_blocks(space: GlobalSpace, q: int, jac):
     g = j11[:, :, None] * dpy[None]
     g -= j12[:, :, None] * dpx[None]
     K += np.matmul((a[:, :, None] * g).transpose(0, 2, 1), g)
-    return K[inverse]
+    return K
 
 
 def _partners(lf, n):
@@ -212,35 +256,54 @@ def _partners(lf, n):
     return np.where(twice, total - pos, -1).reshape(lf.shape)
 
 
-def _neighbour_sums(Kloc, partner):
-    """Turn the element matrices K_e into the diagonal blocks of K in place:
-    the entries on every pair of dofs that two elements share become the
-    sum of both elements' terms.  Each sum is formed once, at the holder
-    that comes first, and written into both (a + b and b + a have the same
-    bytes), a block of elements at a time."""
+def _neighbour_sums(blocks, source, maps, reps, partner):
+    """Turn element matrices into the diagonal blocks of K.  blocks[r]
+    starts as source[maps[e]], the matrix of element e = reps[r] (maps and
+    reps None: the identity), and takes on every pair of dofs that e shares
+    with a neighbour o the sum of both elements' terms, source[maps[o]] at
+    o's positions; partner[r] gives for each dof of e the flat position
+    o k + i' (`_partners`), or -1.  A sum is formed once, by the first
+    holder, and written into both blocks (a + b and b + a have the same
+    bytes), or by e alone when o has no block of its own; so blocks may be
+    source itself, every element its own block.  A block of elements at a
+    time."""
     k = partner.shape[1]
-    flat = Kloc.reshape(-1)
-    for start in range(0, len(partner), BLOCK_ELEMENTS):
+    if reps is None:
+        row_of = np.arange(len(blocks))  # the row of blocks of each element
+    else:
+        row_of = np.full(len(maps), -1)
+        row_of[reps] = np.arange(len(reps))
+    flat, read = blocks.reshape(-1), source.reshape(-1)
+    for start in range(0, len(blocks), BLOCK_ELEMENTS):
         sl = slice(start, start + BLOCK_ELEMENTS)
         p = partner[sl]
-        other = p // k  # the other holder, or -1
-        later = other > np.arange(start, start + len(p))[:, None]
-        # (e, i, j) of the first holder e, whose dofs i and j both have it
-        pair = (other[:, :, None] == other[:, None, :]) & later[:, :, None]
-        source = (p[:, :, None] * k + (p % k)[:, None, :])[pair]
-        block = Kloc[sl]
-        flat[source] = block[pair] = block[pair] + flat[source]
+        e = np.arange(start, start + len(p)) if reps is None else reps[sl]
+        other, at = p // k, p % k  # the other holder, or -1
+        row = np.where(other >= 0, row_of[other], -1)
+        first = other > e[:, None]
+        # (r k + i) k + j of the pairs that e's block forms: i and j have
+        # one other holder o, which comes later or has no block
+        pair = np.flatnonzero((other[:, :, None] == other[:, None, :])
+                              & ((other >= 0) & (first | (row < 0)))[:, :, None])
+        ri, j = np.divmod(pair, k)  # r k + i
+        ai, aj = at.ravel()[ri], at.ravel()[ri - ri % k + j]
+        own = start * k * k + pair
+        o = _compose(maps, other.ravel()[ri])
+        total = flat[own] = flat[own] + read[(o * k + ai) * k + aj]
+        ro = row.ravel()[ri]
+        both = first.ravel()[ri] & (ro >= 0)
+        flat[((ro * k + ai) * k + aj)[both]] = total[both]
 
 
-def _element_sum(local, index, n) -> sp.csr_matrix:
-    """The n x n matrix sum_e R_e^T local[e] R_e in CSR, where R_e maps
-    local position j to row index[e, j] and drops it when that is n or
-    more.  Row d lists the rows i of local[e] with index[e, i] = d over
-    their kept columns, in element order as a COO build does, so that the
-    duplicate sum gives the COO build's bytes; one stable sort of index
-    orders them, and they are copied as many at a time as a block of
-    BLOCK_ELEMENTS elements has.  The arrays keep their size with
-    duplicates."""
+def _element_sum(local, index, n, classes=None) -> sp.csr_matrix:
+    """The n x n matrix sum_e R_e^T local[classes[e]] R_e in CSR, where R_e
+    maps local position j to row index[e, j] and drops it when that is n or
+    more, and classes None reads local[e].  Row d lists the rows i of the
+    local matrices with index[e, i] = d over their kept columns, in element
+    order as a COO build does, so that the duplicate sum gives the COO
+    build's bytes; one stable sort of index orders them, and they are
+    copied as many at a time as a block of BLOCK_ELEMENTS elements has.
+    The arrays keep their size with duplicates."""
     k = index.shape[1]
     free = index < n
     # the local rows e k + i by their row of the sum, the dropped ones last
@@ -256,7 +319,8 @@ def _element_sum(local, index, n) -> sp.csr_matrix:
         element = part // k
         keep = free[element]
         stop = at + np.count_nonzero(keep)
-        data[at:stop] = rows[part][keep]
+        read = part if classes is None else classes[element] * k + part % k
+        data[at:stop] = rows[read][keep]
         indices[at:stop] = index[element][keep]
         at = stop
     A = sp.csr_matrix((data, indices, indptr), shape=(n, n))
@@ -264,14 +328,15 @@ def _element_sum(local, index, n) -> sp.csr_matrix:
     return A
 
 
-def _coarse_space(space: GlobalSpace, Kloc):
+def _coarse_space(space: GlobalSpace, Kc, classes):
     """(P, P^T K P) of the Q1 space, or (None, None) when the mesh has no
     interior vertex.  Column v of P holds the dofs of the hat function of
     interior vertex v (in vertex order), or for m = 1 of its interpolant,
     each free dof's row taken from any element that holds it.
-    P^T K P assembles L^T K_e L over the element matrices Kloc, with L =
-    `ref.q1` on the retained dofs: a masked dof lies on a boundary edge,
-    where only the bilinears of its two boundary corners do not vanish."""
+    P^T K P assembles L^T K_e L over the element matrices, K_e being
+    Kc[classes[e]], with L = `ref.q1` on the retained dofs: a masked dof
+    lies on a boundary edge, where only the bilinears of its two boundary
+    corners do not vanish."""
     mesh, local = space.mesh, space.ref.q1
     n_coarse, n, dofs = mesh.n_interior_vertices, space.n_free, space.dofs
     if n_coarse == 0:
@@ -286,23 +351,35 @@ def _coarse_space(space: GlobalSpace, Kloc):
     keep = (cols < n_coarse) & (vals != 0.0)
     P = sp.csr_matrix((vals[keep], (np.nonzero(keep)[0], cols[keep])), shape=(n, n_coarse))
     L = local[space.ref.retained]
-    return P, _element_sum(L.T @ Kloc @ L, corners, n_coarse).tocsc()
+    return P, _element_sum(L.T @ Kc @ L, corners, n_coarse, classes).tocsc()
 
 
 def _element_terms(space: GlobalSpace, f, lf, n):
-    """(K_e, b): the element stiffness matrices over the retained dofs,
-    (ne, k, k), and the load vector assembled over the free dofs lf (n
-    where masked), both with the (m+3)-point tensor Gauss rule."""
+    """(Kc, b, index): the stiffness matrices of the map classes over the
+    retained dofs, (classes, k, k), each computed once, the load vector
+    assembled over the free dofs lf (n where masked), with f evaluated at
+    every element's points, both with the (m+3)-point tensor Gauss rule,
+    and the map class of each element (None: every element its own)."""
+    maps = _map_classes(space)
     q = space.m + 3
-    _, _, W = gauss_grid(q)
+    X, Y, W = gauss_grid(q)
     phi, _, _ = space.ref.tabulate_gauss(q)
-    Kloc = np.empty(lf.shape + lf.shape[1:])
+    nc = len(maps.of_classes[0][0])
+    Kc = np.empty((nc,) + lf.shape[1:] * 2)
+    det = np.empty((nc, len(W)))  # of each class, for the load
+    for start in range(0, nc, BLOCK_ELEMENTS):
+        sl = slice(start, start + BLOCK_ELEMENTS)
+        jac = maps.jacobians(sl, q)
+        det[sl] = jac[-1]
+        Kc[sl] = _stiffness_blocks(space, q, jac)
     Floc = np.empty(lf.shape)
-    for sl, (px, py), jac in _element_chunks(space, q):
-        Kloc[sl] = _stiffness_blocks(space, q, jac)
+    for start in range(0, len(lf), BLOCK_ELEMENTS):
+        sl = slice(start, start + BLOCK_ELEMENTS)
+        px, py = bilinear_points(tuple(c[:, sl] for c in maps.coefficients), X, Y)
         fv = np.asarray(f(px, py), dtype=float)
-        Floc[sl] = np.einsum("ep,pi->ei", fv * jac[-1] * W[None, :], phi)
-    return Kloc, np.bincount(lf.ravel(), weights=Floc.ravel(), minlength=n + 1)[:n]
+        jdet = det[sl] if maps.index is None else det[maps.index[sl]]
+        Floc[sl] = np.einsum("ep,pi->ei", fv * jdet * W[None, :], phi)
+    return Kc, np.bincount(lf.ravel(), weights=Floc.ravel(), minlength=n + 1)[:n], maps.index
 
 
 def assemble(space: GlobalSpace, f) -> SparseSystem:
@@ -310,57 +387,93 @@ def assemble(space: GlobalSpace, f) -> SparseSystem:
     tensor Gauss rule; attach the constraint rows for the R / RPlus
     families, and the preconditioner built from the element matrices: the
     inverses of the diagonal blocks and the factored coarse matrix P^T K P.
-    In order: the element matrices K_e and b; the coarse space from the
-    K_e; K, their element sum; the pair sums that turn the K_e into the
-    diagonal blocks; the boundary masks; the inverses, written over the
-    blocks.  Raises SolverError when a diagonal block is singular."""
+    In order: the map classes; their element matrices and b; the coarse
+    space; K, the element sum; the block classes, whose diagonal blocks
+    (pair sums and boundary masks) and relation blocks are formed once
+    each; the inverses, written over the blocks.  Raises SolverError when a
+    diagonal block is singular."""
     lf, n = space.local_free(), space.n_free
-    # a function of its own, so that the last block's quadrature arrays are
-    # freed before K is built
-    Kloc, b = _element_terms(space, f, lf, n)
-    coarse, coarse_matrix = _coarse_space(space, Kloc)
-    K = _element_sum(Kloc, lf, n)
-    _neighbour_sums(Kloc, _partners(lf, n))
-    e, j = np.nonzero(lf == n)
-    Kloc[e, j, :] = 0.0
-    Kloc[e, :, j] = 0.0
-    Kloc[e, j, j] = 1.0
-    precondition, projection = _preconditioner(n, lf, Kloc, coarse, coarse_matrix,
-                                               _relations(space, lf))
+    # a function of its own, so that the map coefficients and the
+    # quadrature arrays are freed before K is built
+    Kc, b, maps = _element_terms(space, f, lf, n)
+    coarse, coarse_matrix = _coarse_space(space, Kc, maps)
+    K = _element_sum(Kc, lf, n, maps)
+    blocks, classes, relations = _element_blocks(space, lf, Kc, maps)
+    precondition, projection = _preconditioner(n, lf, blocks, classes, coarse,
+                                               coarse_matrix, relations)
     return SparseSystem(matrix=K, rhs=b, precondition=precondition,
                         constraints=space.constraints, projection=projection)
 
 
-def _relations(space: GlobalSpace, lf):
+def _element_blocks(space: GlobalSpace, lf, Kc, maps):
+    """(blocks, classes, relations): the diagonal blocks of K over the
+    retained free dofs lf (identity rows and columns where masked), one per
+    block class, the class of each element (None when no two elements share
+    one), and the relation blocks of `_relations` for the same classes.
+    Element e has the stiffness matrix
+    Kc[maps[e]] (maps None: Kc[e]).  A block class is the elements whose
+    map class and, for each retained dof, the map class of its other holder
+    and its local position there (-1 for none, -2 where masked) are equal:
+    a free dof has at most two holders, which share the edge it lies on,
+    and those give the block and the relation block.  When no two
+    elements share a map class either, blocks is Kc, overwritten."""
+    n, ref = space.n_free, space.ref
+    ne, k = lf.shape
+    width = space.dofs.shape[1]
+    # the other holder of each local dof, flat e' width + j', which the
+    # block classes and the relation blocks read
+    held = None
+    if maps is not None or space.constraints is not None:
+        held = _partners(space.dofs, n)
+    reps, classes = None, None
+    if maps is not None:
+        other = held[:, ref.retained]
+        key = np.empty((ne, 1 + 2 * k), dtype=np.int64)
+        key[:, 0] = maps
+        key[:, 1:k + 1] = np.where(other >= 0, maps[other // width], -1)
+        key[:, k + 1:] = np.where(lf == n, -2, np.where(other >= 0, other % width, -1))
+        reps, classes = _classes(key) or (None, None)
+    partner = _compose(_partners(lf, n), reps)
+    rows = _compose(maps, reps)
+    blocks = Kc if rows is None else Kc[rows]
+    _neighbour_sums(blocks, Kc, maps, reps, partner)
+    lf = _compose(lf, reps)
+    e, j = np.nonzero(lf == n)
+    blocks[e, j, :] = 0.0
+    blocks[e, :, j] = 0.0
+    blocks[e, j, j] = 1.0
+    return blocks, classes, _relations(space, lf, held, reps)
+
+
+def _relations(space: GlobalSpace, lf, held, reps):
     """(C~, G, index), C~ being the relation rows but the last, which the
-    others imply, or None when C~ has no entry.  For each element e, G[e]
-    (k x 5) holds the columns of C~^T on its retained free dofs lf[e]
-    (zero rows where masked): the relation of e and those of its
-    neighbours across its edges 0-3, whose rows of C~ `index` (ne, 5)
-    gives, or ne - 1 (past C~) for a missing neighbour and for the last
-    relation.  G comes from the dof table and the reference weights, not
-    from C: an edge dof has at most the two holders of its edge, each
-    weighting it by the weight at its own local position, and the dofs
-    past the weights have none."""
+    others imply, or None when C~ has no entry.  G[r] (k x 5) holds the
+    columns of C~^T on the retained free dofs lf[r] of element e = reps[r]
+    (every element when reps is None; zero rows where masked): the relation
+    of e and those of its neighbours across its edges 0-3, whose rows of C~
+    `index` (ne, 5) gives for every element, or ne - 1 (past C~) for a
+    missing neighbour and for the last relation.  G comes from the dof
+    table, whose other holder of each local dof `held` gives
+    (`_partners`), and the reference weights, not from C: an edge dof has
+    at most the two holders of its edge, each weighting it by the weight at
+    its own local position, and the dofs past the weights have none."""
     C = space.constraints
     if C is None or C[:-1].nnz == 0:
         return None
     ref, m, n = space.ref, space.m, space.n_free
-    ne, k = lf.shape
+    ne, width = held.shape
     w = ref.constraint / np.max(np.abs(ref.constraint))  # the entries of C
-    width = len(w)
-    partner = _partners(space.dofs[:, :width], n)
-    own = np.zeros(len(ref.sampling))
-    own[:width] = w
-    G = np.zeros((ne, k, 5))
+    own = np.zeros(width)
+    own[:len(w)] = w
+    G = np.zeros(lf.shape + (5,))
     G[:, :, 0] = np.where(lf < n, own[ref.retained], 0.0)
     edge = np.nonzero(ref.retained < 4 * m)[0]
     at = ref.retained[edge]
-    other = partner[:, at]
-    G[:, edge, 1 + at // m] = np.where(other >= 0, w[other % width], 0.0)
+    other = _compose(held, reps)[:, at]
+    G[:, edge, 1 + at // m] = np.where(other >= 0, own[other % width], 0.0)
     index = np.empty((ne, 5), dtype=np.int64)
     index[:, 0] = np.arange(ne)
-    first = partner[:, : 4 * m : m]  # the first dof of each edge
+    first = held[:, : 4 * m : m]  # the first dof of each edge
     index[:, 1:] = np.where(first >= 0, first // width, ne - 1)
     return C[:-1], G, index
 
@@ -398,56 +511,54 @@ def _block_inverses(blocks):
     return inv, group
 
 
-def _relation_matrix(inv, group, relations):
+def _relation_matrix(inv, group, classes, relations):
     """S = C~ F C~^T, F = sum_e R_e^T B_e^{-1} R_e being the fine level:
     the element sum of G_e^T B_e^{-1} G_e over the `relations` (C~, G,
     index) of `_relations`, with the transposed inverses inv and their rows
-    group of `_block_inverses`.  When blocks repeat, the products run once
-    per distinct pair of a block and a G_e (nine on a uniform mesh),
-    otherwise a block of elements at a time."""
+    group of `_block_inverses` over the class blocks, and the block class
+    of each element (None: its own).  The products run once per block
+    class (nine on a uniform mesh), a block of classes at a time."""
     Ct, G, index = relations
-    row = np.arange(len(G)) if group is None else group  # of inv, per element
-    first, inverse = _EVERY_ROW
-    found = None if group is None else _distinct_rows(G.reshape(len(G), -1))
-    if found is not None:
-        pair = group * len(found[0]) + found[1]
-        _, first, inverse = np.unique(pair, return_index=True, return_inverse=True)
-    G, row = G[first], row[first]
+    row = np.arange(len(G)) if group is None else group  # of inv, per class
     local = np.empty((len(G),) + G.shape[2:] * 2)
     for start in range(0, len(G), BLOCK_ELEMENTS):
         sl = slice(start, start + BLOCK_ELEMENTS)
         # (B^{-T} G)^T G = G^T B^{-1} G
         np.matmul(np.matmul(inv[row[sl]], G[sl]).transpose(0, 2, 1), G[sl], out=local[sl])
-    return _element_sum(local[inverse], index, Ct.shape[0])
+    return _element_sum(local, index, Ct.shape[0], classes)
 
 
-def _preconditioner(n, elements, blocks, coarse, coarse_matrix, relations):
+def _preconditioner(n, elements, blocks, classes, coarse, coarse_matrix, relations):
     """(r -> M^{-1} r, Projection or None) on n dofs.  M^{-1} is
     element-block additive Schwarz over the table `elements` (free dof per
-    local position, n where masked) with `blocks`, the matching diagonal
-    blocks (identity rows and columns on masked positions), plus the exact
+    local position, n where masked) with the matching diagonal blocks
+    (identity rows and columns on masked positions), element e's being
+    blocks[classes[e]] (classes None: blocks[e]), plus the exact
     coarse-space correction P (P^T A P)^{-1} P^T when the prolongation
-    `coarse` and its `coarse_matrix` P^T A P are not None.  When no block
-    repeats, the inverses are written over `blocks`, which the caller
-    gives up.  A masked entry reads an appended zero and writes to a slot
-    that is dropped.  A block that at least GEMM_GROUP elements share is
-    applied as one GEMM over their gathered residuals; every other element
-    takes its own row-vector product in one stacked product.
+    `coarse` and its `coarse_matrix` P^T A P are not None.  Each distinct
+    block is inverted once; when no block repeats, the inverses are
+    written over `blocks`, which the caller gives up.  A masked entry reads
+    an appended zero and writes to a slot that is dropped.  A block that at
+    least GEMM_GROUP elements share is applied as one GEMM over their
+    gathered residuals; every other element takes its own row-vector
+    product in one stacked product.
 
-    With `relations` (C~, G, index) of `_relations`, the projection is
-    oblique to the fine level F, and S = C~ F C~^T is factored once.
-    Since C~ P = 0, M^{-1} Pi_F = F - F C~^T S^{-1} C~ F + Q is symmetric,
-    maps into ker(C~) and vanishes on range(C~^T).  Raises SolverError
-    when a block is singular (`_block_inverses`)."""
+    With `relations` (C~, G, index) of `_relations`, G given per block
+    class like the blocks, the projection is oblique to the fine level F,
+    and S = C~ F C~^T is factored once.  Since C~ P = 0, M^{-1} Pi_F = F -
+    F C~^T S^{-1} C~ F + Q is symmetric, maps into ker(C~) and vanishes on
+    range(C~^T).  Raises SolverError when a block is singular
+    (`_block_inverses`)."""
     inv, group = _block_inverses(blocks)
     if relations is not None:
         # S is SPD: a minimum-degree ordering of its pattern with diagonal
         # pivots, as for the coarse matrix
-        s_lu = spla.splu(_relation_matrix(inv, group, relations).tocsc(),
+        s_lu = spla.splu(_relation_matrix(inv, group, classes, relations).tocsc(),
                          permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                          options={"SymmetricMode": True})
         Ct = relations[0]
         CtT = Ct.T.tocsr()
+    group = _compose(group, classes)  # the row of inv of each element
     # the shared groups first, each a contiguous run of elements, then the
     # rest; when no block repeats, `elements` and inv serve uncopied
     products, split = [], 0
@@ -588,13 +699,20 @@ def solve(system: SparseSystem, x0=None):
 
 def error_norms(space: GlobalSpace, coeffs, u_exact, grad_exact):
     """(L2 error, broken H1 seminorm error) of the FE function vs u_exact,
-    by the (m+4)-point tensor Gauss rule."""
+    by the (m+4)-point tensor Gauss rule.  A block of elements maps its own
+    points and takes each distinct Jacobian among them once."""
     q = space.m + 4
-    _, _, W = gauss_grid(q)
+    X, Y, W = gauss_grid(q)
     phi, dpx, dpy = space.ref.tabulate_gauss(q)
     local = space.local_values(coeffs)  # (ne, nret)
+    maps = _map_classes(space)
     l2sq = h1sq = 0.0
-    for sl, (px, py), (j11, j12, j21, j22, det) in _element_chunks(space, q):
+    for start in range(0, len(local), BLOCK_ELEMENTS):
+        sl = slice(start, start + BLOCK_ELEMENTS)
+        px, py = bilinear_points(tuple(c[:, sl] for c in maps.coefficients), X, Y)
+        rows, spread = (sl, slice(None)) if maps.index is None else \
+            np.unique(maps.index[sl], return_inverse=True)
+        j11, j12, j21, j22, det = (a[spread] for a in maps.jacobians(rows, q))
         cloc = local[sl]
         vals = cloc @ phi.T  # (block, nq)
         gxh = cloc @ dpx.T

@@ -86,12 +86,12 @@ def hash_study(config) -> dict:
             "K": digest(system.matrix),
             "b": digest(system.rhs),
             "C": digest(system.constraints),
-            "preconditioner_args": digest(ops.n, ops.elements, ops.blocks, ops.coarse,
-                                          ops.coarse_matrix),
+            "preconditioner_args": digest(ops.n, ops.elements, ops.element_blocks,
+                                          ops.coarse, ops.coarse_matrix),
             "precondition": digest(system.precondition(probe)),
         }
         if ops.relations is not None:
-            items["relations"] = digest(*ops.relations)
+            items["relations"] = digest(*ops.element_relations)
             items["projection"] = digest(system.projection.residual(probe))
         levels.append(items)
         return x, report

@@ -17,14 +17,29 @@ SOLVE = sys.modules["qncfem.solve"]
 
 
 class Operators(NamedTuple):
-    """The arguments of `_preconditioner`."""
+    """The arguments of `_preconditioner`: the blocks and the relation
+    blocks G come one per block class, and `classes` gives each element's."""
 
     n: int
     elements: np.ndarray  # free dof per retained local dof, n where masked
-    blocks: np.ndarray  # (ne, k, k) diagonal blocks of K
+    blocks: np.ndarray  # (classes, k, k) diagonal blocks of K
+    classes: np.ndarray | None  # block class of each element, None: its own
     coarse: sp.csr_matrix | None  # P
     coarse_matrix: sp.csc_matrix | None  # P^T K P
     relations: tuple | None  # (C~, G, index) of `solve._relations`, or None
+
+    @property
+    def element_blocks(self) -> np.ndarray:
+        """(ne, k, k): the diagonal block of every element."""
+        return self.blocks if self.classes is None else self.blocks[self.classes]
+
+    @property
+    def element_relations(self) -> tuple | None:
+        """(C~, G, index) with G (ne, k, 5) of every element."""
+        if self.relations is None or self.classes is None:
+            return self.relations
+        Ct, G, index = self.relations
+        return Ct, G[self.classes], index
 
 
 @contextlib.contextmanager
@@ -34,10 +49,11 @@ def recording():
     seen = []
     real = SOLVE._preconditioner
 
-    def spy(n, elements, blocks, coarse, coarse_matrix, relations):
+    def spy(n, elements, blocks, classes, coarse, coarse_matrix, relations):
         # a copy: the preconditioner inverts the blocks in place
-        seen.append(Operators(n, elements, blocks.copy(), coarse, coarse_matrix, relations))
-        return real(n, elements, blocks, coarse, coarse_matrix, relations)
+        seen.append(Operators(n, elements, blocks.copy(), classes, coarse, coarse_matrix,
+                              relations))
+        return real(n, elements, blocks, classes, coarse, coarse_matrix, relations)
 
     SOLVE._preconditioner = spy
     try:

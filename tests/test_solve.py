@@ -8,7 +8,14 @@ import pytest
 import scipy.sparse as sp
 
 from qncfem.cli import StudyConfig, StudyError, default_problem, run_study
-from qncfem.mesh import QuadMesh, bilinear_map, perturbed_mesh, refine, uniform_rect_mesh
+from qncfem.mesh import (
+    QuadMesh,
+    bilinear_coefficients,
+    bilinear_map,
+    perturbed_mesh,
+    refine,
+    uniform_rect_mesh,
+)
 from qncfem.refelem import Family, gauss_grid
 from qncfem.solve import (
     STALL_ITERATIONS,
@@ -47,15 +54,17 @@ def jacobi(A):
     Schwarz block, A's diagonal, and no coarse space."""
     n = A.shape[0]
     return _preconditioner(n, np.arange(n)[:, None], A.diagonal()[:, None, None],
-                           None, None, None)[0]
+                           None, None, None, None)[0]
 
 
 def element_matrices(space):
     """The local stiffness matrices over the retained dofs, (ne, k, k) in
-    local dof order, from the element kernel of `assemble`."""
-    solve_module, q = sys.modules["qncfem.solve"], space.m + 3
-    return np.concatenate([solve_module._stiffness_blocks(space, q, jac)
-                           for _, _, jac in solve_module._element_chunks(space, q)])
+    local dof order, from the element kernel of `assemble` run on every
+    element's own Jacobian."""
+    q = space.m + 3
+    X, Y, _ = gauss_grid(q)
+    _, jac = bilinear_map(space.mesh.corner_array(), X, Y)
+    return sys.modules["qncfem.solve"]._stiffness_blocks(space, q, jac)
 
 
 def coo_element_sum(local, index, n):
@@ -314,7 +323,7 @@ class TestSolvers:
         # the first element's block [[1, 1], [1, 1]] is singular
         blocks = np.array([[[1.0, 1], [1, 1]], [[1, 0], [0, 1]]])
         with pytest.raises(SolverError, match="singular diagonal block"):
-            _preconditioner(3, np.array([[0, 1], [2, 3]]), blocks, None, None, None)
+            _preconditioner(3, np.array([[0, 1], [2, 3]]), blocks, None, None, None, None)
 
     @pytest.mark.parametrize(
         "family,m",
@@ -371,9 +380,11 @@ class TestSolvers:
         # there; the study still ends in StudyError with its partial table
         solve_module = sys.modules["qncfem.solve"]
         real = solve_module._block_inverses
+        calls = []
 
         def singular_at_level_4(blocks):
-            return real(np.zeros_like(blocks) if len(blocks) == 64 else blocks)
+            calls.append(len(blocks))  # one call per level, from level 2
+            return real(np.zeros_like(blocks) if len(calls) == 3 else blocks)
 
         monkeypatch.setattr(solve_module, "_block_inverses", singular_at_level_4)
         with pytest.raises(StudyError, match="level 4: singular diagonal block") as err:
@@ -394,7 +405,7 @@ class TestSolvers:
         A = sp.identity(n, format="csr")
         relations = (C[:-1], np.ones((n, 1, 1)), np.zeros((n, 1), dtype=np.int64))
         precondition, projection = _preconditioner(
-            n, np.arange(n)[:, None], A.diagonal()[:, None, None], None, None, relations)
+            n, np.arange(n)[:, None], A.diagonal()[:, None, None], None, None, None, relations)
         system = SparseSystem(A, b, precondition, constraints=C, projection=projection)
         x, report = solve(system)
         assert np.max(np.abs(x - (b - b.mean()))) < 1e-11
@@ -559,7 +570,7 @@ class TestElementBlockLoop:
         u, gu, f = default_u()
         system, ops = assemble_with_operators(space, f)
         K, G = system.matrix, ops.coarse_matrix
-        inv = expanded_inverses(ops.blocks)
+        inv = expanded_inverses(ops)
         raw = [a.tobytes() for a in (K.data, K.indices, K.indptr, system.rhs, inv,
                                      G.data, G.indices, G.indptr)]
         return raw, error_norms(space, coeffs, u, gu)
@@ -636,27 +647,34 @@ class TestElementBlockLoop:
             assert peak < bound_mb * 1e6
 
 
+def moved_vertex_mesh(n):
+    """`uniform_rect_mesh(n)` with one interior vertex moved: the elements
+    around it get blocks of their own, the others share theirs."""
+    mesh = uniform_rect_mesh(n)
+    vertices = mesh.vertices.copy()
+    vertices[(n + 1) * (n // 2) + n // 3] += [0.1 / n, 0.15 / n]
+    return QuadMesh(vertices, mesh.quads)
+
+
 class TestDistinctElements:
-    """The stiffness blocks, the block inverses and the products of S =
+    """The stiffness matrices, the block inverses and the products of S =
     C~ F C~^T are computed once per distinct element; the results must be
     the bytes of the kernels run on every element."""
 
     solve_module = sys.modules["qncfem.solve"]
 
     def _kernels(self, space):
-        q = space.m + 3
         system, ops = assemble_with_operators(space, default_u()[2])
-        K = system.matrix
-        stiffness = [self.solve_module._stiffness_blocks(space, q, jac)
-                     for _, _, jac in self.solve_module._element_chunks(space, q)]
-        inv = expanded_inverses(ops.blocks)
+        K, C = system.matrix, ops.coarse_matrix
         S = [] if ops.relations is None else relation_matrix(ops)
-        return [a.tobytes() for a in (K.data, K.indices, K.indptr, system.rhs,
-                                      *stiffness, inv, *S)]
+        return [a.tobytes() for a in (K.data, K.indices, K.indptr, system.rhs, C.data,
+                                      ops.element_blocks, expanded_inverses(ops), *S)]
 
-    def _jacobian_rows(self, space):
-        (_, _, jac), = self.solve_module._element_chunks(space, space.m + 3)
-        return np.concatenate(jac, axis=1)
+    @staticmethod
+    def _map_key(space):
+        """The rows the map classes are keyed by: (c1, c2, c3) per element."""
+        c = bilinear_coefficients(space.mesh.corner_array())
+        return np.concatenate([a.T for a in c[1:]], axis=1)
 
     @three_families
     @pytest.mark.parametrize(
@@ -667,7 +685,7 @@ class TestDistinctElements:
     )
     def test_matches_every_element(self, monkeypatch, family, m, mesh, groups):
         space = build_global_space(mesh, family, m)
-        found = self.solve_module._distinct_rows(self._jacobian_rows(space))
+        found = self.solve_module._distinct_rows(self._map_key(space))
         assert (found and len(found[0])) == groups  # distinct Jacobians
         grouped = self._kernels(space)
         monkeypatch.setattr(self.solve_module, "_distinct_rows", lambda rows: None)
@@ -681,8 +699,8 @@ class TestDistinctElements:
         monkeypatch.setattr(self.solve_module, "_projection",
                             lambda width: np.zeros(width, dtype=np.uint64))
         # every key collides: equal rows still group, different rows do not
-        assert len(self.solve_module._distinct_rows(self._jacobian_rows(uniform))[0]) == 1
-        assert self.solve_module._distinct_rows(self._jacobian_rows(rotated)) is None
+        assert len(self.solve_module._distinct_rows(self._map_key(uniform))[0]) == 1
+        assert self.solve_module._distinct_rows(self._map_key(rotated)) is None
         assert [self._kernels(space) for space in (uniform, rotated)] == expect
 
     def test_signed_zeros_and_nans_keep_their_bytes(self, monkeypatch):
@@ -723,14 +741,89 @@ class TestDistinctElements:
         monkeypatch.setattr(np, "matmul", counting_matmul)
         monkeypatch.setattr(np.linalg, "inv", counting_inv)
         assemble(space, default_u()[2])
-        blocks = space.mesh.n_elements // self.solve_module.BLOCK_ELEMENTS
-        assert blocks == 4
-        # the stiffness kernel, two products per block of elements, then
-        # G_e^T B_e^{-1} G_e once per distinct pair of a Schwarz block and
-        # a relation block, in two products: the boundary masks make 9
-        # distinct Schwarz blocks over the whole mesh, and 9 pairs
-        assert matmul_sizes == [1] * (2 * blocks) + [9, 9]
+        assert space.mesh.n_elements > self.solve_module.BLOCK_ELEMENTS
+        # the stiffness kernel's two products once for the mesh's one
+        # Jacobian, then G_e^T B_e^{-1} G_e once per block class, in two
+        # products: the boundary masks make 9 block classes, 9 distinct
+        # Schwarz blocks
+        assert matmul_sizes == [1, 1, 9, 9]
         assert inverse_sizes == [9]
+
+
+four_families = pytest.mark.parametrize(
+    "family,m",
+    [(Family("ER"), 3), (Family("R"), 3), (Family("R", "tilde"), 5), (Family("RPlus"), 4)],
+    ids=["ER3", "R3", "R~5", "RPlus4"],
+)
+
+
+def first_appearance(group):
+    """The labels of group renumbered in order of first appearance, so that
+    two groupings of the same partition compare equal."""
+    _, first, inverse = np.unique(group, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
+
+
+class TestElementClasses:
+    """`assemble` keys the elements by their inputs: the map classes by
+    (c1, c2, c3), the block classes by the map class and, per dof, the
+    other holder's map class and local position.  With the classes forced
+    off (every element its own), every result must keep its bytes."""
+
+    solve_module = sys.modules["qncfem.solve"]
+
+    def _results(self, space):
+        system, ops = assemble_with_operators(space, default_u()[2])
+        K, C = system.matrix, ops.coarse_matrix
+        inv, group = inverse_groups(ops)
+        r = np.sin(np.arange(system.n) + 1.0)
+        applies = [system.precondition(r)]
+        if system.projection is not None:
+            applies.append(system.projection.residual(r))
+        return ([a.tobytes() for a in (K.data, K.indices, K.indptr, system.rhs, C.data,
+                                       C.indices, C.indptr, expanded_inverses(ops), *applies)],
+                len(inv), None if group is None else first_appearance(group).tolist())
+
+    @four_families
+    @pytest.mark.parametrize(
+        "mesh,maps,blocks",
+        [(uniform_rect_mesh(8), 1, 9), (rotated_listing(uniform_rect_mesh(8)), 2, 12),
+         (moved_vertex_mesh(16), 5, 21), (perturbed_mesh(8, seed=3), None, None)],
+        ids=["uniform8", "rotated8", "moved-vertex16", "perturbed8"],
+    )
+    def test_matches_classes_forced_off(self, monkeypatch, family, m, mesh, maps, blocks):
+        space = build_global_space(mesh, family, m)
+        first = self.solve_module._map_classes(space).first
+        assert (None if first is None else len(first)) == maps
+        ops = assemble_with_operators(space)[1]
+        assert (None if ops.classes is None else len(ops.blocks)) == blocks
+        grouped = self._results(space)
+        # the block inverses still group by their bytes
+        monkeypatch.setattr(self.solve_module, "_classes", lambda key: None)
+        assert self._results(space) == grouped
+
+    @four_families
+    def test_uniform_mesh_runs_one_kernel_and_nine_inverses(self, monkeypatch, family, m):
+        space = build_global_space(uniform_rect_mesh(32), family, m)
+        kernel_rows, block_counts = [], []
+        stiffness, inverses = (self.solve_module._stiffness_blocks,
+                               self.solve_module._block_inverses)
+
+        def counting_stiffness(space, q, jac):
+            kernel_rows.append(len(jac[0]))
+            return stiffness(space, q, jac)
+
+        def counting_inverses(blocks):
+            block_counts.append(len(blocks))
+            inv, group = inverses(blocks)
+            block_counts.append(len(inv))
+            return inv, group
+
+        monkeypatch.setattr(self.solve_module, "_stiffness_blocks", counting_stiffness)
+        monkeypatch.setattr(self.solve_module, "_block_inverses", counting_inverses)
+        assemble(space, default_u()[2])
+        assert kernel_rows == [1]
+        assert block_counts == [9, 9]
 
 
 def sampled_blocks(A, elements):
@@ -793,8 +886,8 @@ class TestOperatorsFromElementMatrices:
     def test_block_inverses_match_sampled_blocks(self, family, m, mesh):
         system, ops = assemble_with_operators(build_global_space(mesh, family, m))
         expect = sampled_blocks(system.matrix, ops.elements)
-        assert np.array_equal(ops.blocks, expect)
-        assert (expanded_inverses(ops.blocks).tobytes()
+        assert np.array_equal(ops.element_blocks, expect)
+        assert (expanded_inverses(ops).tobytes()
                 == np.linalg.inv(expect.transpose(0, 2, 1)).tobytes())
 
     @cases
@@ -823,7 +916,7 @@ class TestOperatorsFromElementMatrices:
         if space.constraints is None:
             assert ops.relations is None
             return
-        Ct, G, index = ops.relations
+        Ct, G, index = ops.element_relations
         assert_same_bytes(Ct, space.constraints[:-1].tocsr())
         expect = sampled_relations(space.constraints, ops.elements)
         e, c = np.nonzero(index < Ct.shape[0])
@@ -1002,10 +1095,18 @@ def _dense_schwarz(A, elements, r):
     return z
 
 
-def expanded_inverses(blocks):
-    """`_block_inverses` with one transposed inverse per block, of a copy of
-    `blocks`, which it would otherwise overwrite."""
-    inv, group = _block_inverses(blocks.copy())
+def inverse_groups(ops):
+    """(inv, group): the distinct transposed inverses `_preconditioner`
+    forms from the recorded operators, from a copy of their blocks, which
+    it would otherwise overwrite, and the row of inv of each element, or
+    None when each has its own."""
+    inv, group = _block_inverses(ops.blocks.copy())
+    return inv, sys.modules["qncfem.solve"]._compose(group, ops.classes)
+
+
+def expanded_inverses(ops):
+    """The transposed inverse of every element's block, (ne, k, k)."""
+    inv, group = inverse_groups(ops)
     return inv if group is None else inv[group]
 
 
@@ -1013,7 +1114,7 @@ def relation_matrix(ops):
     """The CSR arrays of `_relation_matrix` over the recorded operators,
     from a copy of their blocks."""
     S = sys.modules["qncfem.solve"]._relation_matrix(*_block_inverses(ops.blocks.copy()),
-                                                    ops.relations)
+                                                    ops.classes, ops.relations)
     return S.data, S.indices, S.indptr
 
 
@@ -1023,15 +1124,6 @@ def sampled_relations(C, elements):
     zero where masked."""
     Ct = np.vstack([C[:-1].toarray().T, np.zeros(C.shape[0] - 1)])  # row n reads 0
     return Ct[elements]
-
-
-def moved_vertex_mesh(n):
-    """`uniform_rect_mesh(n)` with one interior vertex moved: the elements
-    around it get blocks of their own, the others share theirs."""
-    mesh = uniform_rect_mesh(n)
-    vertices = mesh.vertices.copy()
-    vertices[(n + 1) * (n // 2) + n // 3] += [0.1 / n, 0.15 / n]
-    return QuadMesh(vertices, mesh.quads)
 
 
 class TestPreconditioner:
@@ -1058,7 +1150,7 @@ class TestPreconditioner:
         copy of the blocks, which the preconditioner inverts in place."""
         system, ops = assemble_with_operators(build_global_space(mesh, family, m))
         return system, ops, _preconditioner(ops.n, ops.elements, ops.blocks.copy(),
-                                            None, None, None)[0]
+                                            ops.classes, None, None, None)[0]
 
     @three_families
     @pytest.mark.parametrize(
@@ -1069,7 +1161,7 @@ class TestPreconditioner:
     )
     def test_shared_blocks_match_dense_loop(self, family, m, mesh, singles):
         system, ops, fine = self._fine(family, m, mesh)
-        sizes = np.bincount(_block_inverses(ops.blocks)[1])
+        sizes = np.bincount(inverse_groups(ops)[1])
         # blocks shared by enough elements for one product per block, and
         # blocks of one element: the corners, and on the moved-vertex mesh
         # the elements around the vertex and their neighbours
@@ -1082,10 +1174,10 @@ class TestPreconditioner:
     @three_families
     def test_distinct_blocks_keep_stacked_product(self, family, m):
         system, ops, fine = self._fine(family, m, perturbed_mesh(8, seed=3))
-        assert _block_inverses(ops.blocks.copy())[1] is None  # no block repeats
+        assert inverse_groups(ops)[1] is None  # no block repeats
         r = np.random.default_rng(13).standard_normal(system.n)
         x = np.append(r, 0.0)[ops.elements][:, None, :]
-        z = np.matmul(x, np.linalg.inv(ops.blocks.transpose(0, 2, 1)))
+        z = np.matmul(x, np.linalg.inv(ops.element_blocks.transpose(0, 2, 1)))
         expect = np.bincount(ops.elements.ravel(), weights=z.ravel(),
                              minlength=system.n + 1)[:system.n]
         assert fine(r).tobytes() == expect.tobytes()
