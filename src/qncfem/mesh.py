@@ -5,7 +5,9 @@ edge adjacency, refinement, I/O.
 Jacobians; it takes corner arrays, so it serves all elements at once or
 one element alone.  It is `bilinear_coefficients` followed by
 `bilinear_points` and `bilinear_jacobian`, which the assembly calls apart,
-to map the points of every element but form each distinct Jacobian once.
+to map the points of every element but form each distinct Jacobian once;
+`bilinear_terms` gives the terms of `bilinear_points` that do not depend
+on the element's c0, so that they too are formed once per distinct map.
 
 Element corners A1..A4 are counterclockwise; local edges are
 e1 = (A1, A4), e2 = (A1, A2), e3 = (A2, A3), e4 = (A4, A3), matching the
@@ -24,6 +26,7 @@ __all__ = [
     "bilinear_map",
     "bilinear_coefficients",
     "bilinear_points",
+    "bilinear_terms",
     "bilinear_jacobian",
     "MeshError",
     "uniform_rect_mesh",
@@ -72,6 +75,15 @@ def bilinear_points(c, xh, yh):
     c0, c1, c2, c3 = _at_points(c, xh)
     # one coordinate at a time: separate arrays, and temporaries half the size
     return tuple(c0[k] + c1[k] * xh + c2[k] * yh + c3[k] * xh * yh for k in (0, 1))
+
+
+def bilinear_terms(c, xh, yh):
+    """The terms of `bilinear_points` past c0, (c1 xh, c2 yh, (c3 xh) yh)
+    of each coordinate, each shaped like its points.  They depend on (c1,
+    c2, c3) alone, and ((c0 + t1) + t2) + t3 has the bytes of
+    `bilinear_points`."""
+    _, c1, c2, c3 = _at_points(c, xh)
+    return tuple((c1[k] * xh, c2[k] * yh, c3[k] * xh * yh) for k in (0, 1))
 
 
 def bilinear_jacobian(c, xh, yh):

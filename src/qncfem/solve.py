@@ -77,7 +77,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .mesh import bilinear_coefficients, bilinear_jacobian, bilinear_points
+from .mesh import bilinear_coefficients, bilinear_jacobian, bilinear_points, bilinear_terms
 from .refelem import gauss_grid
 from .space import GlobalSpace
 
@@ -165,6 +165,21 @@ class _MapClasses(NamedTuple):
             raise ValueError("nonpositive Jacobian in element "
                              f"{c if self.first is None else self.first[c]}")
         return jac
+
+    def points(self, X, Y):
+        """sl -> (x, y), the images of the reference points (X, Y) under
+        the maps of the elements sl, a slice: the terms past c0 once per
+        class (`bilinear_terms`), to which each element adds its own c0 in
+        the order of `bilinear_points`, so with its bytes."""
+        if self.index is None:
+            return lambda sl: bilinear_points(tuple(c[:, sl] for c in self.coefficients), X, Y)
+        c0, terms = self.coefficients[0], bilinear_terms(self.of_classes, X, Y)
+
+        def at(sl):
+            index = self.index[sl]
+            return tuple(c0[k, sl, None] + t1[index] + t2[index] + t3[index]
+                         for k, (t1, t2, t3) in enumerate(terms))
+        return at
 
 
 def _map_classes(space: GlobalSpace) -> _MapClasses:
@@ -373,9 +388,10 @@ def _element_terms(space: GlobalSpace, f, lf, n):
         det[sl] = jac[-1]
         Kc[sl] = _stiffness_blocks(space, q, jac)
     Floc = np.empty(lf.shape)
+    points = maps.points(X, Y)
     for start in range(0, len(lf), BLOCK_ELEMENTS):
         sl = slice(start, start + BLOCK_ELEMENTS)
-        px, py = bilinear_points(tuple(c[:, sl] for c in maps.coefficients), X, Y)
+        px, py = points(sl)
         fv = np.asarray(f(px, py), dtype=float)
         jdet = det[sl] if maps.index is None else det[maps.index[sl]]
         Floc[sl] = np.einsum("ep,pi->ei", fv * jdet * W[None, :], phi)
@@ -700,16 +716,18 @@ def solve(system: SparseSystem, x0=None):
 def error_norms(space: GlobalSpace, coeffs, u_exact, grad_exact):
     """(L2 error, broken H1 seminorm error) of the FE function vs u_exact,
     by the (m+4)-point tensor Gauss rule.  A block of elements maps its own
-    points and takes each distinct Jacobian among them once."""
+    points, from terms formed once per map class (`_MapClasses.points`),
+    and takes each distinct Jacobian among them once."""
     q = space.m + 4
     X, Y, W = gauss_grid(q)
     phi, dpx, dpy = space.ref.tabulate_gauss(q)
     local = space.local_values(coeffs)  # (ne, nret)
     maps = _map_classes(space)
+    points = maps.points(X, Y)
     l2sq = h1sq = 0.0
     for start in range(0, len(local), BLOCK_ELEMENTS):
         sl = slice(start, start + BLOCK_ELEMENTS)
-        px, py = bilinear_points(tuple(c[:, sl] for c in maps.coefficients), X, Y)
+        px, py = points(sl)
         rows, spread = (sl, slice(None)) if maps.index is None else \
             np.unique(maps.index[sl], return_inverse=True)
         j11, j12, j21, j22, det = (a[spread] for a in maps.jacobians(rows, q))

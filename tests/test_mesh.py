@@ -11,7 +11,10 @@ from qncfem.mesh import (
     MeshError,
     QuadMesh,
     _match_points,
+    bilinear_coefficients,
     bilinear_map,
+    bilinear_points,
+    bilinear_terms,
     refine,
     refined_children,
     load_mesh,
@@ -70,6 +73,16 @@ class TestGeomMap:
             fy = (F(xh, yh + h) - F(xh, yh - h)) / (2 * h)
             assert np.allclose([j11, j21], fx, atol=1e-6)
             assert np.allclose([j12, j22], fy, atol=1e-6)
+
+    def test_terms_add_up_to_points_bytes(self):
+        """c0 plus the terms of `bilinear_terms`, added in that order, has
+        the bytes of `bilinear_points`, on every element of a perturbed mesh."""
+        c = bilinear_coefficients(perturbed_mesh(8, seed=2).corner_array())
+        X, Y = np.meshgrid(*(gauss_rule(5)[0],) * 2)
+        points = bilinear_points(c, X, Y)
+        for k, (t1, t2, t3) in enumerate(bilinear_terms(c, X, Y)):
+            got = c[0][k][:, None, None] + t1 + t2 + t3
+            assert got.tobytes() == points[k].tobytes()
 
     @staticmethod
     def defect_and_bilinear_term(corners):
