@@ -37,10 +37,11 @@ neighbouring blocks overlap on their shared edge dofs.  Both come from the
 dof table alone: a free dof has at most two holders, so each block is K_e
 plus, for each element it shares dofs with, that element's entries on
 every pair of the shared dofs: the same two-term sums as in K, so the
-blocks are K's bytes.  The fine level is applied with a gather, products
-and a scatter: a block that many elements share is one GEMM over their
+blocks are K's bytes.  The fine level is applied by `_element_operator`,
+the one kernel for element operators, with a gather, products and a
+scatter: a matrix that many elements share is one GEMM over their
 gathered residuals, and the other elements take one stacked product of
-row vectors by their own inverses.  One coarse space serves every order:
+row vectors by their own matrices.  One coarse space serves every order:
 P maps the isoparametric Q1 space on the same mesh (interior-vertex hats)
 to the nonconforming dofs, each free dof's row from any element that
 holds it; P v is the bilinear for m >= 2 and its interpolant for m = 1
@@ -56,12 +57,17 @@ The projection onto ker C is oblique to the fine level F, which makes M a
 constraint preconditioner (Keller, Gould & Wathen, SIMAX 21, 2000; Gould,
 Hribar & Nocedal, SISC 23, 2001): Pi_F v = v - C~^T S^{-1} C~ F v with
 S = C~ F C~^T, where C~ drops the last relation row, which the others
-imply.  S is the element sum of G_e^T B_e^{-1} G_e, G_e being the relation
-rows that touch element e on its retained dofs, which `_relations` takes
-from the dof table and the reference weights; `assemble` factors it once.
-Since C~ P = 0, M^{-1} Pi_F is symmetric, maps into ker C and vanishes on
-range C~^T, so CG projects its residual once per iteration and nothing
-else.  Wrapping M^{-1} in the Euclidean projection
+imply.  C~ F is the element sum of H_e = G_e^T B_e^{-1} over the dofs
+of element e and the rows of C~ that touch them, G_e being those rows on
+its retained dofs, which `_relations` takes from the dof table and the
+reference weights; S is the element sum of H_e G_e, so one product per
+block class gives both, and `assemble` factors S once.  Pi_F applies C~ F
+through the relation blocks H_e, and its transpose F C~^T through H_e^T,
+both with the kernel of the fine level, so that neither applies F: a CG
+iteration applies the fine level once, in M^{-1}.  Since C~ P = 0,
+M^{-1} Pi_F is symmetric, maps into ker C and vanishes on range C~^T, so
+CG projects its residual once per iteration and nothing else.  Wrapping
+M^{-1} in the Euclidean projection
 I - C~^T (C~ C~^T)^{-1} C~ instead takes twice the iterations (cold RPlus4
 on 32x32: 89 against 43).
 """
@@ -105,10 +111,12 @@ class SolverError(Exception):
 
 class Projection(NamedTuple):
     """The F-oblique projection along range(C~^T) onto ker(C~ F), for
-    residuals, and its transpose, which maps any x into ker(C~)."""
+    residuals, and its transpose, which maps any x into ker(C~).  Both
+    apply C~ F or F C~^T through the relation blocks H_e = G_e^T B_e^{-1}
+    (`_relation_matrix`), not through F."""
 
-    residual: Callable[[np.ndarray], np.ndarray]  # v - C~^T S^{-1} C~ F v
-    iterate: Callable[[np.ndarray], np.ndarray]  # v - F C~^T S^{-1} C~ v
+    residual: Callable[[np.ndarray], np.ndarray]  # v - C~^T S^{-1} H v, H v = C~ F v
+    iterate: Callable[[np.ndarray], np.ndarray]  # v - H^T S^{-1} C~ v, H^T = F C~^T
 
 
 @dataclass
@@ -239,6 +247,14 @@ def _distinct_rows(rows):
         if not np.array_equal(bits[first[inverse[sl]]], bits[sl]):
             return None
     return first, inverse
+
+
+def _distinct(stack):
+    """(distinct, group): the distinct matrices of a stack by their bytes
+    (`_distinct_rows`) and the row of distinct that holds each, or the
+    stack itself, a view, and None when no matrix repeats."""
+    first, group = _distinct_rows(stack.reshape(len(stack), -1)) or (slice(None), None)
+    return stack[first], group
 
 
 def _stiffness_blocks(space: GlobalSpace, q: int, jac):
@@ -507,8 +523,7 @@ def _block_inverses(blocks):
     so a block that is K_e alone (no masked dof, no neighbour term) maps
     the all-ones vector 1 to zero, which LAPACK's pivots need not show;
     the regular blocks measured keep ||B 1|| above 1e-12 ||B||."""
-    first, group = _distinct_rows(blocks.reshape(len(blocks), -1)) or (slice(None), None)
-    inv = blocks[first]
+    inv, group = _distinct(blocks)
     k = blocks.shape[-1]
     ones = np.ones(k)
     try:
@@ -528,20 +543,69 @@ def _block_inverses(blocks):
 
 
 def _relation_matrix(inv, group, classes, relations):
-    """S = C~ F C~^T, F = sum_e R_e^T B_e^{-1} R_e being the fine level:
-    the element sum of G_e^T B_e^{-1} G_e over the `relations` (C~, G,
-    index) of `_relations`, with the transposed inverses inv and their rows
-    group of `_block_inverses` over the class blocks, and the block class
-    of each element (None: its own).  The products run once per block
-    class (nine on a uniform mesh), a block of classes at a time."""
+    """(S, H): S = C~ F C~^T and the relation blocks H of C~ F = sum_e E_e
+    H_e R_e, where F = sum_e R_e^T B_e^{-1} R_e is the fine level, H_e =
+    G_e^T B_e^{-1}, and E_e places element e's relation slots at their
+    rows index[e] of C~.  G and index come with C~ in the `relations` of
+    `_relations`; inv and group are the transposed inverses and their rows
+    of `_block_inverses` over the class blocks, and classes gives each
+    element's block class (None: its own).  H comes per class and
+    transposed, B_e^{-T} G_e (classes, k, 5), and S is the element sum of
+    H_e G_e, so both take one product per block class (nine on a uniform
+    mesh), a block of classes at a time."""
     Ct, G, index = relations
     row = np.arange(len(G)) if group is None else group  # of inv, per class
+    H = np.empty(G.shape)
     local = np.empty((len(G),) + G.shape[2:] * 2)
     for start in range(0, len(G), BLOCK_ELEMENTS):
         sl = slice(start, start + BLOCK_ELEMENTS)
         # (B^{-T} G)^T G = G^T B^{-1} G
-        np.matmul(np.matmul(inv[row[sl]], G[sl]).transpose(0, 2, 1), G[sl], out=local[sl])
-    return _element_sum(local, index, Ct.shape[0], classes)
+        np.matmul(inv[row[sl]], G[sl], out=H[sl])
+        np.matmul(H[sl].transpose(0, 2, 1), G[sl], out=local[sl])
+    return _element_sum(local, index, Ct.shape[0], classes), H
+
+
+def _element_operator(n, gather, scatter, matrices, group):
+    """The element operator v -> sum_e Q_e^T M_e^T P_e v, P_e reading the
+    entries gather[e] of v and Q_e^T adding into the entries scatter[e] of
+    a result of length n, with M_e = matrices[group[e]] (group None:
+    matrices[e]).  A gather entry len(v) reads an appended zero, and a
+    scatter entry n is dropped.  The one kernel of the fine level (M_e =
+    B_e^{-T}) and of the relation blocks: a matrix that at least
+    GEMM_GROUP elements share is one GEMM over their gathered rows, the
+    other elements take one stacked product of row vectors by their own
+    matrices (faster than M_e^T x_e as a stack of matrix-vector products),
+    and one bincount adds the products up.  When no matrix repeats, the
+    tables and the matrices serve uncopied."""
+    # the shared groups first, each a contiguous run of elements, in order
+    # of their first element, then the rest: the order of the sums in the
+    # bincount depends on the partition alone, not on how group numbers it
+    products, split = [], 0
+    if group is not None:
+        _, first, sizes = np.unique(group, return_index=True, return_counts=True)
+        shared = np.flatnonzero(sizes >= GEMM_GROUP)
+        if len(shared):
+            shared = shared[np.argsort(first[shared])]
+            order = np.argsort(np.where(sizes[group] >= GEMM_GROUP, first[group], len(group)),
+                               kind="stable")
+            same = scatter is gather
+            gather, group = gather[order], group[order]
+            scatter = gather if same else scatter[order]
+            stops = np.cumsum(sizes[shared])
+            products = list(zip(stops - sizes[shared], stops, matrices[shared]))
+            split = stops[-1]
+        matrices = matrices[group[split:]]
+    scatter = scatter.ravel()  # a copy when the table is not C-ordered
+    width = matrices.shape[-1]
+
+    def apply(v):
+        x = np.append(v, 0.0)[gather][:, None, :]
+        z = np.empty((len(x), 1, width))
+        for start, stop, b in products:
+            np.matmul(x[start:stop, 0], b, out=z[start:stop, 0])
+        np.matmul(x[split:], matrices, out=z[split:])
+        return np.bincount(scatter, weights=z.ravel(), minlength=n + 1)[:n]
+    return apply
 
 
 def _preconditioner(n, elements, blocks, classes, coarse, coarse_matrix, relations):
@@ -553,56 +617,39 @@ def _preconditioner(n, elements, blocks, classes, coarse, coarse_matrix, relatio
     coarse-space correction P (P^T A P)^{-1} P^T when the prolongation
     `coarse` and its `coarse_matrix` P^T A P are not None.  Each distinct
     block is inverted once; when no block repeats, the inverses are
-    written over `blocks`, which the caller gives up.  A masked entry reads
-    an appended zero and writes to a slot that is dropped.  A block that at
-    least GEMM_GROUP elements share is applied as one GEMM over their
-    gathered residuals; every other element takes its own row-vector
-    product in one stacked product.
+    written over `blocks`, which the caller gives up.  The fine level F is
+    one `_element_operator`, grouped by distinct inverse.
 
     With `relations` (C~, G, index) of `_relations`, G given per block
-    class like the blocks, the projection is oblique to the fine level F,
-    and S = C~ F C~^T is factored once.  Since C~ P = 0, M^{-1} Pi_F = F -
+    class like the blocks, the projection is oblique to F: S = C~ F C~^T
+    is factored once, and the relation blocks H_e = G_e^T B_e^{-1} of
+    `_relation_matrix` give C~ F and F C~^T as two more element operators,
+    grouped by block class, so that Pi_F v = v - C~^T S^{-1} (H v) and its
+    transpose v - H^T S^{-1} C~ v apply no F: a CG iteration applies the
+    fine level once, in M^{-1}.  Since C~ P = 0, M^{-1} Pi_F = F -
     F C~^T S^{-1} C~ F + Q is symmetric, maps into ker(C~) and vanishes on
     range(C~^T).  Raises SolverError when a block is singular
     (`_block_inverses`)."""
     inv, group = _block_inverses(blocks)
+    projection = None
     if relations is not None:
+        Ct, _, index = relations
+        S, H = _relation_matrix(inv, group, classes, relations)
         # S is SPD: a minimum-degree ordering of its pattern with diagonal
         # pivots, as for the coarse matrix
-        s_lu = spla.splu(_relation_matrix(inv, group, classes, relations).tocsc(),
-                         permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+        s_lu = spla.splu(S.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                          options={"SymmetricMode": True})
-        Ct = relations[0]
         CtT = Ct.T.tocsr()
-    group = _compose(group, classes)  # the row of inv of each element
-    # the shared groups first, each a contiguous run of elements, then the
-    # rest; when no block repeats, `elements` and inv serve uncopied
-    products, split = [], 0
-    if group is not None:
-        sizes = np.bincount(group)
-        shared = sizes >= GEMM_GROUP
-        if np.any(shared):
-            order = np.argsort(np.where(shared[group], group, len(sizes)), kind="stable")
-            elements, group = elements[order], group[order]
-            stops = np.cumsum(sizes[shared])
-            products = list(zip(stops - sizes[shared], stops, inv[shared]))
-            split = stops[-1]
-        inv = inv[group[split:]]
-    scatter = elements.ravel()  # a copy when the table is not C-ordered
-
-    def fine(r):
-        x = np.append(r, 0.0)[elements][:, None, :]
-        z = np.empty(x.shape)
-        for start, stop, b in products:
-            np.matmul(x[start:stop, 0], b, out=z[start:stop, 0])
-        # row-vector products r_e^T B_e^{-T}, faster than B_e^{-1} r_e as
-        # a stack of matrix-vector products
-        np.matmul(x[split:], inv, out=z[split:])
-        return np.bincount(scatter, weights=z.ravel(), minlength=n + 1)[:n]
-
-    projection = None if relations is None else Projection(
-        residual=lambda v: v - CtT @ s_lu.solve(Ct @ fine(v)),
-        iterate=lambda v: v - fine(CtT @ s_lu.solve(Ct @ v)))
+        # grouped by their bytes, as the inverses are, so that the applies
+        # keep their bytes whether the elements come in classes or not
+        H, by = _distinct(H)
+        by = _compose(by, classes)
+        CF = _element_operator(Ct.shape[0], elements, index, H, by)
+        FCt = _element_operator(n, index, elements,
+                                np.ascontiguousarray(H.transpose(0, 2, 1)), by)
+        projection = Projection(residual=lambda v: v - CtT @ s_lu.solve(CF(v)),
+                                iterate=lambda v: v - FCt(s_lu.solve(Ct @ v)))
+    fine = _element_operator(n, elements, elements, inv, _compose(group, classes))
     if coarse is None:
         return fine, projection
     # a minimum-degree ordering of the symmetric coarse matrix halves the

@@ -1,6 +1,7 @@
 """Hash every level of the benchmark workloads and the published-table
 studies, to show that a refactor leaves every result byte for byte as it
-was.
+was; or, with --reference, measure how far each level's solution lies from
+the refined direct reference, to judge a change that moves rounding.
 
     PYTHONPATH=src python tests/byte_identity.py --write before.json
     ... change the code ...
@@ -14,14 +15,35 @@ K, b and C, the Schwarz operators `assemble` passes to
 `solve._preconditioner` (recorded by `schwarz_spy.recording`, which copies
 the blocks on entry, since the preconditioner inverts them in place) and
 one apply of `system.precondition` to a fixed vector; for the relation
-families also the relation blocks it passes and one apply of the
-projection's residual map.  OpenBLAS rounds long dot
+families also the relation blocks G it passes, S = C~ F C~^T and the
+relation blocks H of C~ F that `solve._relation_matrix` forms from them,
+and one apply of the projection's residual map.  OpenBLAS rounds long dot
 products differently with one and two threads, so the script sets
 OMP_NUM_THREADS, OPENBLAS_NUM_THREADS (which OpenBLAS reads first) and
 MKL_NUM_THREADS to 1 before numpy loads.  `--compare` exits with status 1 and lists
-the differing entries when any hash differs; it ends with the count of
-equal hashes and one line per study with its equal and differing counts.  The file name does not
-match pytest's test pattern, so the suite does not collect it.
+the differing entries when any hash differs or is missing; it ends with the count of
+equal hashes and one line per study with its equal and differing counts.
+A hash that the file does not hold (an item added to the hash set after
+the file was written) is listed as new and not compared, so that files
+written before keep comparing.
+
+    PYTHONPATH=src python tests/byte_identity.py --reference
+    PYTHONPATH=src python tests/byte_identity.py --reference --write before.json
+    PYTHONPATH=src python tests/byte_identity.py --reference --compare before.json
+
+--reference runs the same studies and prints, for every level, the CG
+iterations and the distance of the study's L2 and H1 errors from those of
+`kkt_reference.refined_solution` (SuperLU, refined in long double) on the
+same system, |e - e_ref| / e_ref.  The rule for a change that moves
+rounding is that no level moves further from the reference beyond
+REFERENCE_RULE, except where the reference error is at most
+REFERENCE_FLOOR: with --compare, a level that met the rule in the file and
+misses it now makes the exit status 1, and the levels that missed it in
+the file (those at the REL_TOL floor of CG) are listed with both
+distances.  The refinement needs a long double wider than float64.
+
+The file name does not match pytest's test pattern, so the suite does not
+collect it.
 """
 
 import argparse
@@ -39,9 +61,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from qncfem import cli
+from kkt_reference import LONG_DOUBLE_REASON, refined_solution
 from schwarz_spy import recording
 
 WORKLOADS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "workloads.json"
+REFERENCE_RULE = 1e-10  # relative distance of an error from the reference's
+REFERENCE_FLOOR = 1e-12  # errors at most this are exempt from the rule
 
 
 def digest(*parts) -> str:
@@ -92,6 +117,7 @@ def hash_study(config) -> dict:
         }
         if ops.relations is not None:
             items["relations"] = digest(*ops.element_relations)
+            items["relation_blocks"] = digest(*ops.relation_blocks())
             items["projection"] = digest(system.projection.residual(probe))
         levels.append(items)
         return x, report
@@ -109,35 +135,122 @@ def hash_study(config) -> dict:
     return out
 
 
-def collect() -> dict:
-    hashes = {}
+def reference_study(config) -> dict:
+    """{level/item: value} of one study: the iterations and the relative
+    distances of the L2 and H1 errors from those of the refined reference,
+    run through spies on the names `run_study` calls; each level's
+    reference is solved before CG and dropped once its errors are taken."""
+    references, norms = [], []
+    real_solve, real_norms = cli.solve, cli.error_norms
+
+    def solve(system, x0=None):
+        references.append(refined_solution(system))
+        return real_solve(system, x0)
+
+    def error_norms(space, coeffs, u, grad_u):
+        errors = real_norms(space, coeffs, u, grad_u)
+        norms.append((errors, real_norms(space, references.pop(), u, grad_u)))
+        return errors
+
+    cli.solve, cli.error_norms = solve, error_norms
+    try:
+        rows = cli.run_study(config)
+    finally:
+        cli.solve, cli.error_norms = real_solve, real_norms
+    out = {}
+    for row, (errors, reference) in zip(rows, norms, strict=True):
+        out[f"level{row.level}/iterations"] = row.iterations
+        for name, e, ref in zip(("l2", "h1"), errors, reference):
+            out[f"level{row.level}/{name}"] = abs(e - ref) / ref
+            out[f"level{row.level}/{name}_exempt"] = ref <= REFERENCE_FLOOR
+    return out
+
+
+def collect(study=hash_study) -> dict:
+    values = {}
     for name, config in studies():
         print(f"  {name}", file=sys.stderr, flush=True)
-        hashes.update((f"{name}/{k}", v) for k, v in hash_study(config).items())
-    return hashes
+        values.update((f"{name}/{k}", v) for k, v in study(config).items())
+    return values
+
+
+def _level_rows(values) -> dict:
+    """{study/levelL: (iterations, l2, h1)} of a --reference result."""
+    rows = {}
+    for key in values:
+        if key.endswith("/iterations"):
+            row = key.rsplit("/", 1)[0]
+            rows[row] = (values[key], values[f"{row}/l2"], values[f"{row}/h1"])
+    return rows
+
+
+def _meets(values, row, name) -> bool:
+    return values[f"{row}/{name}"] <= REFERENCE_RULE or values[f"{row}/{name}_exempt"]
+
+
+def compare_reference(recorded, values) -> int:
+    """Print every level's iterations and distances, recorded -> now, and
+    the verdict; 1 when a level that met the rule misses it now."""
+    before, now = _level_rows(recorded), _level_rows(values)
+    farther, floor = [], []
+    for row in sorted(before.keys() | now.keys()):
+        if row not in before or row not in now:
+            print(f"{row}: only {'now' if row in now else 'in the file'}")
+            farther += [row] if row in before else []
+            continue
+        (i0, *d0), (i1, *d1) = before[row], now[row]
+        marks = []
+        for name, a, b in zip(("L2", "H1"), d0, d1):
+            key = name.lower()
+            if not _meets(recorded, row, key):
+                marks.append(f"{name} past the rule in the file")
+                floor.append(row)
+            elif not _meets(values, row, key):
+                marks.append(f"{name} FARTHER")
+                farther.append(row)
+        print(f"{row}: iterations {i0} -> {i1}, L2 {d0[0]:.1e} -> {d1[0]:.1e}, "
+              f"H1 {d0[1]:.1e} -> {d1[1]:.1e}" + "".join(f"; {m}" for m in marks))
+    print(f"{len(before)} levels in the file, {len(now)} now; {len(set(farther))} moved past "
+          f"the {REFERENCE_RULE:.0e} rule; {len(set(floor))} missed it in the file")
+    return 1 if farther else 0
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    mode = parser.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--write", metavar="FILE", help="record the hashes in FILE")
-    mode.add_argument("--compare", metavar="FILE", help="check the hashes against FILE")
+    parser.add_argument("--reference", action="store_true",
+                        help="distances from the refined reference in place of hashes")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--write", metavar="FILE", help="record the values in FILE")
+    mode.add_argument("--compare", metavar="FILE", help="check the values against FILE")
     args = parser.parse_args(argv)
-    hashes = collect()
+    if not (args.reference or args.write or args.compare):
+        parser.error("one of --write, --compare or --reference is required")
+    if args.reference and LONG_DOUBLE_REASON is not None:
+        parser.error(LONG_DOUBLE_REASON)
+    values = collect(reference_study if args.reference else hash_study)
     if args.write:
-        pathlib.Path(args.write).write_text(json.dumps(hashes, indent=1, sort_keys=True))
-        print(f"wrote {len(hashes)} hashes to {args.write}")
+        pathlib.Path(args.write).write_text(json.dumps(values, indent=1, sort_keys=True))
+        print(f"wrote {len(values)} values to {args.write}")
+        return 0
+    if args.reference and not args.compare:
+        for row, (iterations, l2, h1) in sorted(_level_rows(values).items()):
+            print(f"{row}: iterations {iterations}, L2 {l2:.1e}, H1 {h1:.1e}")
         return 0
     recorded = json.loads(pathlib.Path(args.compare).read_text())
-    differ = sorted(k for k in recorded.keys() | hashes.keys()
-                    if recorded.get(k) != hashes.get(k))
+    if args.reference:
+        return compare_reference(recorded, values)
+    differ = sorted(k for k in recorded if recorded[k] != values.get(k))
     for key in differ:
         print(f"differs: {key}")
-    print(f"{len(hashes) - len(differ)} of {len(recorded | hashes)} hashes equal")
+    new = values.keys() - recorded.keys()
+    for item in sorted({k.rsplit("/", 1)[1] for k in new}):
+        count = sum(k.endswith(f"/{item}") for k in new)
+        print(f"new, not in {args.compare}: {item} ({count} hashes)")
+    print(f"{len(recorded) - len(differ)} of {len(recorded)} hashes equal, {len(new)} new")
     # a key is study/levelL/item, and a study name may hold a slash
     study = lambda key: key.rsplit("/", 2)[0]
-    for name in sorted({study(k) for k in recorded | hashes}):
-        keys = [k for k in recorded | hashes if study(k) == name]
+    for name in sorted({study(k) for k in recorded | values}):
+        keys = [k for k in recorded if study(k) == name]
         count = sum(k in differ for k in keys)
         print(f"{name}: {len(keys) - count} equal, {count} differ")
     return 1 if differ else 0

@@ -41,6 +41,15 @@ class Operators(NamedTuple):
         Ct, G, index = self.relations
         return Ct, G[self.classes], index
 
+    def relation_blocks(self) -> tuple:
+        """(S, H) of `solve._relation_matrix`, formed from a copy of the
+        blocks (the preconditioner inverts them in place), with H of every
+        element, (ne, k, 5): S = C~ F C~^T and the transposed relation
+        blocks B_e^{-T} G_e of C~ F."""
+        inv, group = SOLVE._block_inverses(self.blocks.copy())
+        S, H = SOLVE._relation_matrix(inv, group, self.classes, self.relations)
+        return S, H if self.classes is None else H[self.classes]
+
 
 @contextlib.contextmanager
 def recording():

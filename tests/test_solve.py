@@ -1111,11 +1111,10 @@ def expanded_inverses(ops):
 
 
 def relation_matrix(ops):
-    """The CSR arrays of `_relation_matrix` over the recorded operators,
-    from a copy of their blocks."""
-    S = sys.modules["qncfem.solve"]._relation_matrix(*_block_inverses(ops.blocks.copy()),
-                                                    ops.classes, ops.relations)
-    return S.data, S.indices, S.indptr
+    """The CSR arrays of S and the relation blocks H of every element, from
+    `_relation_matrix` over the recorded operators."""
+    S, H = ops.relation_blocks()
+    return S.data, S.indices, S.indptr, H
 
 
 def sampled_relations(C, elements):
@@ -1205,7 +1204,8 @@ class TestConstraintPreconditioner:
     Schwarz level F: Pi_F v = v - C~^T S^{-1} C~ F v with S = C~ F C~^T.
     Since the coarse space lies in ker(C), M^{-1} Pi_F is symmetric, maps
     into ker(C) and vanishes on range(C~^T), so CG needs no projection of
-    the preconditioned residual."""
+    the preconditioned residual.  C~ F and F C~^T are applied through the
+    relation blocks H_e = G_e^T B_e^{-1}, with no apply of F."""
 
     families = pytest.mark.parametrize(
         "family,m",
@@ -1258,6 +1258,75 @@ class TestConstraintPreconditioner:
         assert np.max(np.abs(PiT - Pi.T)) <= 1e-12 * scale
         # the transpose maps any x0 into ker(C)
         assert np.max(np.abs(C @ PiT)) <= 1e-12 * np.max(np.abs(PiT))
+
+    @staticmethod
+    def _element_operators(monkeypatch, space):
+        """(C~, F, v -> H v, y -> H^T y): the element operators that
+        `_preconditioner` builds for `assemble(space, f)`, read by a spy on
+        `_element_operator`.  H v has one entry per row of C~, and F reads
+        and writes through the same table."""
+        solve_module = sys.modules["qncfem.solve"]
+        real, built = solve_module._element_operator, []
+
+        def spy(n, gather, scatter, matrices, group):
+            apply = real(n, gather, scatter, matrices, group)
+            built.append((n, gather is scatter, apply))
+            return apply
+
+        monkeypatch.setattr(solve_module, "_element_operator", spy)
+        assemble(space, default_u()[2])
+        Ct = space.constraints[:-1].tocsr()
+        (fine,) = (a for n, same, a in built if same)
+        (relation,) = (a for n, same, a in built if n == Ct.shape[0])
+        (transposed,) = (a for n, same, a in built if n == space.n_free and not same)
+        return Ct, fine, relation, transposed
+
+    @families
+    @pytest.mark.parametrize(
+        "mesh,homogeneous",
+        [(uniform_rect_mesh(4), True), (perturbed_mesh(8, seed=3), True),
+         (rotated_listing(uniform_rect_mesh(8)), True), (uniform_rect_mesh(4), False)],
+        ids=["uniform4", "perturbed8", "rotated8", "free-boundary4"],
+    )
+    def test_relation_blocks_apply_relations_times_fine_level(
+            self, monkeypatch, family, m, mesh, homogeneous):
+        """H v equals C~ (F v), and H^T y equals F (C~^T y), to rounding."""
+        space = build_global_space(mesh, family, m, homogeneous=homogeneous)
+        Ct, fine, relation, transposed = self._element_operators(monkeypatch, space)
+        rng = np.random.default_rng(17)
+        v = rng.standard_normal(space.n_free)
+        y = rng.standard_normal(Ct.shape[0])
+        for got, want in ((relation(v), Ct @ fine(v)), (transposed(y), fine(Ct.T @ y))):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize(
+        "family,m,mesh",
+        [(Family("RPlus"), 4, uniform_rect_mesh(16)),
+         (Family("R", "tilde"), 5, perturbed_mesh(8, seed=3))],
+        ids=["RPlus4-uniform16", "R~5-perturbed8"],
+    )
+    def test_one_fine_apply_per_iteration(self, monkeypatch, family, m, mesh):
+        """A cold solve applies the fine level once per CG iteration, in
+        M^{-1}, and once for the first direction; the projection applies it
+        no more.  An apply of F is counted by its products, the np.matmul
+        calls by a (k x k) block inverse, k being the retained dofs."""
+        system, ops = assemble_with_operators(build_global_space(mesh, family, m),
+                                              default_u()[2])
+        k = ops.elements.shape[1]
+        matmul, calls = np.matmul, []
+
+        def counting_matmul(a, b, **kwargs):
+            calls.append(np.shape(b)[-2:] == (k, k))
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counting_matmul)
+        system.precondition(np.ones(system.n))
+        per_apply = sum(calls)
+        assert per_apply >= 1
+        calls.clear()
+        _, report = solve(system)
+        assert report.iterations > 10
+        assert sum(calls) == per_apply * (report.iterations + 1)
 
     @pytest.mark.parametrize(
         "family,m", [(Family("RPlus"), 4), (Family("R", "tilde"), 5)], ids=["RPlus4", "R~5"])
