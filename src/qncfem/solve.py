@@ -569,7 +569,7 @@ def _element_operator(n, gather, scatter, matrices, group):
     """The element operator v -> sum_e Q_e^T M_e^T P_e v, P_e reading the
     entries gather[e] of v and Q_e^T adding into the entries scatter[e] of
     a result of length n, with M_e = matrices[group[e]] (group None:
-    matrices[e]).  A gather entry len(v) reads an appended zero, and a
+    matrices[e]; else it takes every row of matrices).  A gather entry len(v) reads an appended zero, and a
     scatter entry n is dropped.  The one kernel of the fine level (M_e =
     B_e^{-T}) and of the relation blocks: a matrix that at least
     GEMM_GROUP elements share is one GEMM over their gathered rows, the

@@ -743,9 +743,9 @@ class TestDistinctElements:
         assemble(space, default_u()[2])
         assert space.mesh.n_elements > self.solve_module.BLOCK_ELEMENTS
         # the stiffness kernel's two products once for the mesh's one
-        # Jacobian, then G_e^T B_e^{-1} G_e once per block class, in two
-        # products: the boundary masks make 9 block classes, 9 distinct
-        # Schwarz blocks
+        # Jacobian, then the relation blocks B_e^{-T} G_e and S's terms
+        # G_e^T B_e^{-1} G_e once per block class: the boundary masks make
+        # 9 block classes, 9 distinct Schwarz blocks
         assert matmul_sizes == [1, 1, 9, 9]
         assert inverse_sizes == [9]
 
