@@ -24,7 +24,10 @@ preconditioner from the element matrices K_e, with no read of the
 assembled K, and the system carries it as one operator.  K and the
 coarse matrix are element sums, which `_element_sum` writes straight
 into CSR arrays with no COO triplets, and the blocks are inverted in
-place, so the temporaries of `assemble` stay below one copy of K.
+place, so the temporaries of `assemble` stay below one copy of K.  The
+blocks are SPD, and each chunk of them is inverted through one stacked
+Cholesky factor, so every inverse B_e^{-1} is symmetric byte for byte and
+the fine level is a symmetric operator, as CG assumes.
 The ER families give a plain SPD system; the R / RPlus families carry one
 relation row per element, and `solve` runs one preconditioned CG for both,
 on ker C with a projection for R / RPlus.
@@ -423,7 +426,7 @@ def assemble(space: GlobalSpace, f) -> SparseSystem:
     space; K, the element sum; the block classes, whose diagonal blocks
     (pair sums and boundary masks) and relation blocks are formed once
     each; the inverses, written over the blocks.  Raises SolverError when a
-    diagonal block is singular."""
+    diagonal block is singular or indefinite."""
     lf, n = space.local_free(), space.n_free
     # a function of its own, so that the map coefficients and the
     # quadrature arrays are freed before K is built
@@ -489,8 +492,7 @@ def _relations(space: GlobalSpace, lf, held, reps):
     (`_partners`), and the reference weights, not from C: an edge dof has
     at most the two holders of its edge, each weighting it by the weight at
     its own local position, and the dofs past the weights have none."""
-    C = space.constraints
-    if C is None or C[:-1].nnz == 0:
+    if space.constraints is None or (Ct := space.constraints[:-1]).nnz == 0:
         return None
     ref, m, n = space.ref, space.m, space.n_free
     ne, width = held.shape
@@ -507,38 +509,52 @@ def _relations(space: GlobalSpace, lf, held, reps):
     index[:, 0] = np.arange(ne)
     first = held[:, : 4 * m : m]  # the first dof of each edge
     index[:, 1:] = np.where(first >= 0, first // width, ne - 1)
-    return C[:-1], G, index
+    return Ct, G, index
 
 
 def _block_inverses(blocks):
-    """(inv, group): the transposed inverses of the distinct blocks of a
-    stack, each inverted once, and the row of inv that holds each block's
-    inverse, or None when no block repeats.  inv is `blocks[first]`, a view
-    of `blocks` when no block repeats (so the inverses are written over
-    the blocks) and a copy of the distinct blocks otherwise; it is inverted
-    in place, a block of elements at a time.  Raises SolverError when a
-    block is singular: when LAPACK meets a zero pivot, or when ||B 1|| <
-    k eps ||B|| (infinity norm), the rounding of its k-term row sums.
-    Every shape space holds the constants and every dof is a point value,
-    so a block that is K_e alone (no masked dof, no neighbour term) maps
-    the all-ones vector 1 to zero, which LAPACK's pivots need not show;
-    the regular blocks measured keep ||B 1|| above 1e-12 ||B||."""
+    """(inv, group): the inverses of the distinct blocks of a stack, each
+    inverted once, and the row of inv that holds each block's inverse, or
+    None when no block repeats.  inv is `blocks[first]`, a view of `blocks`
+    when no block repeats (so the inverses are written over the blocks) and
+    a copy of the distinct blocks otherwise; it is inverted in place, a
+    block of elements at a time.  The blocks are SPD, so a chunk takes one
+    stacked Cholesky factor B = L L^T, which reads the lower triangle,
+    X = L^{-1} by forward substitution, one stacked product per row, and
+    B^{-1} = X^T X, the product of a matrix by its own transpose, which
+    numpy forms symmetric byte for byte (Golub & Van Loan, Matrix
+    Computations, 4.2).  Raises SolverError when a block is singular or
+    indefinite: when the factor meets a pivot that is not positive, or
+    when ||B 1|| < k eps ||B|| (infinity norm), the rounding of its k-term
+    row sums.  Every shape space holds the constants and every dof is a
+    point value, so a block that is K_e alone (no masked dof, no neighbour
+    term) maps the all-ones vector 1 to zero, which the factor's pivots
+    need not show; the regular blocks measured keep ||B 1|| above 1e-12
+    ||B||."""
     inv, group = _distinct(blocks)
     k = blocks.shape[-1]
     ones = np.ones(k)
-    try:
-        for start in range(0, len(inv), BLOCK_ELEMENTS):
-            sl = slice(start, start + BLOCK_ELEMENTS)
-            # the chunk's rows, so that B 1 and |B| 1 are one BLAS product each
-            rows = inv[sl].reshape(-1, k)
-            image = np.abs(rows @ ones).reshape(-1, k).max(axis=1)
-            if np.any(image < k * np.finfo(float).eps
-                      * (np.abs(rows) @ ones).reshape(-1, k).max(axis=1)):
-                raise SolverError("singular diagonal block in the preconditioner: "
-                                  "the constants are in its null space")
-            inv[sl] = np.linalg.inv(inv[sl].transpose(0, 2, 1))
-    except np.linalg.LinAlgError as err:
-        raise SolverError("singular diagonal block in the preconditioner") from err
+    for start in range(0, len(inv), BLOCK_ELEMENTS):
+        sl = slice(start, start + BLOCK_ELEMENTS)
+        # the chunk's rows, so that B 1 and |B| 1 are one BLAS product each
+        rows = inv[sl].reshape(-1, k)
+        image = np.abs(rows @ ones).reshape(-1, k).max(axis=1)
+        if np.any(image < k * np.finfo(float).eps
+                  * (np.abs(rows) @ ones).reshape(-1, k).max(axis=1)):
+            raise SolverError("singular diagonal block in the preconditioner: "
+                              "the constants are in its null space")
+        try:
+            L = np.linalg.cholesky(inv[sl])
+        except np.linalg.LinAlgError as err:
+            raise SolverError("singular diagonal block in the preconditioner: "
+                              "it is not positive definite") from err
+        X = np.zeros_like(L)
+        for i in range(k):
+            # row i of L X = I: L_ii X_i = e_i - sum_{j<i} L_ij X_j
+            X[:, i] = -np.matmul(L[:, i, None, :i], X[:, :i])[:, 0]
+            X[:, i, i] += 1.0
+            X[:, i] /= L[:, i, i, None]
+        np.matmul(X.transpose(0, 2, 1), X, out=inv[sl])
     return inv, group
 
 
@@ -547,19 +563,19 @@ def _relation_matrix(inv, group, classes, relations):
     H_e R_e, where F = sum_e R_e^T B_e^{-1} R_e is the fine level, H_e =
     G_e^T B_e^{-1}, and E_e places element e's relation slots at their
     rows index[e] of C~.  G and index come with C~ in the `relations` of
-    `_relations`; inv and group are the transposed inverses and their rows
+    `_relations`; inv and group are the symmetric inverses and their rows
     of `_block_inverses` over the class blocks, and classes gives each
-    element's block class (None: its own).  H comes per class and
-    transposed, B_e^{-T} G_e (classes, k, 5), and S is the element sum of
-    H_e G_e, so both take one product per block class (nine on a uniform
-    mesh), a block of classes at a time."""
+    element's block class (None: its own).  H comes per class as H_e^T =
+    B_e^{-1} G_e (classes, k, 5), and S is the element sum of H_e G_e, so
+    both take one product per block class (nine on a uniform mesh), a
+    block of classes at a time."""
     Ct, G, index = relations
     row = np.arange(len(G)) if group is None else group  # of inv, per class
     H = np.empty(G.shape)
     local = np.empty((len(G),) + G.shape[2:] * 2)
     for start in range(0, len(G), BLOCK_ELEMENTS):
         sl = slice(start, start + BLOCK_ELEMENTS)
-        # (B^{-T} G)^T G = G^T B^{-1} G
+        # (B^{-1} G)^T G = G^T B^{-1} G, B^{-1} being symmetric
         np.matmul(inv[row[sl]], G[sl], out=H[sl])
         np.matmul(H[sl].transpose(0, 2, 1), G[sl], out=local[sl])
     return _element_sum(local, index, Ct.shape[0], classes), H
@@ -569,9 +585,10 @@ def _element_operator(n, gather, scatter, matrices, group):
     """The element operator v -> sum_e Q_e^T M_e^T P_e v, P_e reading the
     entries gather[e] of v and Q_e^T adding into the entries scatter[e] of
     a result of length n, with M_e = matrices[group[e]] (group None:
-    matrices[e]; else it takes every row of matrices).  A gather entry len(v) reads an appended zero, and a
-    scatter entry n is dropped.  The one kernel of the fine level (M_e =
-    B_e^{-T}) and of the relation blocks: a matrix that at least
+    matrices[e]; else it takes every row of matrices).  A gather entry
+    len(v) reads an appended zero, and a scatter entry n is dropped.  The
+    one kernel of the fine level (M_e = B_e^{-1}, symmetric, so M_e^T =
+    M_e) and of the relation blocks: a matrix that at least
     GEMM_GROUP elements share is one GEMM over their gathered rows, the
     other elements take one stacked product of row vectors by their own
     matrices (faster than M_e^T x_e as a stack of matrix-vector products),
@@ -616,9 +633,11 @@ def _preconditioner(n, elements, blocks, classes, coarse, coarse_matrix, relatio
     blocks[classes[e]] (classes None: blocks[e]), plus the exact
     coarse-space correction P (P^T A P)^{-1} P^T when the prolongation
     `coarse` and its `coarse_matrix` P^T A P are not None.  Each distinct
-    block is inverted once; when no block repeats, the inverses are
-    written over `blocks`, which the caller gives up.  The fine level F is
-    one `_element_operator`, grouped by distinct inverse.
+    block is inverted once, through a Cholesky factor, so that each
+    inverse is symmetric byte for byte and so is F as a matrix; when no
+    block repeats, the inverses are written over `blocks`, which the
+    caller gives up.  The fine level F is one `_element_operator`, grouped
+    by distinct inverse.
 
     With `relations` (C~, G, index) of `_relations`, G given per block
     class like the blocks, the projection is oblique to F: S = C~ F C~^T
@@ -628,8 +647,8 @@ def _preconditioner(n, elements, blocks, classes, coarse, coarse_matrix, relatio
     transpose v - H^T S^{-1} C~ v apply no F: a CG iteration applies the
     fine level once, in M^{-1}.  Since C~ P = 0, M^{-1} Pi_F = F -
     F C~^T S^{-1} C~ F + Q is symmetric, maps into ker(C~) and vanishes on
-    range(C~^T).  Raises SolverError when a block is singular
-    (`_block_inverses`)."""
+    range(C~^T).  Raises SolverError when a block is singular or
+    indefinite (`_block_inverses`)."""
     inv, group = _block_inverses(blocks)
     projection = None
     if relations is not None:

@@ -13,9 +13,10 @@ levels 2-6), which no workload or table has, and for every level hashes the
 solution bytes and the iteration count, the L2/H1 errors (`float.hex`),
 K, b and C, the Schwarz operators `assemble` passes to
 `solve._preconditioner` (recorded by `schwarz_spy.recording`, which copies
-the blocks on entry, since the preconditioner inverts them in place) and
-one apply of `system.precondition` to a fixed vector; for the relation
-families also the relation blocks G it passes, S = C~ F C~^T and the
+the blocks on entry, since the preconditioner inverts them in place), the
+inverse of every element's block that `solve._block_inverses` forms from
+them, and one apply of `system.precondition` to a fixed vector; for the
+relation families also the relation blocks G it passes, S = C~ F C~^T and the
 relation blocks H of C~ F that `solve._relation_matrix` forms from them,
 and one apply of the projection's residual map.  OpenBLAS rounds long dot
 products differently with one and two threads, so the script sets
@@ -113,6 +114,7 @@ def hash_study(config) -> dict:
             "C": digest(system.constraints),
             "preconditioner_args": digest(ops.n, ops.elements, ops.element_blocks,
                                           ops.coarse, ops.coarse_matrix),
+            "block_inverses": digest(ops.element_inverses()),
             "precondition": digest(system.precondition(probe)),
         }
         if ops.relations is not None:

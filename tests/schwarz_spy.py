@@ -41,11 +41,19 @@ class Operators(NamedTuple):
         Ct, G, index = self.relations
         return Ct, G[self.classes], index
 
+    def element_inverses(self) -> np.ndarray:
+        """(ne, k, k): the inverse of every element's block, from
+        `solve._block_inverses` over a copy of the blocks (the
+        preconditioner inverts them in place)."""
+        inv, group = SOLVE._block_inverses(self.blocks.copy())
+        rows = SOLVE._compose(group, self.classes)
+        return inv if rows is None else inv[rows]
+
     def relation_blocks(self) -> tuple:
         """(S, H) of `solve._relation_matrix`, formed from a copy of the
         blocks (the preconditioner inverts them in place), with H of every
-        element, (ne, k, 5): S = C~ F C~^T and the transposed relation
-        blocks B_e^{-T} G_e of C~ F."""
+        element, (ne, k, 5): S = C~ F C~^T and H_e^T = B_e^{-1} G_e, the
+        relation blocks of C~ F as `_relation_matrix` stores them."""
         inv, group = SOLVE._block_inverses(self.blocks.copy())
         S, H = SOLVE._relation_matrix(inv, group, self.classes, self.relations)
         return S, H if self.classes is None else H[self.classes]

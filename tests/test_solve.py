@@ -340,6 +340,16 @@ class TestSolvers:
         with pytest.raises(SolverError, match="singular diagonal block"):
             assemble(space, lambda x, y: np.ones_like(x))
 
+    def test_indefinite_element_block_raises(self):
+        """One entry of a Schwarz block's diagonal negated: the block is
+        indefinite, keeps the constants out of its null space and has an
+        inverse, but no Cholesky factor, and `_preconditioner` raises."""
+        ops = assemble_with_operators(build_global_space(uniform_rect_mesh(4), Family("ER"), 3))[1]
+        blocks = ops.blocks.copy()
+        blocks[0, 0, 0] *= -1.0
+        with pytest.raises(SolverError, match="singular diagonal block.*not positive definite"):
+            _preconditioner(ops.n, ops.elements, blocks, ops.classes, None, None, None)
+
     @pytest.mark.parametrize(
         "precondition",
         [lambda r: np.zeros_like(r), lambda r: np.array([-r[1], r[0]])],
@@ -570,7 +580,7 @@ class TestElementBlockLoop:
         u, gu, f = default_u()
         system, ops = assemble_with_operators(space, f)
         K, G = system.matrix, ops.coarse_matrix
-        inv = expanded_inverses(ops)
+        inv = ops.element_inverses()
         raw = [a.tobytes() for a in (K.data, K.indices, K.indptr, system.rhs, inv,
                                      G.data, G.indices, G.indptr)]
         return raw, error_norms(space, coeffs, u, gu)
@@ -668,7 +678,7 @@ class TestDistinctElements:
         K, C = system.matrix, ops.coarse_matrix
         S = [] if ops.relations is None else relation_matrix(ops)
         return [a.tobytes() for a in (K.data, K.indices, K.indptr, system.rhs, C.data,
-                                      ops.element_blocks, expanded_inverses(ops), *S)]
+                                      ops.element_blocks, ops.element_inverses(), *S)]
 
     @staticmethod
     def _map_key(space):
@@ -727,27 +737,29 @@ class TestDistinctElements:
 
     def test_uniform_mesh_runs_kernels_once_per_distinct_element(self, monkeypatch):
         space = build_global_space(uniform_rect_mesh(32), Family("R", "tilde"), 5)
-        matmul, inv = np.matmul, np.linalg.inv
-        matmul_sizes, inverse_sizes = [], []
+        matmul, cholesky = np.matmul, np.linalg.cholesky
+        matmul_sizes, factor_sizes = [], []
 
         def counting_matmul(a, b, **kwargs):
             matmul_sizes.append(len(a))
             return matmul(a, b, **kwargs)
 
-        def counting_inv(a):
-            inverse_sizes.append(len(a))
-            return inv(a)
+        def counting_cholesky(a):
+            factor_sizes.append(len(a))
+            return cholesky(a)
 
         monkeypatch.setattr(np, "matmul", counting_matmul)
-        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
         assemble(space, default_u()[2])
         assert space.mesh.n_elements > self.solve_module.BLOCK_ELEMENTS
+        k = space.ref.n_retained
         # the stiffness kernel's two products once for the mesh's one
-        # Jacobian, then the relation blocks B_e^{-T} G_e and S's terms
-        # G_e^T B_e^{-1} G_e once per block class: the boundary masks make
-        # 9 block classes, 9 distinct Schwarz blocks
-        assert matmul_sizes == [1, 1, 9, 9]
-        assert inverse_sizes == [9]
+        # Jacobian, then once per block class (the boundary masks make 9
+        # block classes, 9 distinct Schwarz blocks): one Cholesky factor,
+        # a product per row of its inverse X and X^T X, then the relation
+        # blocks B_e^{-1} G_e and S's terms G_e^T B_e^{-1} G_e
+        assert matmul_sizes == [1, 1] + [9] * (k + 1) + [9, 9]
+        assert factor_sizes == [9]
 
 
 four_families = pytest.mark.parametrize(
@@ -781,7 +793,7 @@ class TestElementClasses:
         if system.projection is not None:
             applies.append(system.projection.residual(r))
         return ([a.tobytes() for a in (K.data, K.indices, K.indptr, system.rhs, C.data,
-                                       C.indices, C.indptr, expanded_inverses(ops), *applies)],
+                                       C.indices, C.indptr, ops.element_inverses(), *applies)],
                 len(inv), None if group is None else first_appearance(group).tolist())
 
     @four_families
@@ -801,6 +813,23 @@ class TestElementClasses:
         # the block inverses still group by their bytes
         monkeypatch.setattr(self.solve_module, "_classes", lambda key: None)
         assert self._results(space) == grouped
+
+    @four_families
+    @pytest.mark.parametrize(
+        "mesh",
+        [uniform_rect_mesh(8), rotated_listing(uniform_rect_mesh(8)), moved_vertex_mesh(16),
+         perturbed_mesh(8, seed=3)],
+        ids=["uniform8", "rotated8", "moved-vertex16", "perturbed8"],
+    )
+    def test_block_inverses_are_symmetric(self, family, m, mesh):
+        """Each block's inverse is symmetric byte for byte, and within
+        1e-13 of `np.linalg.inv` relative to its largest entry."""
+        ops = assemble_with_operators(build_global_space(mesh, family, m))[1]
+        inv = ops.element_inverses()
+        assert inv.tobytes() == np.ascontiguousarray(inv.transpose(0, 2, 1)).tobytes()
+        expect = np.linalg.inv(ops.element_blocks)
+        error = np.max(np.abs(inv - expect), axis=(1, 2)) / np.max(np.abs(expect), axis=(1, 2))
+        assert np.max(error) <= 1e-13
 
     @four_families
     def test_uniform_mesh_runs_one_kernel_and_nine_inverses(self, monkeypatch, family, m):
@@ -887,8 +916,9 @@ class TestOperatorsFromElementMatrices:
         system, ops = assemble_with_operators(build_global_space(mesh, family, m))
         expect = sampled_blocks(system.matrix, ops.elements)
         assert np.array_equal(ops.element_blocks, expect)
-        assert (expanded_inverses(ops).tobytes()
-                == np.linalg.inv(expect.transpose(0, 2, 1)).tobytes())
+        inv, group = _block_inverses(expect.copy())
+        assert (ops.element_inverses().tobytes()
+                == (inv if group is None else inv[group]).tobytes())
 
     @cases
     @meshes
@@ -1096,18 +1126,12 @@ def _dense_schwarz(A, elements, r):
 
 
 def inverse_groups(ops):
-    """(inv, group): the distinct transposed inverses `_preconditioner`
-    forms from the recorded operators, from a copy of their blocks, which
-    it would otherwise overwrite, and the row of inv of each element, or
-    None when each has its own."""
+    """(inv, group): the distinct inverses `_preconditioner` forms from the
+    recorded operators, from a copy of their blocks, which it would
+    otherwise overwrite, and the row of inv of each element, or None when
+    each has its own."""
     inv, group = _block_inverses(ops.blocks.copy())
     return inv, sys.modules["qncfem.solve"]._compose(group, ops.classes)
-
-
-def expanded_inverses(ops):
-    """The transposed inverse of every element's block, (ne, k, k)."""
-    inv, group = inverse_groups(ops)
-    return inv if group is None else inv[group]
 
 
 def relation_matrix(ops):
@@ -1176,7 +1200,7 @@ class TestPreconditioner:
         assert inverse_groups(ops)[1] is None  # no block repeats
         r = np.random.default_rng(13).standard_normal(system.n)
         x = np.append(r, 0.0)[ops.elements][:, None, :]
-        z = np.matmul(x, np.linalg.inv(ops.element_blocks.transpose(0, 2, 1)))
+        z = np.matmul(x, _block_inverses(ops.element_blocks.copy())[0])
         expect = np.bincount(ops.elements.ravel(), weights=z.ravel(),
                              minlength=system.n + 1)[:system.n]
         assert fine(r).tobytes() == expect.tobytes()
